@@ -80,9 +80,10 @@ def bounds_over_horizon(model: MarkovModel, pattern: PrivacyPattern,
     """Evaluate the history-averaged outer and inner bounds per step.
 
     Exact enumeration of realized query-history classes under the chosen
-    policy; each class contributes its probability times the per-class bound.
-    ON steps pin both bounds at N.  ``with_lp`` additionally solves the exact
-    query-design LP per class and averages the optima.
+    policy, merged where they reach the same belief; each belief contributes
+    its probability times its bound.  ON steps pin both bounds at N.
+    ``with_lp`` additionally solves the exact query-design LP per belief and
+    averages the optima.
     """
     n = model.n
     levels = np.arange(1, n + 1, dtype=float)

@@ -187,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--policy", choices=POLICIES, default="algorithm1")
     p.add_argument("--with-lp", action="store_true")
-    p.add_argument("--max-branches", type=int, default=10 ** 7)
+    p.add_argument("--max-branches", type=int, default=10 ** 7,
+                   help="most belief nodes per step, histories reaching the "
+                        "same belief merged (exit 3 beyond it)")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("sweep", help="figure-style rate grids as CSV")

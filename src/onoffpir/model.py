@@ -52,6 +52,8 @@ class MarkovModel:
             raise ValueError(f"transition matrix must be {self.n}x{self.n}, got {p.shape}")
         if pi0.shape != (self.n,):
             raise ValueError(f"initial distribution must have length {self.n}")
+        if not (np.isfinite(p).all() and np.isfinite(pi0).all()):
+            raise ValueError("probabilities must be finite")
         if np.any(p < 0) or np.any(p > 1) or np.any(pi0 < 0) or np.any(pi0 > 1):
             raise ValueError("probabilities must lie in [0, 1]")
         if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12:
@@ -154,6 +156,8 @@ class ConditionalLaw:
         table = _readonly(self.table)
         if table.shape != (self.n, self.n):
             raise ValueError(f"law table must be {self.n}x{self.n}, got {table.shape}")
+        if not np.isfinite(table).all():
+            raise ValueError("law entries must be finite")
         if np.any(table < -1e-12):
             raise ValueError("law entries must be nonnegative")
         if np.max(np.abs(table.sum(axis=1) - 1.0)) > 1e-12:

@@ -2,10 +2,12 @@
 
 The user tracks a joint belief over (pivot request, latest request) given the
 realized query history; that belief is a sufficient statistic for the
-conditional law each per-step scheme is built from, so schemes are
-constructed lazily per history class instead of precomputed over all
-histories.  The same recursion drives both the Monte Carlo episodes here and
-the exact history enumeration consumed by the bound evaluators.
+conditional law each per-step scheme is built from.  Histories that reach the
+same rounded belief at the same step after the same query share one node of
+a lazily expanded belief graph, and one scheme per node is built on first
+use.  The graph drives both the exact enumeration consumed by the bound
+evaluators, which pushes probability mass forward through it layer by layer,
+and the Monte Carlo episodes, which walk it vectorized over episodes.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import chdtrc
 
 from .model import (EPS, ZERO_TOL, CapacityError, ConditionalLaw, MarkovModel,
                     PrivacyPattern, tau_of)
@@ -49,9 +51,6 @@ class BeliefState:
     def pivot_marginal(self) -> np.ndarray:
         return self.joint.sum(axis=1)
 
-    def key(self) -> bytes:
-        return np.round(self.joint, 12).tobytes()
-
 
 def _law_from_joint(pre_joint: np.ndarray) -> ConditionalLaw:
     """Row-normalize p(pivot, current) into p(current | pivot).
@@ -60,19 +59,14 @@ def _law_from_joint(pre_joint: np.ndarray) -> ConditionalLaw:
     marginal: any row works there (the pivot never takes that value), and the
     marginal keeps the law well formed without distorting the scheme.
     """
-    n = pre_joint.shape[0]
-    row_mass = pre_joint.sum(axis=1)
+    row_mass = pre_joint.sum(axis=1, keepdims=True)
     marginal = pre_joint.sum(axis=0)
-    marginal = marginal / marginal.sum()
-    table = np.empty_like(pre_joint)
-    for u in range(n):
-        if row_mass[u] > ZERO_TOL:
-            table[u] = pre_joint[u] / row_mass[u]
-        else:
-            table[u] = marginal
+    with np.errstate(invalid="ignore", divide="ignore"):
+        table = np.where(row_mass > ZERO_TOL, pre_joint / row_mass,
+                         marginal / marginal.sum())
     table = np.clip(table, 0.0, None)
     table /= table.sum(axis=1, keepdims=True)
-    return ConditionalLaw(n, table)
+    return ConditionalLaw(pre_joint.shape[0], table)
 
 
 def belief_update(belief: BeliefState, p_step: np.ndarray,
@@ -109,11 +103,6 @@ class StepScheme:
         cum = np.ascontiguousarray(np.cumsum(w, axis=0).transpose(1, 2, 0))
         sizes = np.array([bin(m).count("1") for m in masks], dtype=np.int64)
         return StepScheme(n, masks, sizes, w, cum)
-
-    def sample(self, u: int, x: int, r: float) -> int:
-        """Index of the set drawn for true (pivot, request) at uniform r."""
-        k = int(np.searchsorted(self.cum[u, x], r, side="left"))
-        return min(k, len(self.y_masks) - 1)
 
     def query_marginal(self, pre_joint: np.ndarray) -> np.ndarray:
         """p(y_k | history) for a branch with the given extended joint."""
@@ -197,15 +186,27 @@ class _SchemeCache:
         return scheme
 
 
-@dataclass
-class BranchView:
-    """One realized-history class at one time step of the exact enumeration."""
+def _inverse_cdf(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Indices drawn at uniforms ``r`` from cumulative sums ``cum`` (last
+    axis), clamped to the last index for rows summing to just under 1."""
+    k = (cum < np.asarray(r)[..., None]).sum(axis=-1)
+    return np.minimum(k, cum.shape[-1] - 1)
 
-    prob: float
+
+@dataclass(eq=False)
+class BranchView:
+    """One belief node: the realized histories that reach the same belief at
+    step t after the same previous query, merged.  ``prob`` is their total
+    probability, filled in by the exact enumeration; ``children`` holds the
+    nodes reached so far, by candidate-query index."""
+
+    t: int
+    prev_mask: int
     pre_joint: np.ndarray          # p(pivot, current | history) before this query
     law: ConditionalLaw | None     # None on ON steps (query carries no choice)
     scheme: StepScheme | None      # None on ON steps
-    prev_mask: int
+    prob: float = 0.0
+    children: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -215,56 +216,84 @@ class StepView:
     branches: list
 
 
+class _BeliefGraph:
+    """Layered belief graph of one (model, pattern, policy).
+
+    A node is keyed by (t, posterior joint rounded to 1e-12, previous query
+    mask), so histories reaching the same belief share it; it is expanded
+    once, when first reached, and its children are made on first request.
+    """
+
+    def __init__(self, model: MarkovModel, pattern: PrivacyPattern, policy: str):
+        self.model = model
+        self.pattern = pattern
+        self.full_mask = (1 << model.n) - 1
+        self._cache = _SchemeCache(model, policy)
+        self._nodes: dict = {}
+        self.root = self._node(0, np.diag(model.pi0), self.full_mask)
+
+    def _node(self, t: int, joint: np.ndarray, prev_mask: int) -> BranchView:
+        key = (t, np.round(joint, 12).tobytes(), prev_mask)
+        node = self._nodes.get(key)
+        if node is None:
+            pre = joint if t == 0 else joint @ self.model.p
+            law = scheme = None
+            if not self.pattern.flags[t]:
+                law = _law_from_joint(pre)
+                gap = t - tau_of(self.pattern, t)
+                scheme = self._cache.for_step(law, prev_mask, gap)
+            node = self._nodes[key] = BranchView(t, prev_mask, pre, law, scheme)
+        return node
+
+    def child(self, node: BranchView, k: int) -> BranchView:
+        """The node reached after ``node``'s k-th candidate query; an ON step
+        has the full set as its only candidate (k = 0)."""
+        nxt = node.children.get(k)
+        if nxt is None:
+            if node.scheme is None:
+                marg = node.pre_joint.sum(axis=0)
+                post, mask = np.diag(marg / marg.sum()), self.full_mask
+            else:
+                post = node.pre_joint * node.scheme.w[k]
+                post, mask = post / post.sum(), node.scheme.y_masks[k]
+            nxt = node.children[k] = self._node(node.t + 1, post, mask)
+        return nxt
+
+
 def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
-                    policy: str = "algorithm1", max_branches: int = 10 ** 7,
-                    prune: float = 1e-12):
+                    policy: str = "algorithm1", max_branches: int = 10 ** 7):
     """Exact enumeration of realized query histories under a policy.
 
-    Yields one :class:`StepView` per t in 0..horizon; the branch list carries
-    the probability and extended belief of every surviving history class.
-    Raises :class:`CapacityError` when the branch count would exceed
-    ``max_branches`` (Monte Carlo simulation is the fallback at that size).
+    Yields one :class:`StepView` per t in 0..horizon.  Its branches are the
+    belief nodes reached at t, each with the total probability of the
+    histories merged into it; query outcomes of probability at most
+    ``ZERO_TOL`` are dropped.  Raises :class:`CapacityError` when a step would
+    hold more than ``max_branches`` nodes (Monte Carlo simulation is the
+    fallback at that size).
     """
     if horizon >= len(pattern):
         raise ValueError(f"pattern of length {len(pattern)} too short for horizon {horizon}")
-    n = model.n
-    cache = _SchemeCache(model, policy)
-    full_mask = (1 << n) - 1
-    # branch state: (prob, posterior joint after previous step, prev query mask)
-    branches = [(1.0, np.diag(model.pi0), full_mask)]
+    graph = _BeliefGraph(model, pattern, policy)
+    graph.root.prob = 1.0
+    layer = [graph.root]
     for t in range(horizon + 1):
-        f_on = pattern.flags[t]
-        views = []
-        for prob, joint, prev_mask in branches:
-            pre = joint if t == 0 else joint @ model.p
-            if f_on:
-                views.append(BranchView(prob, pre, None, None, prev_mask))
-            else:
-                law = _law_from_joint(pre)
-                gap = t - tau_of(pattern, t)
-                scheme = cache.for_step(law, prev_mask, gap)
-                views.append(BranchView(prob, pre, law, scheme, prev_mask))
-        yield StepView(t, f_on, views)
-
-        children = []
-        for view in views:
-            pre = view.pre_joint
-            if f_on:
-                marg = pre.sum(axis=0)
-                children.append((view.prob, np.diag(marg / marg.sum()), full_mask))
-            else:
-                weights = view.scheme.query_marginal(pre)
-                for k, mass in enumerate(weights):
-                    if mass <= prune:
-                        continue
-                    post = pre * view.scheme.w[k]
-                    children.append((view.prob * mass, post / post.sum(),
-                                     view.scheme.y_masks[k]))
-        if len(children) > max_branches:
+        yield StepView(t, pattern.flags[t], layer)
+        if t == horizon:
+            return
+        nxt: dict = {}   # insertion-ordered set of the next layer's nodes
+        for node in layer:
+            edges = ([(0, 1.0)] if node.scheme is None
+                     else enumerate(node.scheme.query_marginal(node.pre_joint)))
+            for k, weight in edges:
+                if weight > ZERO_TOL:
+                    child = graph.child(node, k)
+                    child.prob += node.prob * weight
+                    nxt[child] = None
+        if len(nxt) > max_branches:
             raise CapacityError(
-                f"{len(children)} history branches at t={t}; raise max_branches "
+                f"{len(nxt)} belief nodes at t={t + 1}; raise max_branches "
                 "or use Monte Carlo simulation")
-        branches = children
+        layer = list(nxt)
 
 
 class ServerState:
@@ -352,118 +381,81 @@ class SimulationResult:
         }
 
 
-def _sample_index(cum: np.ndarray, r: float) -> int:
-    return int(np.searchsorted(cum, r, side="left"))
-
-
 def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
              seed: int = 0, msg_bits: int = 64, policy: str = "algorithm1",
              keep_traces: bool = False) -> SimulationResult:
     """Run seeded episodes of the query/answer protocol.
 
     Request sampling and message payloads use independent child streams of
-    the seed, so decode checks cannot perturb trajectory statistics.  Belief
-    propagation per history is memoized, making large episode counts cheap.
+    the seed, so decode checks cannot perturb trajectory statistics.  Requests
+    and queries are drawn for all episodes at once, step by step, grouped by
+    the belief-graph node each episode has reached; payloads and decode
+    checks then run episode by episode.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
+    if episodes < 1 or msg_bits < 1:
+        raise ValueError(f"episodes and msg_bits must be at least 1, "
+                         f"got {episodes} and {msg_bits}")
     n = model.n
+    if n > 63:
+        raise CapacityError(f"{n} sources do not fit the int64 query masks (at most 63)")
+    graph = _BeliefGraph(model, pattern, policy)
     horizon = len(pattern) - 1
     rng_req = np.random.default_rng([seed, 0])
     rng_msg = np.random.default_rng([seed, 1])
-    cache = _SchemeCache(model, policy)
-    full_mask = (1 << n) - 1
-
-    pi0_cum = np.cumsum(model.pi0)
-    p_cum = np.cumsum(model.p, axis=1)
-
-    # belief nodes keyed by rounded joint bytes; transitions memoized
-    root = np.diag(model.pi0)
-    nodes = {_joint_key(root): root}
-    steps: dict = {}   # (node_key, t) -> (pre_joint, scheme or None)
-    trans: dict = {}   # (node_key, t, y_mask) -> child node key
-
-    q_masks = np.zeros((episodes, horizon + 1), dtype=np.int64)
-    xs = np.zeros((episodes, horizon + 1), dtype=np.int64)
-    x_taus = np.zeros((episodes, horizon + 1), dtype=np.int64)
-    oks = np.ones((episodes, horizon + 1), dtype=bool)
-    decode_failures = 0
-    traces = [] if keep_traces else None
-
     req_u = rng_req.random((episodes, horizon + 1))
     sch_u = rng_req.random((episodes, horizon + 1))
 
-    for ep in range(episodes):
-        key = _joint_key(root)
-        x = x_tau = -1
-        prev_mask = full_mask
+    p_cum = np.cumsum(model.p, axis=1)
+    q_masks = np.empty((episodes, horizon + 1), dtype=np.int64)
+    xs = np.empty_like(q_masks)
+    taus = [tau_of(pattern, t) for t in range(horizon + 1)]
+    layer = [graph.root]
+    at = np.zeros(episodes, dtype=np.intp)   # layer index of each episode's node
+    for t in range(horizon + 1):
+        x = xs[:, t] = _inverse_cdf(np.cumsum(model.pi0) if t == 0 else p_cum[x],
+                                    req_u[:, t])
+        nxt: dict = {}   # child node -> its index in the next layer
+        at_next = np.empty_like(at)
+        for i, node in enumerate(layer):
+            group = np.flatnonzero(at == i)
+            if node.scheme is None:
+                ks = np.zeros(len(group), dtype=np.intp)
+                q_masks[group, t] = graph.full_mask
+            else:
+                ks = _inverse_cdf(node.scheme.cum[xs[group, taus[t]], x[group]],
+                                  sch_u[group, t])
+                q_masks[group, t] = np.array(node.scheme.y_masks)[ks]
+            if t < horizon:
+                for k in np.unique(ks):
+                    child = graph.child(node, int(k))
+                    at_next[group[ks == k]] = nxt.setdefault(child, len(nxt))
+        layer, at = list(nxt), at_next
+
+    # fresh messages, concatenated answer, bit-exact decode
+    oks = np.ones((episodes, horizon + 1), dtype=bool)
+    decode_failures = 0
+    traces = [] if keep_traces else None
+    value_mask = (1 << msg_bits) - 1
+    for ep, (mask_row, x_row) in enumerate(zip(q_masks.tolist(), xs.tolist())):
         server = ServerState(n, msg_bits, rng_msg)
         trace = [] if keep_traces else None
-        for t in range(horizon + 1):
-            f_on = pattern.flags[t]
-            x = _sample_index(pi0_cum if t == 0 else p_cum[x], req_u[ep, t])
-            if f_on:
-                x_tau = x
-            step = steps.get((key, t, prev_mask))
-            if step is None:
-                joint = nodes[key]
-                pre = joint if t == 0 else joint @ model.p
-                if f_on:
-                    step = (pre, None)
-                else:
-                    law = _law_from_joint(pre)
-                    gap = t - tau_of(pattern, t)
-                    step = (pre, cache.for_step(law, prev_mask, gap))
-                steps[(key, t, prev_mask)] = step
-            pre, scheme = step
-            if f_on:
-                mask = full_mask
-                sel = tuple(range(n))
-            else:
-                k = scheme.sample(x_tau, x, sch_u[ep, t])
-                mask = scheme.y_masks[k]
-                sel = tuple(i for i in range(n) if mask >> i & 1)
-
-            child = trans.get((key, t, prev_mask, mask))
-            if child is None:
-                if f_on:
-                    marg = pre.sum(axis=0)
-                    nxt = np.diag(marg / marg.sum())
-                else:
-                    k = scheme.y_masks.index(mask)
-                    post = pre * scheme.w[k]
-                    nxt = post / post.sum()
-                child = _joint_key(nxt)
-                nodes.setdefault(child, nxt)
-                trans[(key, t, prev_mask, mask)] = child
-            key = child
-
-            # fresh messages, concatenated answer, bit-exact decode
+        for t, (mask, x) in enumerate(zip(mask_row, x_row)):
+            sel = tuple(i for i in range(n) if mask >> i & 1)
             server.advance()
             answer, _bits = server.answer(sel)
             slot = sel.index(x)
-            mask_bits = (1 << msg_bits) - 1
-            ok = (answer >> (slot * msg_bits)) & mask_bits == server.messages[x]
+            ok = (answer >> (slot * msg_bits)) & value_mask == server.messages[x]
             if not ok:
                 decode_failures += 1
                 oks[ep, t] = False
-
-            q_masks[ep, t] = mask
-            xs[ep, t] = x
-            x_taus[ep, t] = x_tau
-            prev_mask = mask
             if keep_traces:
-                trace.append(TraceRecord(t, f_on, x, QuerySet(sel),
+                trace.append(TraceRecord(t, pattern.flags[t], x, QuerySet(sel),
                                          len(sel) * msg_bits, ok))
         if keep_traces:
             traces.append(trace)
 
     return SimulationResult(model, pattern, episodes, seed, msg_bits, policy,
-                            q_masks, xs, x_taus, oks, decode_failures, traces)
-
-
-def _joint_key(joint: np.ndarray) -> bytes:
-    return np.round(joint, 12).tobytes()
+                            q_masks, xs, xs[:, taus], oks, decode_failures, traces)
 
 
 def run_episode(model: MarkovModel, pattern: PrivacyPattern,
@@ -533,6 +525,6 @@ def empirical_privacy_audit(traces, t: int) -> ChiSquareAudit:
         min_expected = min(min_expected, float(expected.min()))
         stat += float(((table - expected) ** 2 / expected).sum())
         dof += (len(rows) - 1) * (len(cols) - 1)
-    p_value = float(_scipy_stats.chi2.sf(stat, dof)) if dof > 0 else 1.0
+    p_value = float(chdtrc(dof, stat)) if dof > 0 else 1.0
     unreliable = dof > 0 and min_expected < 5.0
     return ChiSquareAudit(stat, dof, p_value, len(qt), int(len(strata)), unreliable)

@@ -165,9 +165,9 @@ def conditional_query_mi(model, pattern, horizon: int,
                          max_branches: int = 10 ** 7) -> list:
     """Exact per-step leakage I(pivot; query | history) in bits.
 
-    History classes are enumerated under the chosen policy; each class
-    contributes its probability times the mutual information between the
-    pivot and the transmitted set within that class.  ON steps send a
+    History classes are enumerated under the chosen policy, merged where they
+    reach the same belief; each belief contributes its probability times the
+    mutual information between the pivot and the transmitted set under it.  ON steps send a
     constant query and leak nothing.
     """
     from .sim import enumerate_steps  # local import keeps module layering flat

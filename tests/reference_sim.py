@@ -1,0 +1,167 @@
+"""Loop references for the belief-graph engine in ``onoffpir.sim``.
+
+``reference_enumerate_steps`` keeps one branch per realized query history and
+never merges; ``reference_simulate`` walks one episode at a time with its own
+per-episode belief memo and ``searchsorted`` draws.  Both are the straight
+recursions the graph replaces: the tests require the graph's seeded
+trajectories to equal these exactly and its per-step sums to agree within
+1e-12.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from onoffpir.model import CapacityError, tau_of
+from onoffpir.scheme import QuerySet
+from onoffpir.sim import (BranchView, ServerState, SimulationResult, StepView,
+                          TraceRecord, _law_from_joint, _SchemeCache)
+
+
+def _key(joint: np.ndarray) -> bytes:
+    return np.round(joint, 12).tobytes()
+
+
+def reference_enumerate_steps(model, pattern, horizon: int,
+                              policy: str = "algorithm1",
+                              max_branches: int = 10 ** 7,
+                              prune: float = 1e-12):
+    """One :class:`StepView` per t; one branch per history class."""
+    if horizon >= len(pattern):
+        raise ValueError(f"pattern of length {len(pattern)} too short for horizon {horizon}")
+    n = model.n
+    cache = _SchemeCache(model, policy)
+    full_mask = (1 << n) - 1
+    # branch state: (prob, posterior joint after previous step, prev query mask)
+    branches = [(1.0, np.diag(model.pi0), full_mask)]
+    for t in range(horizon + 1):
+        f_on = pattern.flags[t]
+        views = []
+        for prob, joint, prev_mask in branches:
+            pre = joint if t == 0 else joint @ model.p
+            if f_on:
+                views.append(BranchView(t, prev_mask, pre, None, None, prob))
+            else:
+                law = _law_from_joint(pre)
+                gap = t - tau_of(pattern, t)
+                scheme = cache.for_step(law, prev_mask, gap)
+                views.append(BranchView(t, prev_mask, pre, law, scheme, prob))
+        yield StepView(t, f_on, views)
+
+        children = []
+        for view in views:
+            pre = view.pre_joint
+            if f_on:
+                marg = pre.sum(axis=0)
+                children.append((view.prob, np.diag(marg / marg.sum()), full_mask))
+            else:
+                weights = view.scheme.query_marginal(pre)
+                for k, mass in enumerate(weights):
+                    if mass <= prune:
+                        continue
+                    post = pre * view.scheme.w[k]
+                    children.append((view.prob * mass, post / post.sum(),
+                                     view.scheme.y_masks[k]))
+        if len(children) > max_branches:
+            raise CapacityError(f"{len(children)} history branches at t={t}")
+        branches = children
+
+
+def reference_simulate(model, pattern, episodes: int, seed: int = 0,
+                       msg_bits: int = 64, policy: str = "algorithm1",
+                       keep_traces: bool = False) -> SimulationResult:
+    """Seeded episodes, one at a time, from the same random streams."""
+    n = model.n
+    horizon = len(pattern) - 1
+    rng_req = np.random.default_rng([seed, 0])
+    rng_msg = np.random.default_rng([seed, 1])
+    cache = _SchemeCache(model, policy)
+    full_mask = (1 << n) - 1
+
+    pi0_cum = np.cumsum(model.pi0)
+    p_cum = np.cumsum(model.p, axis=1)
+
+    # belief nodes keyed by rounded joint bytes; transitions memoized
+    root = np.diag(model.pi0)
+    nodes = {_key(root): root}
+    steps: dict = {}   # (node_key, t, prev_mask) -> (pre_joint, scheme or None)
+    trans: dict = {}   # (node_key, t, prev_mask, y_mask) -> child node key
+
+    q_masks = np.zeros((episodes, horizon + 1), dtype=np.int64)
+    xs = np.zeros((episodes, horizon + 1), dtype=np.int64)
+    x_taus = np.zeros((episodes, horizon + 1), dtype=np.int64)
+    oks = np.ones((episodes, horizon + 1), dtype=bool)
+    decode_failures = 0
+    traces = [] if keep_traces else None
+
+    req_u = rng_req.random((episodes, horizon + 1))
+    sch_u = rng_req.random((episodes, horizon + 1))
+
+    for ep in range(episodes):
+        key = _key(root)
+        x = x_tau = -1
+        prev_mask = full_mask
+        server = ServerState(n, msg_bits, rng_msg)
+        trace = [] if keep_traces else None
+        for t in range(horizon + 1):
+            f_on = pattern.flags[t]
+            cum = pi0_cum if t == 0 else p_cum[x]
+            x = int(np.searchsorted(cum, req_u[ep, t], side="left"))
+            if f_on:
+                x_tau = x
+            step = steps.get((key, t, prev_mask))
+            if step is None:
+                joint = nodes[key]
+                pre = joint if t == 0 else joint @ model.p
+                if f_on:
+                    step = (pre, None)
+                else:
+                    law = _law_from_joint(pre)
+                    gap = t - tau_of(pattern, t)
+                    step = (pre, cache.for_step(law, prev_mask, gap))
+                steps[(key, t, prev_mask)] = step
+            pre, scheme = step
+            if f_on:
+                mask = full_mask
+                sel = tuple(range(n))
+            else:
+                k = int(np.searchsorted(scheme.cum[x_tau, x], sch_u[ep, t],
+                                        side="left"))
+                mask = scheme.y_masks[min(k, len(scheme.y_masks) - 1)]
+                sel = tuple(i for i in range(n) if mask >> i & 1)
+
+            child = trans.get((key, t, prev_mask, mask))
+            if child is None:
+                if f_on:
+                    marg = pre.sum(axis=0)
+                    nxt = np.diag(marg / marg.sum())
+                else:
+                    k = scheme.y_masks.index(mask)
+                    post = pre * scheme.w[k]
+                    nxt = post / post.sum()
+                child = _key(nxt)
+                nodes.setdefault(child, nxt)
+                trans[(key, t, prev_mask, mask)] = child
+            key = child
+
+            server.advance()
+            answer, _bits = server.answer(sel)
+            slot = sel.index(x)
+            mask_bits = (1 << msg_bits) - 1
+            ok = (answer >> (slot * msg_bits)) & mask_bits == server.messages[x]
+            if not ok:
+                decode_failures += 1
+                oks[ep, t] = False
+
+            q_masks[ep, t] = mask
+            xs[ep, t] = x
+            x_taus[ep, t] = x_tau
+            prev_mask = mask
+            if keep_traces:
+                trace.append(TraceRecord(t, f_on, x, QuerySet(sel),
+                                         len(sel) * msg_bits, ok))
+        if keep_traces:
+            traces.append(trace)
+
+    return SimulationResult(model, pattern, episodes, seed, msg_bits, policy,
+                            q_masks, xs, x_taus, oks, decode_failures, traces)

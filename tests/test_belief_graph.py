@@ -1,0 +1,98 @@
+"""The belief graph behind ``enumerate_steps`` and ``simulate`` against the
+loop references in ``reference_sim``: seeded trajectories bit-identical,
+per-step bound and leakage sums within 1e-12, merged masses summing to one."""
+
+import numpy as np
+import pytest
+
+import onoffpir.bounds as bounds_mod
+import onoffpir.sim as sim_mod
+from helpers import WORKED_TABLE, random_law
+from onoffpir.bounds import bounds_over_horizon
+from onoffpir.model import MarkovModel, PrivacyPattern
+from onoffpir.sim import POLICIES, enumerate_steps, simulate
+from onoffpir.verify import conditional_query_mi
+from reference_sim import reference_enumerate_steps, reference_simulate
+
+TOL = 1e-12
+
+
+def _chain(n: int) -> MarkovModel:
+    if n == 2:
+        return MarkovModel.two_state(0.3, 0.45, [0.6, 0.4])
+    if n == 3:
+        return MarkovModel(3, WORKED_TABLE, [0.2, 0.3, 0.5])
+    rng = np.random.default_rng(n)
+    return MarkovModel(n, random_law(rng, n).table, rng.dirichlet(np.ones(n)))
+
+
+CASES = [(n, pattern, policy)
+         for n in (2, 3, 4) for pattern in ("1010", "1001000")
+         for policy in POLICIES if policy != "n2_closed_form" or n == 2]
+
+
+@pytest.mark.parametrize("n,pattern,policy", CASES)
+def test_simulate_matches_per_episode_reference(n, pattern, policy):
+    model, pat = _chain(n), PrivacyPattern.from_string(pattern)
+    got = simulate(model, pat, 400, seed=n, msg_bits=20, policy=policy,
+                   keep_traces=True)
+    ref = reference_simulate(model, pat, 400, seed=n, msg_bits=20,
+                             policy=policy, keep_traces=True)
+    for name in ("q_masks", "xs", "x_taus", "oks"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.decode_failures == ref.decode_failures == 0
+    assert got.traces == ref.traces
+
+
+def _reference_sums(monkeypatch, fn, *args, **kwargs):
+    """``fn`` evaluated over the per-class reference enumeration."""
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds_mod, "enumerate_steps", reference_enumerate_steps)
+        patch.setattr(sim_mod, "enumerate_steps", reference_enumerate_steps)
+        return fn(*args, **kwargs)
+
+
+def _close(a, b) -> bool:
+    return a is None and b is None or abs(a - b) <= TOL
+
+
+@pytest.mark.parametrize("n,pattern,with_lp", [
+    (2, "1001000", True), (3, "1001000", False), (3, "10010", True),
+    (4, "10010", False), (4, "1010", True)])
+def test_horizon_sums_match_per_class_reference(monkeypatch, n, pattern, with_lp):
+    model, pat = _chain(n), PrivacyPattern.from_string(pattern)
+    horizon = len(pat) - 1
+    rows = bounds_over_horizon(model, pat, horizon, with_lp=with_lp)
+    ref = _reference_sums(monkeypatch, bounds_over_horizon, model, pat,
+                          horizon, with_lp=with_lp)
+    for got, want in zip(rows, ref, strict=True):
+        for name in ("outer2", "outer1", "inner", "exact_n2", "lp_opt"):
+            assert _close(getattr(got, name), getattr(want, name)), (got.t, name)
+    mi = conditional_query_mi(model, pat, horizon)
+    mi_ref = _reference_sums(monkeypatch, conditional_query_mi, model, pat, horizon)
+    assert all(_close(a, b) for a, b in zip(mi, mi_ref, strict=True))
+
+
+def _mass_by_belief(view) -> dict:
+    out: dict = {}
+    for br in view.branches:
+        key = (np.round(br.pre_joint, 12).tobytes(), br.prev_mask)
+        out[key] = out.get(key, 0.0) + br.prob
+    return out
+
+
+@pytest.mark.parametrize("n,pattern", [(2, "1001000"), (3, "1000100"),
+                                       (4, "100010")])
+def test_merged_masses(n, pattern):
+    model, pat = _chain(n), PrivacyPattern.from_string(pattern)
+    horizon = len(pat) - 1
+    for view, ref in zip(enumerate_steps(model, pat, horizon),
+                         reference_enumerate_steps(model, pat, horizon),
+                         strict=True):
+        assert abs(sum(br.prob for br in view.branches) - 1.0) <= TOL
+        # every belief carries the summed mass of the classes reaching it
+        got, want = _mass_by_belief(view), _mass_by_belief(ref)
+        assert got.keys() == want.keys()
+        assert all(abs(got[k] - want[k]) <= TOL for k in want)
+        assert len(view.branches) <= len(ref.branches)

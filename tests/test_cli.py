@@ -142,6 +142,17 @@ def test_simulate_requires_model_and_pattern():
     assert main(["simulate", "--episodes", "5"]) == 2
 
 
+def test_simulate_bad_sizes_exit_codes(model2_path, tmp_path, capsys):
+    base = ["simulate", "--model", model2_path, "--pattern", "10"]
+    assert main(base + ["--episodes", "0"]) == 2
+    assert main(base + ["--msg-bits", "0"]) == 2
+    wide = tmp_path / "m64.json"
+    wide.write_text(MarkovModel.symmetric(64, 0.5).to_json())
+    assert main(["simulate", "--model", str(wide), "--pattern", "1",
+                 "--episodes", "1"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_model_file_is_config_error(tmp_path):
     assert main(["bounds", "--model", str(tmp_path / "nope.json"),
                  "--pattern", "10"]) == 2

@@ -18,6 +18,11 @@ def test_markov_model_rejects_bad_rows():
         MarkovModel(1, [[1.0]], [1.0])
     with pytest.raises(ValueError):
         MarkovModel(2, [[1.2, -0.2], [0.0, 1.0]], [0.5, 0.5])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            MarkovModel(2, [[bad, 0.5], [0.5, 0.5]], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            MarkovModel(2, [[0.5, 0.5], [0.5, 0.5]], [bad, 0.5])
 
 
 def test_model_json_round_trip(tmp_path):
@@ -178,3 +183,6 @@ def test_conditional_law_validation():
         ConditionalLaw(2, [[0.5, 0.4], [0.5, 0.5]])
     with pytest.raises(ValueError):
         ConditionalLaw(2, [[1.5, -0.5], [0.5, 0.5]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            ConditionalLaw(2, [[bad, 0.5], [0.5, 0.5]])

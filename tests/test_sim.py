@@ -3,8 +3,9 @@ import pytest
 
 from helpers import random_law, worked_law
 from onoffpir.model import CapacityError, MarkovModel, PrivacyPattern
-from onoffpir.sim import (BeliefState, belief_update, empirical_privacy_audit,
-                          enumerate_steps, run_episode, simulate)
+from onoffpir.sim import (BeliefState, _inverse_cdf, belief_update,
+                          empirical_privacy_audit, enumerate_steps,
+                          run_episode, simulate)
 
 
 def two_state():
@@ -235,6 +236,33 @@ def test_simulate_rejects_bad_policy_configs():
         simulate(m, PrivacyPattern.from_string("10"), 10, policy="telepathy")
 
 
+def test_simulate_rejects_bad_sizes():
+    m = two_state()
+    pat = PrivacyPattern.from_string("10")
+    for episodes in (0, -3):
+        with pytest.raises(ValueError):
+            simulate(m, pat, episodes)
+    with pytest.raises(ValueError):
+        simulate(m, pat, 10, msg_bits=0)
+    # query masks are int64 bitmasks: 63 sources is the most they hold
+    with pytest.raises(CapacityError):
+        simulate(MarkovModel.symmetric(64, 0.5), PrivacyPattern.from_string("1"), 1)
+    res = simulate(MarkovModel.symmetric(63, 0.5), PrivacyPattern.from_string("1"), 1)
+    assert res.q_masks[0, 0] == 2 ** 63 - 1
+
+
+def test_inverse_cdf_clamps_rows_summing_below_one():
+    # the model accepts rows 1e-12 short of one; a uniform above the last
+    # cumulative sum must still draw an index inside the row
+    row = [0.5, 0.5 - 5e-13]
+    MarkovModel(2, [row, [0.5, 0.5]], [0.5, 0.5])
+    cum = np.cumsum(row)
+    assert np.searchsorted(cum, 1 - 1e-16, side="left") == 2
+    r = np.array([1 - 1e-16, 0.25, 0.5, 0.75])
+    assert _inverse_cdf(cum, r).tolist() == [1, 0, 0, 1]
+    assert _inverse_cdf(np.stack([cum, cum]), r[:2]).tolist() == [1, 0]
+
+
 # -------------------------------------------------------------- privacy audit
 
 def test_privacy_audit_accepts_private_scheme():
@@ -262,6 +290,20 @@ def test_privacy_audit_from_trace_records():
     from_traces = empirical_privacy_audit(res.traces, 1)
     assert from_result.statistic == pytest.approx(from_traces.statistic, abs=1e-12)
     assert from_result.dof == from_traces.dof
+
+
+def test_privacy_audit_p_values_match_scipy_stats():
+    from scipy import special, stats
+    for stat, dof in ((0.0, 1), (3.84, 1), (12.5, 4), (80.0, 30), (1e3, 7)):
+        assert special.chdtrc(dof, stat) == stats.chi2.sf(stat, dof)
+    m = two_state()
+    for policy, seed in (("algorithm1", 19), ("naive", 20)):
+        res = simulate(m, PrivacyPattern.from_string("100"), 2000, seed=seed,
+                       policy=policy)
+        for t in (1, 2):
+            audit = empirical_privacy_audit(res, t)
+            assert audit.dof > 0
+            assert audit.p_value == float(stats.chi2.sf(audit.statistic, audit.dof))
 
 
 def test_privacy_audit_bounds_checks():
