@@ -34,10 +34,11 @@ class MultisetQuery:
     counts: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if any(c < 0 for c in self.counts):
+        counts = tuple(map(int, self.counts))
+        object.__setattr__(self, "counts", counts)
+        if min(counts, default=0) < 0:
             raise ValueError("multiplicities must be nonnegative")
-        if self.cardinality > len(self.counts):
+        if sum(counts) > len(counts):
             raise ValueError("multiset cardinality cannot exceed the number of sources")
 
     @staticmethod
@@ -100,14 +101,16 @@ def on_step_query(n: int) -> QuerySet:
     return QuerySet.full(n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QueryDistribution:
     """Sparse conditional law p(z, x | u) over multiset queries.
 
     Stored as parallel arrays over the nonzero support: entry ``e`` carries
-    probability ``probs[e]`` on ``(queries[qidx[e]], xs[e], us[e])``.
-    Entries are canonically ordered by (cardinality, count vector, x, u),
-    so equal inputs produce bit-identical objects.
+    probability ``probs[e]`` on ``(counts[qidx[e]], xs[e], us[e])``, where the
+    read-only ``(Q, n)`` matrix ``counts`` holds one count vector per distinct
+    query.  Entries are canonically ordered by (cardinality, count vector, x,
+    u), so equal inputs produce bit-identical objects.  ``queries`` views the
+    rows of ``counts`` as :class:`MultisetQuery` values.
 
     Invariants (checked by the builder and audited independently):
       * all stored probabilities are strictly positive,
@@ -119,48 +122,59 @@ class QueryDistribution:
     """
 
     n: int
-    queries: tuple
+    counts: np.ndarray
     qidx: np.ndarray
     xs: np.ndarray
     us: np.ndarray
     probs: np.ndarray
 
-    def __post_init__(self):
-        for name in ("qidx", "xs", "us"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
+    def __init__(self, n: int, queries, qidx, xs, us, probs):
+        counts = np.array([q.counts for q in queries], dtype=np.int64)
+        self._freeze(n, counts.reshape(len(counts), n), qidx, xs, us, probs)
+
+    @classmethod
+    def _of_counts(cls, n: int, counts, qidx, xs, us, probs) -> "QueryDistribution":
+        dist = cls.__new__(cls)
+        dist._freeze(n, counts, qidx, xs, us, probs)
+        return dist
+
+    def _freeze(self, n, counts, qidx, xs, us, probs):
+        object.__setattr__(self, "n", n)
+        for name, arr, dtype in (("counts", counts, np.int64), ("qidx", qidx, np.int64),
+                                 ("xs", xs, np.int64), ("us", us, np.int64),
+                                 ("probs", probs, float)):
+            arr = np.ascontiguousarray(arr, dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        probs = np.ascontiguousarray(self.probs, dtype=float)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "queries", tuple(self.queries))
 
     def __len__(self) -> int:
         return len(self.probs)
 
     @cached_property
+    def queries(self) -> tuple:
+        """The distinct queries as :class:`MultisetQuery` values."""
+        return tuple(MultisetQuery(tuple(row)) for row in self.counts.tolist())
+
+    @cached_property
     def cardinalities(self) -> np.ndarray:
         """Per-entry multiset cardinality |z|."""
-        card = np.array([q.cardinality for q in self.queries], dtype=np.int64)
-        return card[self.qidx]
+        return self.counts.sum(axis=1)[self.qidx]
 
     def query_law(self, prior=None) -> np.ndarray:
         """p(z) per distinct query under a prior over u (uniform by default)."""
         prior = np.full(self.n, 1.0 / self.n) if prior is None else np.asarray(prior, float)
         return np.bincount(self.qidx, weights=self.probs * prior[self.us],
-                           minlength=len(self.queries))
+                           minlength=len(self.counts))
 
     def expected_multiset_cardinality(self, prior=None) -> float:
-        card = np.array([q.cardinality for q in self.queries], dtype=float)
-        return float(self.query_law(prior) @ card)
+        return float(self.query_law(prior) @ self.counts.sum(axis=1, dtype=float))
 
     def expected_set_cardinality(self, prior=None) -> float:
-        card = np.array([len(set(q.support)) for q in self.queries], dtype=float)
-        return float(self.query_law(prior) @ card)
+        return float(self.query_law(prior) @ (self.counts > 0).sum(axis=1, dtype=float))
 
     @property
     def is_set_view(self) -> bool:
-        return all(all(c <= 1 for c in q.counts) for q in self.queries)
+        return bool(np.all(self.counts <= 1))
 
     def law_marginal(self) -> np.ndarray:
         """table[u, x] = sum_z p(z, x | u); equals the input law when valid."""
@@ -171,13 +185,15 @@ class QueryDistribution:
     def query_conditionals(self) -> np.ndarray:
         """table[qid, u] = p(z | u); rows are constant for a private scheme."""
         flat = np.bincount(self.qidx * self.n + self.us, weights=self.probs,
-                           minlength=len(self.queries) * self.n)
-        return flat.reshape(len(self.queries), self.n)
+                           minlength=len(self.counts) * self.n)
+        return flat.reshape(len(self.counts), self.n)
 
     def entry_tuples(self):
         """Entries as plain (counts, x, u, p) tuples in canonical order."""
-        return [(self.queries[int(q)].counts, int(x), int(u), float(p))
-                for q, x, u, p in zip(self.qidx, self.xs, self.us, self.probs)]
+        rows = [tuple(row) for row in self.counts.tolist()]
+        return [(rows[q], x, u, p) for q, x, u, p in
+                zip(self.qidx.tolist(), self.xs.tolist(), self.us.tolist(),
+                    self.probs.tolist())]
 
     def to_json(self) -> str:
         entries = [{"z": list(z), "x": x, "u": u, "p": p}
@@ -188,78 +204,75 @@ class QueryDistribution:
     def from_json(obj) -> "QueryDistribution":
         if isinstance(obj, (str, bytes)):
             obj = json.loads(obj)
-        n = int(obj["n"])
-        items = [(tuple(int(c) for c in e["z"]), int(e["x"]), int(e["u"]), float(e["p"]))
-                 for e in obj["entries"]]
-        return QueryDistribution.from_items(n, items)
+        items = [(e["z"], e["x"], e["u"], e["p"]) for e in obj["entries"]]
+        return QueryDistribution.from_items(int(obj["n"]), items)
 
     @staticmethod
     def from_items(n: int, items) -> "QueryDistribution":
         """Build from (counts, x, u, prob) tuples, merging duplicates and
-        dropping sub-threshold mass, in canonical order."""
-        zmap: dict = {}
-        zcounts: list = []
-        zids, xs, us, ps = [], [], [], []
-        for counts, x, u, p in items:
-            z = tuple(counts)
-            zid = zmap.get(z)
-            if zid is None:
-                zid = zmap[z] = len(zcounts)
-                zcounts.append(z)
-            zids.append(zid)
-            xs.append(int(x))
-            us.append(int(u))
-            ps.append(float(p))
-        return _assemble(n, zcounts, zids, xs, us, ps)
+        dropping sub-threshold mass, in canonical order.
+
+        Raises ValueError unless every count vector holds n nonnegative
+        integers summing to at most n, x and u are integers in [0, n), and
+        every probability is finite and nonnegative.
+        """
+        items = list(items)
+        zs, xs, us, ps = zip(*items) if items else (np.zeros((0, n)), (), (), ())
+        zs = np.asarray(zs, dtype=float)
+        if zs.shape != (len(items), n):
+            raise ValueError(f"count vectors must have length n={n}")
+        zs = _whole(zs, "counts", 0, n + 1)
+        if np.any(zs.sum(axis=1) > n):
+            raise ValueError("multiset cardinality cannot exceed the number of sources")
+        ps = np.asarray(ps, dtype=float)
+        if not np.all(np.isfinite(ps) & (ps >= 0)):
+            raise ValueError("probabilities must be finite and nonnegative")
+        return _assemble(n, zs, np.arange(len(items)), _whole(xs, "x", 0, n),
+                         _whole(us, "u", 0, n), ps)
 
 
-def _assemble(n: int, zcounts: list, zids, xs, us, ps) -> QueryDistribution:
-    """Merge duplicate (z, x, u) triples, drop dust, and order canonically.
+def _whole(values, what: str, lo: int, hi: int) -> np.ndarray:
+    """``values`` as int64 after checking they are integers in [lo, hi)."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all((arr == np.floor(arr)) & (arr >= lo) & (arr < hi)):
+        raise ValueError(f"{what} must be integers in [{lo}, {hi})")
+    return arr.astype(np.int64)
 
-    ``zcounts`` interns the distinct count vectors; the parallel sequences
-    reference them by position.
+
+def _assemble(n: int, rows, row_of, xs, us, ps) -> QueryDistribution:
+    """Intern count vectors, merge duplicate (z, x, u) triples, drop dust,
+    and order canonically.
+
+    ``rows`` holds raw count vectors, repeats allowed; entry ``e`` has count
+    vector ``rows[row_of[e]]``.  The distinct vectors are ranked by
+    (cardinality, count vector) in one ``lexsort``, so the merge key below
+    sorts entries straight into canonical order.
     """
-    zids = np.asarray(zids, dtype=np.int64)
-    xs = np.asarray(xs, dtype=np.int64)
-    us = np.asarray(us, dtype=np.int64)
-    ps = np.asarray(ps, dtype=float)
-    key = (zids * n + xs) * n + us
+    rows = np.asarray(rows, dtype=np.int64)
+    rows = rows.reshape(len(rows), n)
+    order = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    distinct = ranked[new]
+
+    key = (rank[np.asarray(row_of, dtype=np.int64)] * n
+           + np.asarray(xs, dtype=np.int64)) * n + np.asarray(us, dtype=np.int64)
     uniq, inverse = np.unique(key, return_inverse=True)
-    sums = np.bincount(inverse, weights=ps, minlength=len(uniq))
+    sums = np.bincount(inverse, weights=np.asarray(ps, dtype=float),
+                       minlength=len(uniq))
     keep = sums > ZERO_TOL
     uniq, sums = uniq[keep], sums[keep]
-    u_arr = uniq % n
-    x_arr = (uniq // n) % n
-    z_arr = uniq // (n * n)
-
-    rank = np.empty(len(zcounts), dtype=np.int64)
-    by_rank = sorted(range(len(zcounts)), key=lambda i: (sum(zcounts[i]), zcounts[i]))
-    for r, i in enumerate(by_rank):
-        rank[i] = r
-    order = np.lexsort((u_arr, x_arr, rank[z_arr]))
-    z_arr, x_arr, u_arr, sums = z_arr[order], x_arr[order], u_arr[order], sums[order]
-
-    present = np.unique(z_arr)
-    present = present[np.argsort(rank[present], kind="stable")]
-    remap = np.full(len(zcounts), -1, dtype=np.int64)
-    remap[present] = np.arange(len(present))
-    queries = tuple(MultisetQuery(zcounts[int(zid)]) for zid in present)
-    return QueryDistribution(n, queries, remap[z_arr], x_arr, u_arr, sums)
+    present, qidx = np.unique(uniq // (n * n), return_inverse=True)
+    return QueryDistribution._of_counts(n, distinct[present], qidx,
+                                        (uniq // n) % n, uniq % n, sums)
 
 
 def project_to_sets(dist: QueryDistribution) -> QueryDistribution:
     """Merge multisets with equal support; the wire-level view of a scheme."""
-    smap: dict = {}
-    scounts: list = []
-    sid_of = np.empty(len(dist.queries), dtype=np.int64)
-    for qi, q in enumerate(dist.queries):
-        supp = tuple(1 if c > 0 else 0 for c in q.counts)
-        sid = smap.get(supp)
-        if sid is None:
-            sid = smap[supp] = len(scounts)
-            scounts.append(supp)
-        sid_of[qi] = sid
-    return _assemble(dist.n, scounts, sid_of[dist.qidx], dist.xs, dist.us,
+    return _assemble(dist.n, dist.counts > 0, dist.qidx, dist.xs, dist.us,
                      dist.probs)
 
 
@@ -344,9 +357,8 @@ def build_query_distribution(law: ConditionalLaw,
     q_mat = np.maximum(table - deltas[None, :], 0.0)
     row_ptr = np.zeros(n, dtype=np.int64)
 
-    zmap: dict = {}
-    zcounts: list = []
-    zids: list = []
+    rows: list = []     # one count vector per merge round
+    row_of: list = []
     out_x: list = []
     out_u: list = []
     out_p: list = []
@@ -367,25 +379,17 @@ def build_query_distribution(law: ConditionalLaw,
                 rounds = _merge_lanes(lanes)
             lane_set = set(lane_us)
             others = [u for u in all_us if u not in lane_set]
+            m = len(lane_us) + len(others)
             for zeta, nu in rounds:
-                counts = [0] * n
-                counts[x] += 1
-                for c in zeta:
-                    counts[c] += 1
-                z = tuple(counts)
-                zid = zmap.get(z)
-                if zid is None:
-                    zid = zmap[z] = len(zcounts)
-                    zcounts.append(z)
-                m = len(lane_us) + len(others)
-                zids.extend([zid] * m)
+                row_of.extend([len(rows)] * m)
+                rows.append(np.bincount((x, *zeta), minlength=n))
                 out_x.extend(zeta)
                 out_x.extend([x] * len(others))
                 out_u.extend(lane_us)
                 out_u.extend(others)
                 out_p.extend([nu] * m)
 
-    dist = _assemble(n, zcounts, zids, out_x, out_u, out_p)
+    dist = _assemble(n, rows, row_of, out_x, out_u, out_p)
     _check_built(dist, law, stats)
     return dist
 
@@ -401,8 +405,7 @@ def _check_built(dist: QueryDistribution, law: ConditionalLaw, stats: OrderStats
     marg = dist.law_marginal()
     if np.max(np.abs(marg - law.table)) > EPS:
         raise InternalConsistencyError("summing out z does not recover the law")
-    contains = np.array([[x in q for x in range(n)] for q in dist.queries])
-    if not np.all(contains[dist.qidx, dist.xs]):
+    if not np.all(dist.counts[dist.qidx, dist.xs] > 0):
         raise InternalConsistencyError("stored entry with x outside z")
     cond = dist.query_conditionals()
     if np.max(cond.max(axis=1) - cond.min(axis=1)) > EPS:

@@ -112,20 +112,15 @@ class StepScheme:
 def _scheme_algorithm1(law: ConditionalLaw) -> StepScheme:
     dist = project_to_sets(build_query_distribution(law))
     n = law.n
-    tables: dict = {}
-    masks = [q.to_set().bitmask for q in dist.queries]
-    for qid, x, u, p in zip(dist.qidx, dist.xs, dist.us, dist.probs):
-        m = masks[int(qid)]
-        tbl = tables.get(m)
-        if tbl is None:
-            tbl = tables[m] = np.zeros((n, n))
-        tbl[int(u), int(x)] += p
-    for tbl in tables.values():
-        with np.errstate(invalid="ignore", divide="ignore"):
-            tbl /= law.table
-        tbl[~np.isfinite(tbl)] = 0.0
-        np.clip(tbl, 0.0, 1.0, out=tbl)
-    return StepScheme.from_tables(n, tables)
+    # object dtype keeps the masks exact Python ints beyond 63 sources
+    masks = dist.counts @ (1 << np.arange(n, dtype=object))
+    w = np.zeros((len(masks), n, n))
+    w[dist.qidx, dist.us, dist.xs] = dist.probs
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w /= law.table
+    w[~np.isfinite(w)] = 0.0
+    np.clip(w, 0.0, 1.0, out=w)
+    return StepScheme.from_tables(n, dict(zip(masks, w)))
 
 
 def _scheme_n2(model: MarkovModel, prev_card: int, parity: str) -> StepScheme:

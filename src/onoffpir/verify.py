@@ -79,7 +79,7 @@ def _independence_gap(dist: QueryDistribution):
     cond = dist.query_conditionals()
     spread = cond.max(axis=1) - cond.min(axis=1)
     qi = int(np.argmax(spread)) if len(spread) else 0
-    worst = dist.queries[qi].counts if len(spread) else None
+    worst = dist.counts[qi].tolist() if len(spread) else None
     return (float(spread.max()) if len(spread) else 0.0), worst
 
 
@@ -97,8 +97,7 @@ def audit_distribution(dist: QueryDistribution, law: ConditionalLaw,
     set_view = project_to_sets(dist)
 
     violations = int(np.count_nonzero(dist.probs <= 0))
-    contains = np.array([[x in q for x in range(n)] for q in dist.queries])
-    violations += int(np.count_nonzero(~contains[dist.qidx, dist.xs]))
+    violations += int(np.count_nonzero(dist.counts[dist.qidx, dist.xs] <= 0))
 
     marg_gap_tbl = np.abs(dist.law_marginal() - law.table)
     marginal_gap = float(marg_gap_tbl.max())

@@ -80,6 +80,22 @@ def test_verify_rejects_tampered_distribution(model3_path, tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_rejects_out_of_range_entry(model3_path, tmp_path, capsys):
+    dist_path = str(tmp_path / "dist.json")
+    main(["build", "--model", model3_path, "--out", dist_path])
+    payload = json.loads(open(dist_path).read())
+    entry = next(e for e in payload["entries"]
+                 if e["z"] == [0, 1, 0] and e["x"] == 1)
+    # x = n + 1 on (0,0,1) used to alias onto x = 1 of the next interned
+    # query, (0,1,0), and pass the audit
+    entry["z"], entry["x"] = [0, 0, 1], 4
+    (tmp_path / "bad.json").write_text(json.dumps(payload))
+    code = main(["verify", "--dist", str(tmp_path / "bad.json"),
+                 "--model", model3_path])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_lp_expected_value(model3_path, capsys):
     assert main(["lp", "--model", model3_path, "--expect", "1.6"]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(1.6, abs=1e-6)

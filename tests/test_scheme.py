@@ -1,3 +1,4 @@
+import hashlib
 from collections import defaultdict
 
 import numpy as np
@@ -295,3 +296,52 @@ def test_distribution_canonical_ordering():
     ])
     zs = [z for z, *_ in dist.entry_tuples()]
     assert zs == [(0, 2, 0), (1, 0, 1)]
+
+
+# Built and projected worked-law, seeded n=12 and tie/zero laws, as sha256 of
+# to_json(); pinned so that any change to the canonical bytes is caught.
+TIES_ZEROS = np.array([[0.5, 0.5, 0.0, 0.0],
+                       [0.25, 0.25, 0.25, 0.25],
+                       [0.0, 0.5, 0.5, 0.0],
+                       [0.5, 0.0, 0.0, 0.5]])
+CANONICAL_SHA256 = {
+    "worked": ("56d2b61c8268a8747301f095498ae2fc01ace4bfaec2b78e85e7525938a6fe67",
+               "56d2b61c8268a8747301f095498ae2fc01ace4bfaec2b78e85e7525938a6fe67"),
+    "random12": ("577167df58aa4bdffa09a494a4abf56333cf594fd4d7d8a67bebcac0e0bb3cdc",
+                 "af4dc1b436b73bab52ac5e53a61b99da8d18f6ff2932497036bfa97edd1af837"),
+    "ties_zeros": ("968278ed563deb8c7f7ba696a6fe29b2e18eb3cb48bb44fbd6d8f889d9730346",
+                   "c437e5204c57d19dcfc10ae10747a1465bc0cd17100bcfd0228f0ef8dcdf4289"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_SHA256))
+def test_canonical_json_bytes_are_pinned(name):
+    law = {"worked": worked_law,
+           "random12": lambda: random_law(np.random.default_rng(2024), 12),
+           "ties_zeros": lambda: ConditionalLaw(4, TIES_ZEROS)}[name]()
+    dist = build_query_distribution(law)
+    got = tuple(hashlib.sha256(d.to_json().encode()).hexdigest()
+                for d in (dist, project_to_sets(dist)))
+    assert got == CANONICAL_SHA256[name]
+
+
+@pytest.mark.parametrize("entry", [
+    ((0, 1, 0), 3, 0, 0.5),        # x == n would alias onto the next query
+    ((0, 1, 0), -1, 0, 0.5),
+    ((0, 1, 0), 1, 3, 0.5),        # u out of range
+    ((0, 1, 0), 1.5, 0, 0.5),      # x not an integer
+    ((0, 1), 1, 0, 0.5),           # count vector too short
+    ((0, 1, 0, 0), 1, 0, 0.5),     # and too long
+    ((0, 1.7, 0), 1, 0, 0.5),      # non-integral count
+    ((-1, 2, 0), 1, 0, 0.5),       # negative count
+    ((1, 2, 1), 1, 0, 0.5),        # cardinality above n
+    ((0, 1, 0), 1, 0, float("nan")),
+    ((0, 1, 0), 1, 0, float("inf")),
+    ((0, 1, 0), 1, 0, -0.1),
+])
+def test_from_items_rejects_malformed_entries(entry):
+    good = ((0, 1, 0), 1, 1, 0.5)
+    QueryDistribution.from_items(3, [good])
+    with pytest.raises(ValueError):
+        QueryDistribution.from_items(3, [good, entry])
+

@@ -94,6 +94,13 @@ def test_enumeration_capacity_guard():
                              max_branches=2))
 
 
+def test_enumeration_query_masks_exact_beyond_63_sources():
+    n = 70   # identical rows: the scheme asks for the request alone
+    model = MarkovModel(n, np.full((n, n), 1.0 / n), np.full(n, 1.0 / n))
+    steps = list(enumerate_steps(model, PrivacyPattern.from_string("10"), 1))
+    assert steps[1].branches[0].scheme.y_masks == tuple(1 << i for i in range(n))
+
+
 def test_policies_induce_identical_query_laws_for_two_sources():
     # the general builder specializes to the closed form when N = 2
     m = MarkovModel.two_state(0.35, 0.45)
