@@ -85,8 +85,11 @@ class MarkovModel:
         """Parse ``{"n": int, "p": [[...]], "pi0": [...]}`` (dict or JSON text)."""
         if isinstance(obj, (str, bytes)):
             obj = json.loads(obj)
-        return MarkovModel(int(obj["n"]), np.asarray(obj["p"], dtype=float),
-                           np.asarray(obj["pi0"], dtype=float))
+        try:
+            return MarkovModel(int(obj["n"]), np.asarray(obj["p"], dtype=float),
+                               np.asarray(obj["pi0"], dtype=float))
+        except TypeError as exc:
+            raise ValueError(f"malformed Markov model: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "p": self.p.tolist(), "pi0": self.pi0.tolist()})

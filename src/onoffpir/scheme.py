@@ -204,8 +204,11 @@ class QueryDistribution:
     def from_json(obj) -> "QueryDistribution":
         if isinstance(obj, (str, bytes)):
             obj = json.loads(obj)
-        items = [(e["z"], e["x"], e["u"], e["p"]) for e in obj["entries"]]
-        return QueryDistribution.from_items(int(obj["n"]), items)
+        try:
+            items = [(e["z"], e["x"], e["u"], e["p"]) for e in obj["entries"]]
+            return QueryDistribution.from_items(int(obj["n"]), items)
+        except TypeError as exc:
+            raise ValueError(f"malformed query distribution: {exc}") from exc
 
     @staticmethod
     def from_items(n: int, items) -> "QueryDistribution":

@@ -8,6 +8,8 @@ a lazily expanded belief graph, and one scheme per node is built on first
 use.  The graph drives both the exact enumeration consumed by the bound
 evaluators, which pushes probability mass forward through it layer by layer,
 and the Monte Carlo episodes, which walk it vectorized over episodes.
+A simulation, payloads and decode checks included, runs each step for all
+episodes at once and is held only as ``(episodes, T)`` arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .scheme import (QuerySet, build_query_distribution, policy_n2,
                      project_to_sets)
 
 POLICIES = ("algorithm1", "n2_closed_form", "naive", "full_download")
+# Most bytes one step's messages may take in ``simulate`` (all episodes).
+PAYLOAD_BYTES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -292,31 +296,35 @@ def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
 
 
 class ServerState:
-    """One episode's server: every source regenerates a fresh uniform
-    message of ``msg_bits`` bits at each step, and answers are the
-    concatenation of the requested messages in increasing source order."""
+    """Every episode's server at once: at each step every source draws a
+    fresh uniform ``msg_bits``-bit message, kept as big-endian bytes so any
+    ``msg_bits`` is exact; an answer holds the requested messages in
+    increasing source order."""
 
     def __init__(self, n: int, msg_bits: int, rng):
         self.n = n
         self.msg_bits = msg_bits
         self._rng = rng
-        self._nbytes = (msg_bits + 7) // 8
-        self._mask = (1 << msg_bits) - 1
-        self.messages = None
+        nbytes = (msg_bits + 7) // 8
+        self._byte_mask = np.full(nbytes, 0xFF, dtype=np.uint8)
+        self._byte_mask[0] = (1 << msg_bits - 8 * (nbytes - 1)) - 1
+        self.messages = None   # (episodes, n, nbytes) uint8
 
-    def advance(self):
-        """Generate the current step's messages (fresh randomness)."""
-        raw = self._rng.bytes(self.n * self._nbytes)
-        k = self._nbytes
-        self.messages = [int.from_bytes(raw[i * k:(i + 1) * k], "big") & self._mask
-                         for i in range(self.n)]
+    def advance(self, episodes: int):
+        """Draw the current step's messages of all episodes in one call."""
+        nbytes = len(self._byte_mask)
+        raw = np.frombuffer(self._rng.bytes(episodes * self.n * nbytes), np.uint8)
+        self.messages = raw.reshape(episodes, self.n, nbytes) & self._byte_mask
 
-    def answer(self, members: tuple):
-        """Concatenated payload for a set query and its length in bits."""
-        payload = 0
-        for pos, i in enumerate(members):
-            payload |= self.messages[i] << (pos * self.msg_bits)
-        return payload, len(members) * self.msg_bits
+    def answer(self, member: np.ndarray):
+        """Episode e's answer to the query ``member[e]`` (a length-n bool
+        row): its requested messages in increasing source order, zero
+        past its set size, and the total length in bits of all answers."""
+        order = np.argsort(~member, axis=1, kind="stable")
+        payload = np.take_along_axis(self.messages, order[:, :, None], axis=1)
+        sizes = member.sum(axis=1)
+        payload[np.arange(self.n) >= sizes[:, None]] = 0
+        return payload, int(sizes.sum()) * self.msg_bits
 
 
 @dataclass(frozen=True)
@@ -347,7 +355,6 @@ class SimulationResult:
     x_taus: np.ndarray
     oks: np.ndarray
     decode_failures: int
-    traces: list | None = field(default=None, repr=False)
 
     def cardinalities(self, t: int | None = None) -> np.ndarray:
         masks = self.q_masks if t is None else self.q_masks[:, t]
@@ -377,15 +384,16 @@ class SimulationResult:
 
 
 def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
-             seed: int = 0, msg_bits: int = 64, policy: str = "algorithm1",
-             keep_traces: bool = False) -> SimulationResult:
+             seed: int = 0, msg_bits: int = 64,
+             policy: str = "algorithm1") -> SimulationResult:
     """Run seeded episodes of the query/answer protocol.
 
     Request sampling and message payloads use independent child streams of
-    the seed, so decode checks cannot perturb trajectory statistics.  Requests
-    and queries are drawn for all episodes at once, step by step, grouped by
-    the belief-graph node each episode has reached; payloads and decode
-    checks then run episode by episode.
+    the seed, so decode checks cannot perturb trajectory statistics.  Each
+    step runs for all episodes at once: requests and queries are drawn
+    grouped by the belief-graph node each episode has reached, then the
+    server draws every episode's messages and answers every query, and each
+    user decodes its request from the slot its query and request give.
     """
     if episodes < 1 or msg_bits < 1:
         raise ValueError(f"episodes and msg_bits must be at least 1, "
@@ -393,17 +401,22 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
     n = model.n
     if n > 63:
         raise CapacityError(f"{n} sources do not fit the int64 query masks (at most 63)")
+    if episodes * n * ((msg_bits + 7) // 8) > PAYLOAD_BYTES:
+        raise CapacityError(f"one step's {episodes} x {n} messages of {msg_bits} bits "
+                            f"exceed {PAYLOAD_BYTES} bytes")
     graph = _BeliefGraph(model, pattern, policy)
     horizon = len(pattern) - 1
     rng_req = np.random.default_rng([seed, 0])
-    rng_msg = np.random.default_rng([seed, 1])
+    server = ServerState(n, msg_bits, np.random.default_rng([seed, 1]))
     req_u = rng_req.random((episodes, horizon + 1))
     sch_u = rng_req.random((episodes, horizon + 1))
 
     p_cum = np.cumsum(model.p, axis=1)
     q_masks = np.empty((episodes, horizon + 1), dtype=np.int64)
     xs = np.empty_like(q_masks)
+    oks = np.empty(q_masks.shape, dtype=bool)
     taus = [tau_of(pattern, t) for t in range(horizon + 1)]
+    rows = np.arange(episodes)
     layer = [graph.root]
     at = np.zeros(episodes, dtype=np.intp)   # layer index of each episode's node
     for t in range(horizon + 1):
@@ -426,39 +439,29 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
                     at_next[group[ks == k]] = nxt.setdefault(child, len(nxt))
         layer, at = list(nxt), at_next
 
-    # fresh messages, concatenated answer, bit-exact decode
-    oks = np.ones((episodes, horizon + 1), dtype=bool)
-    decode_failures = 0
-    traces = [] if keep_traces else None
-    value_mask = (1 << msg_bits) - 1
-    for ep, (mask_row, x_row) in enumerate(zip(q_masks.tolist(), xs.tolist())):
-        server = ServerState(n, msg_bits, rng_msg)
-        trace = [] if keep_traces else None
-        for t, (mask, x) in enumerate(zip(mask_row, x_row)):
-            sel = tuple(i for i in range(n) if mask >> i & 1)
-            server.advance()
-            answer, _bits = server.answer(sel)
-            slot = sel.index(x)
-            ok = (answer >> (slot * msg_bits)) & value_mask == server.messages[x]
-            if not ok:
-                decode_failures += 1
-                oks[ep, t] = False
-            if keep_traces:
-                trace.append(TraceRecord(t, pattern.flags[t], x, QuerySet(sel),
-                                         len(sel) * msg_bits, ok))
-        if keep_traces:
-            traces.append(trace)
+        # fresh messages, answers, and a bit-exact decode from x's slot
+        mask = q_masks[:, t]
+        member = (mask[:, None] >> np.arange(n) & 1).astype(bool)
+        server.advance(episodes)
+        payload, _bits = server.answer(member)
+        slot = np.bitwise_count(mask & (1 << x) - 1)
+        oks[:, t] = member[rows, x] & np.all(
+            payload[rows, slot] == server.messages[rows, x], axis=1)
 
     return SimulationResult(model, pattern, episodes, seed, msg_bits, policy,
-                            q_masks, xs, xs[:, taus], oks, decode_failures, traces)
+                            q_masks, xs, xs[:, taus], oks, int((~oks).sum()))
 
 
 def run_episode(model: MarkovModel, pattern: PrivacyPattern,
                 msg_bits: int = 64, seed: int = 0,
                 policy: str = "algorithm1") -> list:
     """One seeded episode as a list of :class:`TraceRecord`."""
-    return simulate(model, pattern, 1, seed=seed, msg_bits=msg_bits,
-                    policy=policy, keep_traces=True).traces[0]
+    res = simulate(model, pattern, 1, seed=seed, msg_bits=msg_bits, policy=policy)
+    steps = zip(pattern.flags, res.xs[0].tolist(), res.q_masks[0].tolist(),
+                res.oks[0].tolist())
+    return [TraceRecord(t, f_on, x, QuerySet.from_bitmask(mask),
+                        mask.bit_count() * msg_bits, ok)
+            for t, (f_on, x, mask, ok) in enumerate(steps)]
 
 
 @dataclass(frozen=True)
@@ -480,25 +483,14 @@ class ChiSquareAudit:
         })
 
 
-def empirical_privacy_audit(traces, t: int) -> ChiSquareAudit:
+def empirical_privacy_audit(result: SimulationResult, t: int) -> ChiSquareAudit:
     """Chi-square test for independence of pivot and query at step t.
 
     Episodes are stratified by their realized query history before t; the
-    pooled statistic sums per-stratum Pearson contributions.  Accepts either
-    a :class:`SimulationResult` or a list of TraceRecord episodes.  Expected
-    cells thinner than 5 flag the result unreliable instead of failing.
+    pooled statistic sums per-stratum Pearson contributions.  Expected cells
+    thinner than 5 flag the result unreliable instead of failing.
     """
-    if isinstance(traces, SimulationResult):
-        masks, taus = traces.q_masks, traces.x_taus
-    else:
-        masks = np.array([[r.query.bitmask for r in ep] for ep in traces])
-        taus = np.empty_like(masks)
-        for e, ep in enumerate(traces):
-            tau = 0
-            for r in ep:
-                if r.f_on:
-                    tau = r.t
-                taus[e, r.t] = ep[tau].x
+    masks, taus = result.q_masks, result.x_taus
     if t >= masks.shape[1]:
         raise IndexError(f"step {t} beyond simulated horizon")
 

@@ -2,8 +2,9 @@
 
 ``reference_enumerate_steps`` keeps one branch per realized query history and
 never merges; ``reference_simulate`` walks one episode at a time with its own
-per-episode belief memo and ``searchsorted`` draws.  Both are the straight
-recursions the graph replaces: the tests require the graph's seeded
+per-episode belief memo, ``searchsorted`` draws and a per-episode server
+that concatenates the requested messages into one integer.  Both are the
+straight recursions the graph replaces: the tests require the graph's seeded
 trajectories to equal these exactly and its per-step sums to agree within
 1e-12.
 """
@@ -14,8 +15,36 @@ import numpy as np
 
 from onoffpir.model import CapacityError, tau_of
 from onoffpir.scheme import QuerySet
-from onoffpir.sim import (BranchView, ServerState, SimulationResult, StepView,
-                          TraceRecord, _law_from_joint, _SchemeCache)
+from onoffpir.sim import (BranchView, SimulationResult, StepView, TraceRecord,
+                          _law_from_joint, _SchemeCache)
+
+
+class EpisodeServer:
+    """One episode's server: every source regenerates a fresh uniform
+    message of ``msg_bits`` bits at each step, and answers are the
+    concatenation of the requested messages in increasing source order."""
+
+    def __init__(self, n: int, msg_bits: int, rng):
+        self.n = n
+        self.msg_bits = msg_bits
+        self._rng = rng
+        self._nbytes = (msg_bits + 7) // 8
+        self._mask = (1 << msg_bits) - 1
+        self.messages = None
+
+    def advance(self):
+        """Generate the current step's messages (fresh randomness)."""
+        raw = self._rng.bytes(self.n * self._nbytes)
+        k = self._nbytes
+        self.messages = [int.from_bytes(raw[i * k:(i + 1) * k], "big") & self._mask
+                         for i in range(self.n)]
+
+    def answer(self, members: tuple):
+        """Concatenated payload for a set query and its length in bits."""
+        payload = 0
+        for pos, i in enumerate(members):
+            payload |= self.messages[i] << (pos * self.msg_bits)
+        return payload, len(members) * self.msg_bits
 
 
 def _key(joint: np.ndarray) -> bytes:
@@ -69,8 +98,12 @@ def reference_enumerate_steps(model, pattern, horizon: int,
 
 def reference_simulate(model, pattern, episodes: int, seed: int = 0,
                        msg_bits: int = 64, policy: str = "algorithm1",
-                       keep_traces: bool = False) -> SimulationResult:
-    """Seeded episodes, one at a time, from the same random streams."""
+                       keep_traces: bool = False):
+    """Seeded episodes, one at a time, from the same random streams.
+
+    Returns the :class:`SimulationResult` and, with ``keep_traces``, one
+    list of :class:`TraceRecord` per episode as its ``traces`` attribute
+    (``None`` otherwise)."""
     n = model.n
     horizon = len(pattern) - 1
     rng_req = np.random.default_rng([seed, 0])
@@ -101,7 +134,7 @@ def reference_simulate(model, pattern, episodes: int, seed: int = 0,
         key = _key(root)
         x = x_tau = -1
         prev_mask = full_mask
-        server = ServerState(n, msg_bits, rng_msg)
+        server = EpisodeServer(n, msg_bits, rng_msg)
         trace = [] if keep_traces else None
         for t in range(horizon + 1):
             f_on = pattern.flags[t]
@@ -163,5 +196,7 @@ def reference_simulate(model, pattern, episodes: int, seed: int = 0,
         if keep_traces:
             traces.append(trace)
 
-    return SimulationResult(model, pattern, episodes, seed, msg_bits, policy,
-                            q_masks, xs, x_taus, oks, decode_failures, traces)
+    result = SimulationResult(model, pattern, episodes, seed, msg_bits, policy,
+                              q_masks, xs, x_taus, oks, decode_failures)
+    result.traces = traces
+    return result

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import WORKED_TABLE
+import onoffpir.sim as sim_mod
+from helpers import WORKED_TABLE, never_the_request
 from onoffpir.cli import main
 from onoffpir.model import MarkovModel
 
@@ -96,6 +97,30 @@ def test_verify_rejects_out_of_range_entry(model3_path, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("payload", [
+    {"n": 3, "entries": [[0, 0, 1]]},
+    {"n": 3, "entries": [{"z": {"a": 1}, "x": 0, "u": 0, "p": 1.0}]},
+    {"n": 3, "entries": {"z": [1, 0, 0], "x": 0, "u": 0, "p": 1.0}},
+    [{"n": 3}],
+], ids=["entry-list", "z-object", "entries-object", "top-list"])
+def test_verify_rejects_wrongly_typed_json(model3_path, tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "--dist", str(path), "--model", model3_path]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": 2, "p": {"a": 1}, "pi0": [0.5, 0.5]},
+    [2, [[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5]],
+], ids=["p-object", "top-list"])
+def test_build_rejects_wrongly_typed_model(tmp_path, capsys, payload):
+    path = tmp_path / "bad_model.json"
+    path.write_text(json.dumps(payload))
+    assert main(["build", "--model", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_lp_expected_value(model3_path, capsys):
     assert main(["lp", "--model", model3_path, "--expect", "1.6"]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(1.6, abs=1e-6)
@@ -152,6 +177,14 @@ def test_simulate_config_file(model2_path, tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["msg_bits"] == 16 and summary["policy"] == "n2_closed_form"
+
+
+def test_simulate_undecodable_queries_exit_one(model3_path, monkeypatch, capsys):
+    monkeypatch.setattr(sim_mod, "_scheme_naive", never_the_request)
+    code = main(["simulate", "--model", model3_path, "--pattern", "1000",
+                 "--episodes", "50", "--policy", "naive"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["decode_failures"] == 50 * 3
 
 
 def test_simulate_requires_model_and_pattern():

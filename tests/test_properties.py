@@ -1,13 +1,15 @@
-"""Property tests of the builder, its set projection and the wire format on
-laws with ties, exact zeros, near-zero (1e-13) mass, and on permutation and
-identity chains."""
+"""Property tests on laws with ties, exact zeros, near-zero (1e-13) mass,
+and on permutation and identity chains: the builder, its set projection and
+the wire format; and, on such chains with point-mass starts, the exact
+enumeration, its leakage and the Monte Carlo episodes against it."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from onoffpir.model import ConditionalLaw, order_stats
+from onoffpir.model import ConditionalLaw, MarkovModel, PrivacyPattern, order_stats
 from onoffpir.scheme import QueryDistribution, build_query_distribution, project_to_sets
-from onoffpir.verify import audit_distribution
+from onoffpir.sim import enumerate_steps, simulate
+from onoffpir.verify import audit_distribution, conditional_query_mi
 
 # Small integers make ties; 0.0 and 1e-13 make exact zeros and near-zero mass.
 CELLS = st.one_of(st.just(0.0), st.just(1e-13), st.integers(1, 4).map(float),
@@ -15,9 +17,10 @@ CELLS = st.one_of(st.just(0.0), st.just(1e-13), st.integers(1, 4).map(float),
 
 
 @st.composite
-def laws(draw):
-    n = draw(st.integers(2, 6))
-    kind = draw(st.sampled_from(("cells", "permutation", "identity")))
+def laws(draw, sizes=st.integers(2, 6),
+         kinds=("cells", "permutation", "identity")):
+    n = draw(sizes)
+    kind = draw(st.sampled_from(kinds))
     if kind == "identity":
         table = np.eye(n)
     elif kind == "permutation":
@@ -46,3 +49,49 @@ def test_built_scheme_audits_and_round_trips(law):
         assert not d.counts.flags.writeable
         for k, q in enumerate(d.queries):
             assert tuple(d.counts[k].tolist()) == q.counts
+
+
+@st.composite
+def chains(draw):
+    """Chains from :func:`laws`, mostly of drawn cells, sometimes with one
+    row made one-hot (an identity or a permutation row), started from a
+    point mass or from drawn cells."""
+    n = draw(st.integers(2, 4))
+    kinds = ("cells", "cells", "cells", "permutation", "identity")
+    table = draw(laws(st.just(n), kinds)).table.copy()
+    if draw(st.booleans()):
+        table[draw(st.integers(0, n - 1))] = np.eye(n)[draw(st.integers(0, n - 1))]
+    pi0 = np.array(draw(st.lists(CELLS, min_size=n, max_size=n)))
+    if draw(st.booleans()) or pi0.sum() == 0:
+        pi0 = np.eye(n)[draw(st.integers(0, n - 1))]
+    return MarkovModel(n, table, pi0 / pi0.sum())
+
+
+EPISODES = 2000
+MEAN_SE_BAND = 5.0   # OFF-step mean set size vs the exact mean, in exact SEs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(chains(), st.lists(st.sampled_from((False, False, True)), min_size=2,
+                         max_size=4))
+def test_enumeration_leakage_and_episodes_agree(model, flags):
+    pattern = PrivacyPattern((True, *flags))
+    horizon = len(pattern) - 1
+    moments = []
+    for view in enumerate_steps(model, pattern, horizon):
+        assert abs(sum(br.prob for br in view.branches) - 1.0) <= 1e-9
+        m1 = m2 = 0.0
+        for br in view.branches:
+            if br.scheme is not None:
+                weights = br.scheme.query_marginal(br.pre_joint)
+                m1 += br.prob * float(weights @ br.scheme.set_sizes)
+                m2 += br.prob * float(weights @ br.scheme.set_sizes ** 2)
+        moments.append((m1, m2 - m1 * m1))
+    assert max(conditional_query_mi(model, pattern, horizon)) <= 1e-9
+    res = simulate(model, pattern, EPISODES, seed=3)
+    assert res.decode_failures == 0
+    for t, on in enumerate(pattern.flags):
+        if not on:
+            mean, var = moments[t]
+            se = np.sqrt(max(var, 0.0) / EPISODES)
+            assert abs(res.mean_cardinality(t) - mean) <= MEAN_SE_BAND * se + 1e-9

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import random_law, worked_law
+import onoffpir.sim as sim_mod
+from helpers import never_the_request, random_law, worked_law
 from onoffpir.model import CapacityError, MarkovModel, PrivacyPattern
-from onoffpir.sim import (BeliefState, _inverse_cdf, belief_update,
-                          empirical_privacy_audit, enumerate_steps,
-                          run_episode, simulate)
+from onoffpir.sim import (BeliefState, ServerState, _inverse_cdf,
+                          belief_update, empirical_privacy_audit,
+                          enumerate_steps, run_episode, simulate)
 
 
 def two_state():
@@ -124,18 +125,27 @@ def test_policies_induce_identical_query_laws_for_two_sources():
 # ------------------------------------------------------------------ episodes
 
 def test_server_state_regenerates_messages_each_step():
-    import numpy as np
-    from onoffpir.sim import ServerState
-    server = ServerState(3, 16, np.random.default_rng(0))
-    server.advance()
-    first = list(server.messages)
-    assert all(0 <= w < 2 ** 16 for w in first)
-    server.advance()
-    assert server.messages != first  # fresh randomness each step
-    payload, bits = server.answer((0, 2))
-    assert bits == 32
-    assert payload & 0xFFFF == server.messages[0]
-    assert payload >> 16 == server.messages[2]
+    rng = np.random.default_rng(0)
+    for msg_bits in (13, 64, 100):
+        episodes, n = 50, 5
+        server = ServerState(n, msg_bits, np.random.default_rng(msg_bits))
+        server.advance(episodes)
+        first = server.messages.copy()
+        values = [int.from_bytes(m.tobytes(), "big")
+                  for m in first.reshape(episodes * n, -1)]
+        assert all(0 <= v < 2 ** msg_bits for v in values)
+        assert max(values) >= 2 ** (msg_bits - 1)   # the top bit is drawn too
+        server.advance(episodes)
+        assert server.messages.shape == first.shape
+        assert not np.array_equal(server.messages, first)  # fresh each step
+        member = rng.random((episodes, n)) < 0.5
+        member[~member.any(axis=1), 2] = True
+        payload, bits = server.answer(member)
+        assert bits == int(member.sum()) * msg_bits
+        for e in range(episodes):
+            sel = np.flatnonzero(member[e])   # increasing source order
+            assert np.array_equal(payload[e, :len(sel)], server.messages[e, sel])
+            assert not payload[e, len(sel):].any()
 
 
 def test_run_episode_trace_shape():
@@ -167,6 +177,17 @@ def test_simulate_decodes_every_step_all_policies():
         res = simulate(m, pat, 500, seed=11, policy=policy, msg_bits=24)
         assert res.decode_failures == 0
         assert res.oks.all()
+
+
+def test_simulate_counts_undecodable_queries_as_failures(monkeypatch):
+    monkeypatch.setattr(sim_mod, "_scheme_naive", never_the_request)
+    pat = PrivacyPattern.from_string("10010")
+    res = simulate(MarkovModel(3, worked_law().table, np.full(3, 1 / 3)), pat,
+                   200, seed=4, policy="naive")
+    off = [t for t, on in enumerate(pat.flags) if not on]
+    assert res.decode_failures == 200 * len(off)
+    assert not res.oks[:, off].any() and res.oks[:, [0, 3]].all()
+    assert res.summary()["decode_failures"] == 600
 
 
 def test_simulate_full_download_costs_everything():
@@ -256,6 +277,9 @@ def test_simulate_rejects_bad_sizes():
         simulate(MarkovModel.symmetric(64, 0.5), PrivacyPattern.from_string("1"), 1)
     res = simulate(MarkovModel.symmetric(63, 0.5), PrivacyPattern.from_string("1"), 1)
     assert res.q_masks[0, 0] == 2 ** 63 - 1
+    # one step's messages are drawn in one piece: its size is bounded
+    with pytest.raises(CapacityError):
+        simulate(m, pat, 2, msg_bits=8 * sim_mod.PAYLOAD_BYTES // 4 + 1)
 
 
 def test_inverse_cdf_clamps_rows_summing_below_one():
@@ -287,16 +311,6 @@ def test_privacy_audit_rejects_naive_scheme():
                    policy="naive")
     audit = empirical_privacy_audit(res, 1)
     assert audit.p_value < 1e-6
-
-
-def test_privacy_audit_from_trace_records():
-    m = two_state()
-    res = simulate(m, PrivacyPattern.from_string("100"), 400, seed=16,
-                   keep_traces=True)
-    from_result = empirical_privacy_audit(res, 1)
-    from_traces = empirical_privacy_audit(res.traces, 1)
-    assert from_result.statistic == pytest.approx(from_traces.statistic, abs=1e-12)
-    assert from_result.dof == from_traces.dof
 
 
 def test_privacy_audit_p_values_match_scipy_stats():
