@@ -14,9 +14,9 @@ from .lp import IterationLimitError, LpProblem, LpSolution, build_lp, solve
 from .verify import (AuditReport, audit_distribution, conditional_query_mi,
                      markov_privacy_extension_check, min_expected_query_size,
                      mutual_information_bits)
-from .sim import (BeliefState, ChiSquareAudit, ServerState, SimulationResult,
-                  TraceRecord, belief_update, empirical_privacy_audit,
-                  enumerate_steps, run_episode, simulate)
+from .sim import (ChiSquareAudit, ServerState, SimulationResult, TraceRecord,
+                  empirical_privacy_audit, enumerate_steps, run_episode,
+                  simulate)
 
 __all__ = [
     "EPS", "CapacityError", "ConditionalLaw", "MarkovModel", "OrderStats",
@@ -31,9 +31,8 @@ __all__ = [
     "AuditReport", "audit_distribution", "conditional_query_mi",
     "markov_privacy_extension_check", "min_expected_query_size",
     "mutual_information_bits",
-    "BeliefState", "ChiSquareAudit", "ServerState", "SimulationResult",
-    "TraceRecord", "belief_update", "empirical_privacy_audit",
-    "enumerate_steps", "run_episode", "simulate",
+    "ChiSquareAudit", "ServerState", "SimulationResult", "TraceRecord",
+    "empirical_privacy_audit", "enumerate_steps", "run_episode", "simulate",
 ]
 
 __version__ = "0.1.0"

@@ -177,12 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, model=True):
         if model:
             p.add_argument("--model", required=True, help="model JSON path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("bounds", help="per-step rate bounds along a pattern")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of a bernoulli pattern")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--pattern", required=True)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--policy", choices=POLICIES, default="algorithm1")
@@ -223,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="seeded protocol episodes")
     common(p, model=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", default=None)
     p.add_argument("--config", default=None, help="episode config JSON")
     p.add_argument("--pattern", default=None)

@@ -24,6 +24,29 @@ class CapacityError(RuntimeError):
     """Raised when an exact computation would exceed its size guard."""
 
 
+def numbers(values, what: str) -> np.ndarray:
+    """``values``, a number or nested lists of numbers, as a float array.
+
+    Only ints and floats pass, Python's or numpy's (numpy's bool is neither):
+    ``np.asarray`` would silently turn strings, bytes and booleans into
+    numbers, so they raise ValueError like any other type.
+    """
+    arr = np.asarray(values, dtype=object)
+    for kind in set(map(type, arr.ravel().tolist())):
+        if issubclass(kind, bool) or not issubclass(
+                kind, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{what} must be numbers, not {kind.__name__}")
+    return arr.astype(float)
+
+
+def whole_numbers(values, what: str, lo: int, hi: int) -> np.ndarray:
+    """``values`` as int64 after checking they are integers in [lo, hi)."""
+    arr = numbers(values, what)
+    if not np.all((arr == np.floor(arr)) & (arr >= lo) & (arr < hi)):
+        raise ValueError(f"{what} must be integers in [{lo}, {hi})")
+    return arr.astype(np.int64)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -86,8 +109,8 @@ class MarkovModel:
         if isinstance(obj, (str, bytes)):
             obj = json.loads(obj)
         try:
-            return MarkovModel(int(obj["n"]), np.asarray(obj["p"], dtype=float),
-                               np.asarray(obj["pi0"], dtype=float))
+            return MarkovModel(int(whole_numbers(obj["n"], "n", 0, 1 << 31)),
+                               numbers(obj["p"], "p"), numbers(obj["pi0"], "pi0"))
         except TypeError as exc:
             raise ValueError(f"malformed Markov model: {exc}") from exc
 

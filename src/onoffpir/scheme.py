@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import EPS, ZERO_TOL, ConditionalLaw, OrderStats, order_stats
+from .model import (EPS, ZERO_TOL, ConditionalLaw, OrderStats, numbers,
+                    order_stats, whole_numbers)
 
 
 class InternalConsistencyError(AssertionError):
@@ -206,7 +207,8 @@ class QueryDistribution:
             obj = json.loads(obj)
         try:
             items = [(e["z"], e["x"], e["u"], e["p"]) for e in obj["entries"]]
-            return QueryDistribution.from_items(int(obj["n"]), items)
+            n = int(whole_numbers(obj["n"], "n", 0, 1 << 31))
+            return QueryDistribution.from_items(n, items)
         except TypeError as exc:
             raise ValueError(f"malformed query distribution: {exc}") from exc
 
@@ -217,29 +219,21 @@ class QueryDistribution:
 
         Raises ValueError unless every count vector holds n nonnegative
         integers summing to at most n, x and u are integers in [0, n), and
-        every probability is finite and nonnegative.
+        every probability is finite and nonnegative; booleans and strings
+        are not numbers here.
         """
         items = list(items)
         zs, xs, us, ps = zip(*items) if items else (np.zeros((0, n)), (), (), ())
-        zs = np.asarray(zs, dtype=float)
+        zs = whole_numbers(zs, "counts", 0, n + 1)
         if zs.shape != (len(items), n):
             raise ValueError(f"count vectors must have length n={n}")
-        zs = _whole(zs, "counts", 0, n + 1)
         if np.any(zs.sum(axis=1) > n):
             raise ValueError("multiset cardinality cannot exceed the number of sources")
-        ps = np.asarray(ps, dtype=float)
+        ps = numbers(ps, "p")
         if not np.all(np.isfinite(ps) & (ps >= 0)):
             raise ValueError("probabilities must be finite and nonnegative")
-        return _assemble(n, zs, np.arange(len(items)), _whole(xs, "x", 0, n),
-                         _whole(us, "u", 0, n), ps)
-
-
-def _whole(values, what: str, lo: int, hi: int) -> np.ndarray:
-    """``values`` as int64 after checking they are integers in [lo, hi)."""
-    arr = np.asarray(values, dtype=float)
-    if not np.all((arr == np.floor(arr)) & (arr >= lo) & (arr < hi)):
-        raise ValueError(f"{what} must be integers in [{lo}, {hi})")
-    return arr.astype(np.int64)
+        return _assemble(n, zs, np.arange(len(items)), whole_numbers(xs, "x", 0, n),
+                         whole_numbers(us, "u", 0, n), ps)
 
 
 def _assemble(n: int, rows, row_of, xs, us, ps) -> QueryDistribution:

@@ -3,13 +3,14 @@
 The user tracks a joint belief over (pivot request, latest request) given the
 realized query history; that belief is a sufficient statistic for the
 conditional law each per-step scheme is built from.  Histories that reach the
-same rounded belief at the same step after the same query share one node of
-a lazily expanded belief graph, and one scheme per node is built on first
-use.  The graph drives both the exact enumeration consumed by the bound
-evaluators, which pushes probability mass forward through it layer by layer,
-and the Monte Carlo episodes, which walk it vectorized over episodes.
-A simulation, payloads and decode checks included, runs each step for all
-episodes at once and is held only as ``(episodes, T)`` arrays.
+same rounded belief at the same step share one node of a lazily expanded
+belief graph, the one place the Bayes step is written, and one scheme per
+distinct law is built on first use.  The graph drives both the exact
+enumeration consumed by the bound evaluators, which pushes probability mass
+forward through it layer by layer, and the Monte Carlo episodes, which walk
+it vectorized over episodes.  A simulation, payloads and decode checks
+included, runs each step for all episodes at once and is held only as
+``(episodes, T)`` arrays.
 """
 
 from __future__ import annotations
@@ -20,40 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc
 
-from .model import (EPS, ZERO_TOL, CapacityError, ConditionalLaw, MarkovModel,
+from .model import (ZERO_TOL, CapacityError, ConditionalLaw, MarkovModel,
                     PrivacyPattern, tau_of)
-from .scheme import (QuerySet, build_query_distribution, policy_n2,
-                     project_to_sets)
+from .scheme import QuerySet, build_query_distribution, project_to_sets
 
-POLICIES = ("algorithm1", "n2_closed_form", "naive", "full_download")
+POLICIES = ("algorithm1", "naive", "full_download")
 # Most bytes one step's messages may take in ``simulate`` (all episodes).
 PAYLOAD_BYTES = 1 << 27
-
-
-@dataclass(frozen=True)
-class BeliefState:
-    """Joint law p(pivot request, latest request | query history)."""
-
-    joint: np.ndarray
-
-    def __post_init__(self):
-        joint = np.asarray(self.joint, dtype=float)
-        if joint.ndim != 2 or joint.shape[0] != joint.shape[1]:
-            raise ValueError("belief joint must be a square matrix")
-        if np.any(joint < -ZERO_TOL) or abs(joint.sum() - 1.0) > EPS:
-            raise ValueError("belief joint must be a probability table")
-        joint = np.clip(joint, 0.0, None)
-        joint.setflags(write=False)
-        object.__setattr__(self, "joint", joint)
-
-    @staticmethod
-    def initial(model: MarkovModel) -> "BeliefState":
-        """Step-0 belief: privacy is ON, so the pivot equals the request."""
-        return BeliefState(np.diag(model.pi0))
-
-    @property
-    def pivot_marginal(self) -> np.ndarray:
-        return self.joint.sum(axis=1)
 
 
 def _law_from_joint(pre_joint: np.ndarray) -> ConditionalLaw:
@@ -71,19 +45,6 @@ def _law_from_joint(pre_joint: np.ndarray) -> ConditionalLaw:
     table = np.clip(table, 0.0, None)
     table /= table.sum(axis=1, keepdims=True)
     return ConditionalLaw(pre_joint.shape[0], table)
-
-
-def belief_update(belief: BeliefState, p_step: np.ndarray,
-                  kernel: np.ndarray) -> BeliefState:
-    """Exact Bayes step: extend the joint one chain step, weight by the
-    realized query's conditional probabilities w(q | pivot, current), and
-    renormalize."""
-    pre = belief.joint @ np.asarray(p_step, dtype=float)
-    post = pre * np.asarray(kernel, dtype=float)
-    total = post.sum()
-    if total < 1e-12:
-        raise FloatingPointError("belief lost all mass; kernel inconsistent with history")
-    return BeliefState(post / total)
 
 
 @dataclass(frozen=True)
@@ -127,16 +88,6 @@ def _scheme_algorithm1(law: ConditionalLaw) -> StepScheme:
     return StepScheme.from_tables(n, dict(zip(masks, w)))
 
 
-def _scheme_n2(model: MarkovModel, prev_card: int, parity: str) -> StepScheme:
-    alpha, beta = float(model.p[0, 1]), float(model.p[1, 0])
-    tables = {m: np.zeros((2, 2)) for m in (0b01, 0b10, 0b11)}
-    for u in (0, 1):
-        for x in (0, 1):
-            for q, prob in policy_n2(alpha, beta, u, x, prev_card, parity).items():
-                tables[q.bitmask][u, x] = prob
-    return StepScheme.from_tables(2, tables)
-
-
 def _scheme_naive(n: int) -> StepScheme:
     tables = {}
     for x in range(n):
@@ -150,41 +101,6 @@ def _scheme_full(n: int) -> StepScheme:
     return StepScheme.from_tables(n, {(1 << n) - 1: np.ones((n, n))})
 
 
-class _SchemeCache:
-    """Lazily builds and memoizes per-step schemes for a (model, policy)."""
-
-    def __init__(self, model: MarkovModel, policy: str):
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
-        if policy == "n2_closed_form" and model.n != 2:
-            raise ValueError("the closed-form policy requires exactly two sources")
-        self.model = model
-        self.policy = policy
-        self._by_key: dict = {}
-
-    def for_step(self, law: ConditionalLaw, prev_mask: int, gap: int) -> StepScheme:
-        if self.policy == "algorithm1":
-            key = law.key()
-        elif self.policy == "n2_closed_form":
-            key = (bin(prev_mask).count("1"), gap % 2)
-        else:
-            key = self.policy
-        scheme = self._by_key.get(key)
-        if scheme is None:
-            if self.policy == "algorithm1":
-                scheme = _scheme_algorithm1(law)
-            elif self.policy == "n2_closed_form":
-                prev_card = bin(prev_mask).count("1")
-                parity = "even" if gap % 2 == 0 else "odd"
-                scheme = _scheme_n2(self.model, prev_card, parity)
-            elif self.policy == "naive":
-                scheme = _scheme_naive(self.model.n)
-            else:
-                scheme = _scheme_full(self.model.n)
-            self._by_key[key] = scheme
-        return scheme
-
-
 def _inverse_cdf(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Indices drawn at uniforms ``r`` from cumulative sums ``cum`` (last
     axis), clamped to the last index for rows summing to just under 1."""
@@ -195,12 +111,11 @@ def _inverse_cdf(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class BranchView:
     """One belief node: the realized histories that reach the same belief at
-    step t after the same previous query, merged.  ``prob`` is their total
-    probability, filled in by the exact enumeration; ``children`` holds the
-    nodes reached so far, by candidate-query index."""
+    step t, merged.  ``prob`` is their total probability, filled in by the
+    exact enumeration; ``children`` holds the nodes reached so far, by
+    candidate-query index."""
 
     t: int
-    prev_mask: int
     pre_joint: np.ndarray          # p(pivot, current | history) before this query
     law: ConditionalLaw | None     # None on ON steps (query carries no choice)
     scheme: StepScheme | None      # None on ON steps
@@ -218,44 +133,56 @@ class StepView:
 class _BeliefGraph:
     """Layered belief graph of one (model, pattern, policy).
 
-    A node is keyed by (t, posterior joint rounded to 1e-12, previous query
-    mask), so histories reaching the same belief share it; it is expanded
-    once, when first reached, and its children are made on first request.
+    A node is keyed by (t, posterior joint rounded to 1e-12), so histories
+    reaching the same belief share it; it is expanded once, when first
+    reached, and its children are made on first request.  Algorithm 1's
+    schemes are memoized by law; the other policies send one fixed scheme.
     """
 
     def __init__(self, model: MarkovModel, pattern: PrivacyPattern, policy: str):
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
         self.model = model
         self.pattern = pattern
         self.full_mask = (1 << model.n) - 1
-        self._cache = _SchemeCache(model, policy)
+        self._fixed = (_scheme_naive(model.n) if policy == "naive" else
+                       _scheme_full(model.n) if policy == "full_download" else None)
+        self._schemes: dict = {}   # law.key() -> algorithm 1's scheme
         self._nodes: dict = {}
-        self.root = self._node(0, np.diag(model.pi0), self.full_mask)
+        self.root = self._node(0, np.diag(model.pi0))
 
-    def _node(self, t: int, joint: np.ndarray, prev_mask: int) -> BranchView:
-        key = (t, np.round(joint, 12).tobytes(), prev_mask)
+    def _scheme(self, law: ConditionalLaw) -> StepScheme:
+        if self._fixed is not None:
+            return self._fixed
+        scheme = self._schemes.get(law.key())
+        if scheme is None:
+            scheme = self._schemes[law.key()] = _scheme_algorithm1(law)
+        return scheme
+
+    def _node(self, t: int, joint: np.ndarray) -> BranchView:
+        key = (t, np.round(joint, 12).tobytes())
         node = self._nodes.get(key)
         if node is None:
             pre = joint if t == 0 else joint @ self.model.p
             law = scheme = None
             if not self.pattern.flags[t]:
                 law = _law_from_joint(pre)
-                gap = t - tau_of(self.pattern, t)
-                scheme = self._cache.for_step(law, prev_mask, gap)
-            node = self._nodes[key] = BranchView(t, prev_mask, pre, law, scheme)
+                scheme = self._scheme(law)
+            node = self._nodes[key] = BranchView(t, pre, law, scheme)
         return node
 
     def child(self, node: BranchView, k: int) -> BranchView:
-        """The node reached after ``node``'s k-th candidate query; an ON step
-        has the full set as its only candidate (k = 0)."""
+        """The node reached after ``node``'s k-th candidate query (the Bayes
+        step); an ON step has the full set as its only candidate (k = 0)."""
         nxt = node.children.get(k)
         if nxt is None:
             if node.scheme is None:
                 marg = node.pre_joint.sum(axis=0)
-                post, mask = np.diag(marg / marg.sum()), self.full_mask
+                post = np.diag(marg / marg.sum())
             else:
                 post = node.pre_joint * node.scheme.w[k]
-                post, mask = post / post.sum(), node.scheme.y_masks[k]
-            nxt = node.children[k] = self._node(node.t + 1, post, mask)
+                post /= post.sum()
+            nxt = node.children[k] = self._node(node.t + 1, post)
         return nxt
 
 
@@ -365,9 +292,6 @@ class SimulationResult:
 
     def p_cardinality(self, t: int, c: int) -> float:
         return float((self.cardinalities(t) == c).mean())
-
-    def empirical_inverse_rate(self, t: int) -> float:
-        return self.mean_cardinality(t)
 
     def summary(self) -> dict:
         horizon = self.q_masks.shape[1] - 1

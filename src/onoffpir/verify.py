@@ -14,6 +14,7 @@ import numpy as np
 
 from .model import EPS, ConditionalLaw, OrderStats
 from .scheme import QueryDistribution, project_to_sets
+from .sim import enumerate_steps
 
 
 def entropy_bits(p: np.ndarray) -> float:
@@ -169,8 +170,6 @@ def conditional_query_mi(model, pattern, horizon: int,
     mutual information between the pivot and the transmitted set under it.  ON steps send a
     constant query and leak nothing.
     """
-    from .sim import enumerate_steps  # local import keeps module layering flat
-
     out = []
     for view in enumerate_steps(model, pattern, horizon, policy=policy,
                                 max_branches=max_branches):

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from onoffpir.model import CapacityError, tau_of
+from onoffpir.model import CapacityError
 from onoffpir.scheme import QuerySet
-from onoffpir.sim import (BranchView, SimulationResult, StepView, TraceRecord,
-                          _law_from_joint, _SchemeCache)
+from onoffpir.sim import (POLICIES, BranchView, SimulationResult, StepView,
+                          TraceRecord, _law_from_joint, _scheme_algorithm1,
+                          _scheme_full, _scheme_naive)
 
 
 class EpisodeServer:
@@ -51,6 +52,23 @@ def _key(joint: np.ndarray) -> bytes:
     return np.round(joint, 12).tobytes()
 
 
+def scheme_lookup(n: int, policy: str):
+    """The policy's scheme for a law: algorithm 1's built once per law,
+    the others' fixed."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    if policy != "algorithm1":
+        fixed = (_scheme_naive if policy == "naive" else _scheme_full)(n)
+        return lambda law: fixed
+    memo: dict = {}
+
+    def lookup(law):
+        if law.key() not in memo:
+            memo[law.key()] = _scheme_algorithm1(law)
+        return memo[law.key()]
+    return lookup
+
+
 def reference_enumerate_steps(model, pattern, horizon: int,
                               policy: str = "algorithm1",
                               max_branches: int = 10 ** 7,
@@ -59,22 +77,19 @@ def reference_enumerate_steps(model, pattern, horizon: int,
     if horizon >= len(pattern):
         raise ValueError(f"pattern of length {len(pattern)} too short for horizon {horizon}")
     n = model.n
-    cache = _SchemeCache(model, policy)
-    full_mask = (1 << n) - 1
-    # branch state: (prob, posterior joint after previous step, prev query mask)
-    branches = [(1.0, np.diag(model.pi0), full_mask)]
+    scheme_for = scheme_lookup(model.n, policy)
+    # branch state: (prob, posterior joint after previous step)
+    branches = [(1.0, np.diag(model.pi0))]
     for t in range(horizon + 1):
         f_on = pattern.flags[t]
         views = []
-        for prob, joint, prev_mask in branches:
+        for prob, joint in branches:
             pre = joint if t == 0 else joint @ model.p
             if f_on:
-                views.append(BranchView(t, prev_mask, pre, None, None, prob))
+                views.append(BranchView(t, pre, None, None, prob))
             else:
                 law = _law_from_joint(pre)
-                gap = t - tau_of(pattern, t)
-                scheme = cache.for_step(law, prev_mask, gap)
-                views.append(BranchView(t, prev_mask, pre, law, scheme, prob))
+                views.append(BranchView(t, pre, law, scheme_for(law), prob))
         yield StepView(t, f_on, views)
 
         children = []
@@ -82,15 +97,14 @@ def reference_enumerate_steps(model, pattern, horizon: int,
             pre = view.pre_joint
             if f_on:
                 marg = pre.sum(axis=0)
-                children.append((view.prob, np.diag(marg / marg.sum()), full_mask))
+                children.append((view.prob, np.diag(marg / marg.sum())))
             else:
                 weights = view.scheme.query_marginal(pre)
                 for k, mass in enumerate(weights):
                     if mass <= prune:
                         continue
                     post = pre * view.scheme.w[k]
-                    children.append((view.prob * mass, post / post.sum(),
-                                     view.scheme.y_masks[k]))
+                    children.append((view.prob * mass, post / post.sum()))
         if len(children) > max_branches:
             raise CapacityError(f"{len(children)} history branches at t={t}")
         branches = children
@@ -108,7 +122,7 @@ def reference_simulate(model, pattern, episodes: int, seed: int = 0,
     horizon = len(pattern) - 1
     rng_req = np.random.default_rng([seed, 0])
     rng_msg = np.random.default_rng([seed, 1])
-    cache = _SchemeCache(model, policy)
+    scheme_for = scheme_lookup(n, policy)
     full_mask = (1 << n) - 1
 
     pi0_cum = np.cumsum(model.pi0)
@@ -117,8 +131,8 @@ def reference_simulate(model, pattern, episodes: int, seed: int = 0,
     # belief nodes keyed by rounded joint bytes; transitions memoized
     root = np.diag(model.pi0)
     nodes = {_key(root): root}
-    steps: dict = {}   # (node_key, t, prev_mask) -> (pre_joint, scheme or None)
-    trans: dict = {}   # (node_key, t, prev_mask, y_mask) -> child node key
+    steps: dict = {}   # (node_key, t) -> (pre_joint, scheme or None)
+    trans: dict = {}   # (node_key, t, y_mask) -> child node key
 
     q_masks = np.zeros((episodes, horizon + 1), dtype=np.int64)
     xs = np.zeros((episodes, horizon + 1), dtype=np.int64)
@@ -133,7 +147,6 @@ def reference_simulate(model, pattern, episodes: int, seed: int = 0,
     for ep in range(episodes):
         key = _key(root)
         x = x_tau = -1
-        prev_mask = full_mask
         server = EpisodeServer(n, msg_bits, rng_msg)
         trace = [] if keep_traces else None
         for t in range(horizon + 1):
@@ -142,17 +155,15 @@ def reference_simulate(model, pattern, episodes: int, seed: int = 0,
             x = int(np.searchsorted(cum, req_u[ep, t], side="left"))
             if f_on:
                 x_tau = x
-            step = steps.get((key, t, prev_mask))
+            step = steps.get((key, t))
             if step is None:
                 joint = nodes[key]
                 pre = joint if t == 0 else joint @ model.p
                 if f_on:
                     step = (pre, None)
                 else:
-                    law = _law_from_joint(pre)
-                    gap = t - tau_of(pattern, t)
-                    step = (pre, cache.for_step(law, prev_mask, gap))
-                steps[(key, t, prev_mask)] = step
+                    step = (pre, scheme_for(_law_from_joint(pre)))
+                steps[(key, t)] = step
             pre, scheme = step
             if f_on:
                 mask = full_mask
@@ -163,7 +174,7 @@ def reference_simulate(model, pattern, episodes: int, seed: int = 0,
                 mask = scheme.y_masks[min(k, len(scheme.y_masks) - 1)]
                 sel = tuple(i for i in range(n) if mask >> i & 1)
 
-            child = trans.get((key, t, prev_mask, mask))
+            child = trans.get((key, t, mask))
             if child is None:
                 if f_on:
                     marg = pre.sum(axis=0)
@@ -174,7 +185,7 @@ def reference_simulate(model, pattern, episodes: int, seed: int = 0,
                     nxt = post / post.sum()
                 child = _key(nxt)
                 nodes.setdefault(child, nxt)
-                trans[(key, t, prev_mask, mask)] = child
+                trans[(key, t, mask)] = child
             key = child
 
             server.advance()
@@ -189,7 +200,6 @@ def reference_simulate(model, pattern, episodes: int, seed: int = 0,
             q_masks[ep, t] = mask
             xs[ep, t] = x
             x_taus[ep, t] = x_tau
-            prev_mask = mask
             if keep_traces:
                 trace.append(TraceRecord(t, f_on, x, QuerySet(sel),
                                          len(sel) * msg_bits, ok))

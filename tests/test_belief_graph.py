@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import onoffpir.bounds as bounds_mod
-import onoffpir.sim as sim_mod
+import onoffpir.verify as verify_mod
 from helpers import WORKED_TABLE, random_law
 from onoffpir.bounds import bounds_over_horizon
 from onoffpir.model import MarkovModel, PrivacyPattern
@@ -28,7 +28,7 @@ def _chain(n: int) -> MarkovModel:
 
 CASES = [(n, pattern, policy)
          for n in (2, 3, 4) for pattern in ("1010", "1001000")
-         for policy in POLICIES if policy != "n2_closed_form" or n == 2]
+         for policy in POLICIES]
 
 
 @pytest.mark.parametrize("n,pattern,policy", CASES)
@@ -50,7 +50,7 @@ def _reference_sums(monkeypatch, fn, *args, **kwargs):
     """``fn`` evaluated over the per-class reference enumeration."""
     with monkeypatch.context() as patch:
         patch.setattr(bounds_mod, "enumerate_steps", reference_enumerate_steps)
-        patch.setattr(sim_mod, "enumerate_steps", reference_enumerate_steps)
+        patch.setattr(verify_mod, "enumerate_steps", reference_enumerate_steps)
         return fn(*args, **kwargs)
 
 
@@ -78,7 +78,7 @@ def test_horizon_sums_match_per_class_reference(monkeypatch, n, pattern, with_lp
 def _mass_by_belief(view) -> dict:
     out: dict = {}
     for br in view.branches:
-        key = (np.round(br.pre_joint, 12).tobytes(), br.prev_mask)
+        key = np.round(br.pre_joint, 12).tobytes()
         out[key] = out.get(key, 0.0) + br.prob
     return out
 

@@ -102,7 +102,13 @@ def test_verify_rejects_out_of_range_entry(model3_path, tmp_path, capsys):
     {"n": 3, "entries": [{"z": {"a": 1}, "x": 0, "u": 0, "p": 1.0}]},
     {"n": 3, "entries": {"z": [1, 0, 0], "x": 0, "u": 0, "p": 1.0}},
     [{"n": 3}],
-], ids=["entry-list", "z-object", "entries-object", "top-list"])
+    {"n": "3", "entries": [{"z": [1, 0, 0], "x": 0, "u": 0, "p": 1.0}]},
+    {"n": 3, "entries": [{"z": ["1", "0", "0"], "x": 0, "u": 0, "p": 1.0}]},
+    {"n": 3, "entries": [{"z": [1, 0, 0], "x": "0", "u": 0, "p": 1.0}]},
+    {"n": 3, "entries": [{"z": [1, 0, 0], "x": 0, "u": True, "p": 1.0}]},
+    {"n": 3, "entries": [{"z": [1, 0, 0], "x": 0, "u": 0, "p": "1.0"}]},
+], ids=["entry-list", "z-object", "entries-object", "top-list", "n-str",
+        "z-str", "x-str", "u-bool", "p-str"])
 def test_verify_rejects_wrongly_typed_json(model3_path, tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -113,12 +119,27 @@ def test_verify_rejects_wrongly_typed_json(model3_path, tmp_path, capsys, payloa
 @pytest.mark.parametrize("payload", [
     {"n": 2, "p": {"a": 1}, "pi0": [0.5, 0.5]},
     [2, [[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5]],
-], ids=["p-object", "top-list"])
+    {"n": "2", "p": [[0.5, 0.5], [0.5, 0.5]], "pi0": [0.5, 0.5]},
+    {"n": 2, "p": [["0.5", 0.5], [0.5, 0.5]], "pi0": [0.5, 0.5]},
+    {"n": 2, "p": [[0.5, 0.5], [0.5, 0.5]], "pi0": [True, False]},
+], ids=["p-object", "top-list", "n-str", "p-str", "pi0-bool"])
 def test_build_rejects_wrongly_typed_model(tmp_path, capsys, payload):
     path = tmp_path / "bad_model.json"
     path.write_text(json.dumps(payload))
     assert main(["build", "--model", str(path)]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--kind", "fig5", "--format", "json"],
+    ["build", "--model", "m.json", "--seed", "1"],
+    ["simulate", "--model", "m.json", "--pattern", "10", "--format", "csv"],
+], ids=["sweep-format", "build-seed", "simulate-format"])
+def test_flags_exist_only_where_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_lp_expected_value(model3_path, capsys):
@@ -171,12 +192,13 @@ def test_simulate_summary_and_trace(model2_path, tmp_path, capsys):
 
 def test_simulate_config_file(model2_path, tmp_path, capsys):
     cfg = {"model": model2_path, "pattern": "10", "episodes": 50,
-           "seed": 9, "L": 16, "policy": "n2_closed_form"}
+           "seed": 9, "L": 16, "policy": "full_download"}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["simulate", "--config", str(cfg_path)]) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary["msg_bits"] == 16 and summary["policy"] == "n2_closed_form"
+    assert summary["msg_bits"] == 16 and summary["policy"] == "full_download"
+    assert summary["mean_query_size"] == [2.0, 2.0]
 
 
 def test_simulate_undecodable_queries_exit_one(model3_path, monkeypatch, capsys):

@@ -36,6 +36,28 @@ def test_model_json_round_trip(tmp_path):
     assert np.array_equal(MarkovModel.load(path).p, m.p)
 
 
+@pytest.mark.parametrize("change", [
+    {"n": "2"}, {"n": True}, {"n": 2.5},
+    {"p": [["0.5", 0.5], [0.5, 0.5]]}, {"p": [[True, False], [0.5, 0.5]]},
+    {"pi0": [True, False]}, {"pi0": np.array([True, False])},
+    {"pi0": "10"}, {"pi0": b"\x01\x00"},
+], ids=["n-str", "n-bool", "n-frac", "p-str", "p-bool", "pi0-bool",
+        "pi0-numpy-bool", "pi0-str", "pi0-bytes"])
+def test_model_json_rejects_non_numbers(change):
+    good = {"n": 2, "p": [[0.5, 0.5], [0.5, 0.5]], "pi0": [1.0, 0]}
+    MarkovModel.from_json(good)
+    with pytest.raises(ValueError):
+        MarkovModel.from_json({**good, **change})
+
+
+def test_model_json_accepts_numpy_numbers():
+    m = MarkovModel.from_json({"n": np.int32(2),
+                               "p": np.array([[0.5, 0.5], [0.25, 0.75]]),
+                               "pi0": [np.float32(0.5), np.int64(0) + 0.5]})
+    assert np.array_equal(m.p, [[0.5, 0.5], [0.25, 0.75]])
+    assert np.array_equal(m.pi0, [0.5, 0.5])
+
+
 def test_pattern_parsing():
     pat = PrivacyPattern.from_string("1000")
     assert len(pat) == 4 and str(pat) == "1000"

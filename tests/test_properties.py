@@ -1,7 +1,8 @@
 """Property tests on laws with ties, exact zeros, near-zero (1e-13) mass,
 and on permutation and identity chains: the builder, its set projection and
 the wire format; and, on such chains with point-mass starts, the exact
-enumeration, its leakage and the Monte Carlo episodes against it."""
+enumeration, its beliefs, its leakage and the Monte Carlo episodes against
+it."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -77,8 +78,11 @@ MEAN_SE_BAND = 5.0   # OFF-step mean set size vs the exact mean, in exact SEs
 def test_enumeration_leakage_and_episodes_agree(model, flags):
     pattern = PrivacyPattern((True, *flags))
     horizon = len(pattern) - 1
+    # materialized first: a node's children are made with the next layer
+    views = list(enumerate_steps(model, pattern, horizon))
+    assert np.array_equal(views[0].branches[0].pre_joint, np.diag(model.pi0))
     moments = []
-    for view in enumerate_steps(model, pattern, horizon):
+    for view in views:
         assert abs(sum(br.prob for br in view.branches) - 1.0) <= 1e-9
         m1 = m2 = 0.0
         for br in view.branches:
@@ -86,6 +90,10 @@ def test_enumeration_leakage_and_episodes_agree(model, flags):
                 weights = br.scheme.query_marginal(br.pre_joint)
                 m1 += br.prob * float(weights @ br.scheme.set_sizes)
                 m2 += br.prob * float(weights @ br.scheme.set_sizes ** 2)
+                # a private scheme's query never moves the pivot marginal
+                pivot = br.pre_joint.sum(axis=1)
+                for child in br.children.values():
+                    assert np.abs(child.pre_joint.sum(axis=1) - pivot).max() <= 1e-9
         moments.append((m1, m2 - m1 * m1))
     assert max(conditional_query_mi(model, pattern, horizon)) <= 1e-9
     res = simulate(model, pattern, EPISODES, seed=3)

@@ -338,10 +338,25 @@ def test_canonical_json_bytes_are_pinned(name):
     ((0, 1, 0), 1, 0, float("nan")),
     ((0, 1, 0), 1, 0, float("inf")),
     ((0, 1, 0), 1, 0, -0.1),
+    (("0", "1", "0"), 1, 0, 0.5),  # numpy would convert strings,
+    ((False, True, False), 1, 0, 0.5),  # booleans
+    ((0, 1, 0), "1", 0, 0.5),
+    ((0, 1, 0), True, 0, 0.5),
+    ((0, 1, 0), 1, np.True_, 0.5),  # numpy's too
+    ((0, 1, 0), 1, 0, "0.5"),
+    ((0, 1, 0), 1, 0, b"0.5"),     # and bytes
 ])
 def test_from_items_rejects_malformed_entries(entry):
     good = ((0, 1, 0), 1, 1, 0.5)
     QueryDistribution.from_items(3, [good])
     with pytest.raises(ValueError):
         QueryDistribution.from_items(3, [good, entry])
+
+
+def test_from_items_accepts_numpy_numbers():
+    dist = QueryDistribution.from_items(np.int64(3), [
+        (np.array([0, 1, 0]), np.int32(1), np.int64(1), np.float32(0.5)),
+        ((0, 1, 0), 1, 1, np.float64(0.25)),
+    ])
+    assert dist.entry_tuples() == [((0, 1, 0), 1, 1, 0.75)]
 

@@ -3,10 +3,12 @@ import pytest
 
 import onoffpir.sim as sim_mod
 from helpers import never_the_request, random_law, worked_law
-from onoffpir.model import CapacityError, MarkovModel, PrivacyPattern
-from onoffpir.sim import (BeliefState, ServerState, _inverse_cdf,
-                          belief_update, empirical_privacy_audit,
-                          enumerate_steps, run_episode, simulate)
+from onoffpir.model import (ZERO_TOL, CapacityError, MarkovModel,
+                            PrivacyPattern, tau_of)
+from onoffpir.scheme import policy_n2
+from onoffpir.sim import (POLICIES, ServerState, _inverse_cdf,
+                          empirical_privacy_audit, enumerate_steps,
+                          run_episode, simulate)
 
 
 def two_state():
@@ -15,52 +17,47 @@ def two_state():
 
 # ------------------------------------------------------------------- beliefs
 
+def _off_edges(views):
+    """(parent, incoming query mask, child) for every edge out of an OFF node
+    of a materialized enumeration."""
+    return [(node, node.scheme.y_masks[k], child)
+            for view in views for node in view.branches if node.scheme is not None
+            for k, child in node.children.items()]
+
+
 def test_belief_initial_is_diagonal():
     m = MarkovModel(3, worked_law().table, [0.2, 0.3, 0.5])
-    b = BeliefState.initial(m)
-    assert np.array_equal(b.joint, np.diag([0.2, 0.3, 0.5]))
+    views = list(enumerate_steps(m, PrivacyPattern.from_string("10"), 1))
+    (root,) = views[0].branches
+    assert np.array_equal(root.pre_joint, np.diag([0.2, 0.3, 0.5]))
 
 
 def test_belief_update_singleton_preserves_pivot_marginal():
     # observing the published scheme's singleton query tells the server
     # nothing about the pivot: posterior equals the 0.5/0.5 prior
     m = two_state()
-    kernel_a = np.array([[0.25, 0.0], [1.0, 0.0]])  # w(q={0} | pivot, request)
-    post = belief_update(BeliefState.initial(m), m.p, kernel_a)
-    assert np.allclose(post.pivot_marginal, [0.5, 0.5], atol=1e-12)
-    assert abs(post.joint.sum() - 1.0) < 1e-12
+    views = list(enumerate_steps(m, PrivacyPattern.from_string("100"), 2))
+    (node, mask, child), = [e for e in _off_edges(views) if e[1] == 0b01]
+    assert np.allclose(node.scheme.w[node.scheme.y_masks.index(mask)],
+                       [[0.25, 0.0], [1.0, 0.0]], atol=1e-12)
+    assert np.allclose(child.pre_joint.sum(axis=1), [0.5, 0.5], atol=1e-12)
+    assert abs(child.pre_joint.sum() - 1.0) < 1e-12
 
 
 def test_belief_update_private_kernels_never_move_marginal():
-    # a scheme whose query law is pivot-free leaks nothing into the filter:
+    # a scheme whose query law is pivot-free leaks nothing into the belief:
     # whatever set is observed, the pivot marginal stays the prior
     rng = np.random.default_rng(9)
     for _ in range(25):
         n = int(rng.integers(2, 5))
         m = MarkovModel(n, random_law(rng, n).table, rng.dirichlet(np.ones(n)))
-        before = BeliefState.initial(m)
-        views = list(enumerate_steps(m, PrivacyPattern.from_string("10"), 1))
-        (branch,) = views[1].branches
-        for k in range(len(branch.scheme.y_masks)):
-            kernel = branch.scheme.w[k]
-            if (before.joint @ m.p * kernel).sum() < 1e-9:
-                continue
-            post = belief_update(before, m.p, kernel)
-            assert np.allclose(post.pivot_marginal, before.pivot_marginal,
-                               atol=1e-9)
-            assert np.all(post.joint >= 0)
-            assert abs(post.joint.sum() - 1.0) < 1e-9
-
-
-def test_belief_update_zero_mass_raises():
-    m = two_state()
-    with pytest.raises(FloatingPointError):
-        belief_update(BeliefState.initial(m), m.p, np.zeros((2, 2)))
-
-
-def test_belief_validation():
-    with pytest.raises(ValueError):
-        BeliefState(np.array([[0.7, 0.7], [0.0, 0.0]]))
+        views = list(enumerate_steps(m, PrivacyPattern.from_string("100"), 2))
+        edges = _off_edges(views)
+        assert edges
+        for _node, _mask, child in edges:
+            assert np.allclose(child.pre_joint.sum(axis=1), m.pi0, atol=1e-9)
+            assert np.all(child.pre_joint >= 0)
+            assert abs(child.pre_joint.sum() - 1.0) < 1e-9
 
 
 def test_enumeration_collapses_after_on_step():
@@ -102,24 +99,47 @@ def test_enumeration_query_masks_exact_beyond_63_sources():
     assert steps[1].branches[0].scheme.y_masks == tuple(1 << i for i in range(n))
 
 
-def test_policies_induce_identical_query_laws_for_two_sources():
-    # the general builder specializes to the closed form when N = 2
-    m = MarkovModel.two_state(0.35, 0.45)
-    pat = PrivacyPattern.from_string("10000")
-    for alg_view, closed_view in zip(
-            enumerate_steps(m, pat, 4, policy="algorithm1"),
-            enumerate_steps(m, pat, 4, policy="n2_closed_form")):
-        if alg_view.f_on:
-            continue
-        law_a, law_c = {}, {}
-        for view, acc in ((alg_view, law_a), (closed_view, law_c)):
-            for br in view.branches:
-                for k, mass in enumerate(br.scheme.query_marginal(br.pre_joint)):
-                    mask = br.scheme.y_masks[k]
-                    acc[mask] = acc.get(mask, 0.0) + br.prob * mass
-        assert set(law_a) >= {k for k, v in law_c.items() if v > 1e-12}
-        for mask in set(law_a) | set(law_c):
-            assert abs(law_a.get(mask, 0.0) - law_c.get(mask, 0.0)) < 1e-9
+@pytest.mark.parametrize("pattern", ["1000000", "1010010", "1001000"])
+def test_algorithm1_matches_closed_form_policy_per_node(pattern):
+    # algorithm 1 specializes to the two-source closed form: every
+    # OFF node's scheme is policy_n2 given the size of the query that led
+    # to it and the parity of the gap since privacy was ON
+    pat = PrivacyPattern.from_string(pattern)
+    masks = (0b01, 0b10, 0b11)
+    checked = 0
+    for alpha, beta in ((0.3, 0.45), (0.35, 0.45), (0.1, 0.8), (0.4, 0.6),
+                        (0.7, 0.6), (0.9, 0.85), (0.55, 0.95)):
+        for pi0 in ([0.5, 0.5], [0.2, 0.8]):
+            m = MarkovModel.two_state(alpha, beta, pi0)
+            views = list(enumerate_steps(m, pat, len(pat) - 1))
+            incoming = {}
+            for view in views:
+                for node in view.branches:
+                    for k, child in node.children.items():
+                        mask = 0b11 if node.scheme is None else node.scheme.y_masks[k]
+                        incoming.setdefault(child, set()).add(mask)
+            for view in views[1:]:
+                gap = view.t - tau_of(pat, view.t)
+                parity = "even" if gap % 2 == 0 else "odd"
+                for node in view.branches:
+                    if node.scheme is None:
+                        continue
+                    got = np.array([node.scheme.w[node.scheme.y_masks.index(q)]
+                                    if q in node.scheme.y_masks else np.zeros((2, 2))
+                                    for q in masks])
+                    live = node.pre_joint > ZERO_TOL
+                    for prev in incoming[node]:
+                        want = np.zeros((3, 2, 2))
+                        for u in (0, 1):
+                            for x in (0, 1):
+                                law = policy_n2(alpha, beta, u, x,
+                                                prev.bit_count(), parity)
+                                for q, prob in law.items():
+                                    want[masks.index(q.bitmask), u, x] = prob
+                        assert np.abs(got - want)[:, live].max() <= 1e-12, \
+                            (alpha, beta, pi0, view.t, prev)
+                        checked += 1
+    assert checked > 0
 
 
 # ------------------------------------------------------------------ episodes
@@ -173,7 +193,7 @@ def test_simulate_reproducible_and_seed_sensitive():
 def test_simulate_decodes_every_step_all_policies():
     m = two_state()
     pat = PrivacyPattern.from_string("1010")
-    for policy in ("algorithm1", "n2_closed_form", "naive", "full_download"):
+    for policy in POLICIES:
         res = simulate(m, pat, 500, seed=11, policy=policy, msg_bits=24)
         assert res.decode_failures == 0
         assert res.oks.all()
@@ -258,6 +278,7 @@ def test_simulate_three_sources_with_builder():
 
 def test_simulate_rejects_bad_policy_configs():
     m = MarkovModel(3, worked_law().table, np.full(3, 1 / 3))
+    # the two-source closed form is a test oracle, not a policy
     with pytest.raises(ValueError):
         simulate(m, PrivacyPattern.from_string("10"), 10, policy="n2_closed_form")
     with pytest.raises(ValueError):
