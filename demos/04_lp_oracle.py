@@ -17,6 +17,12 @@ from onoffpir import (ConditionalLaw, build_lp, build_query_distribution,
                       inner_bound_first_off_step, order_stats, outer_bound_2,
                       restricted_lp_singleton_optimum, solve)
 
+
+def members(mask):
+    """The sources of a query bitmask (bit i = source i), in increasing order."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 law = ConditionalLaw(3, np.array([
     [0.1, 0.3, 0.6],
     [0.5, 0.4, 0.1],
@@ -30,9 +36,9 @@ solution = solve(problem)
 print(f"optimum {solution.optimum:.6f} (status {solution.status})")
 print("support of the optimal scheme:")
 for (q, x, u), p in sorted(solution.assignment.items(),
-                           key=lambda kv: (len(kv[0][0]), kv[0][0].members,
+                           key=lambda kv: (kv[0][0].bit_count(), members(kv[0][0]),
                                            kv[0][1], kv[0][2])):
-    print(f"  q={{{','.join(map(str, q.members))}}} x={x} pivot={u}  p={p:.3f}")
+    print(f"  q={{{','.join(map(str, members(q)))}}} x={x} pivot={u}  p={p:.3f}")
 print()
 
 stats = order_stats(law)

@@ -18,7 +18,8 @@ pattern = PrivacyPattern.from_string("100000")
 
 print("One traced episode (seed 7):")
 for rec in run_episode(model, pattern, msg_bits=32, seed=7):
-    members = "{" + ",".join(map(str, rec.query.members)) + "}"
+    members = "{" + ",".join(str(i) for i in range(model.n)
+                             if rec.q_mask >> i & 1) + "}"
     print(f"  t={rec.t} privacy={'ON ' if rec.f_on else 'off'} "
           f"request={rec.x} query={members:6s} answer={rec.answer_bits:3d} bits "
           f"decoded={'ok' if rec.decode_ok else 'FAIL'}")

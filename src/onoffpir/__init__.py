@@ -4,9 +4,9 @@ oracle, identity audits, and protocol simulation."""
 
 from .model import (EPS, CapacityError, ConditionalLaw, MarkovModel, OrderStats,
                     PrivacyPattern, order_stats, step_law, tau_of)
-from .scheme import (InternalConsistencyError, MultisetQuery, QueryDistribution,
-                     QuerySet, build_query_distribution, on_step_query,
-                     policy_n2, policy_n2_table, project_to_sets)
+from .scheme import (InternalConsistencyError, QueryDistribution,
+                     build_query_distribution, policy_n2, policy_n2_table,
+                     project_to_sets)
 from .bounds import (HorizonRow, RateBound, bounds_over_horizon, exact_rate_n2,
                      inner_bound_first_off_step, outer_bound_2,
                      restricted_lp_singleton_optimum)
@@ -21,9 +21,9 @@ from .sim import (ChiSquareAudit, ServerState, SimulationResult, TraceRecord,
 __all__ = [
     "EPS", "CapacityError", "ConditionalLaw", "MarkovModel", "OrderStats",
     "PrivacyPattern", "order_stats", "step_law", "tau_of",
-    "InternalConsistencyError", "MultisetQuery", "QueryDistribution",
-    "QuerySet", "build_query_distribution", "on_step_query", "policy_n2",
-    "policy_n2_table", "project_to_sets",
+    "InternalConsistencyError", "QueryDistribution",
+    "build_query_distribution", "policy_n2", "policy_n2_table",
+    "project_to_sets",
     "HorizonRow", "RateBound", "bounds_over_horizon", "exact_rate_n2",
     "inner_bound_first_off_step", "outer_bound_2",
     "restricted_lp_singleton_optimum",

@@ -48,6 +48,8 @@ def inner_bound_first_off_step(law: ConditionalLaw) -> RateBound:
 def exact_rate_n2(alpha: float, beta: float, gap: int) -> RateBound:
     """Optimal inverse rate for two sources at a given gap since the pivot:
     1 + |1 - alpha - beta|**gap (gap 0 forces both messages)."""
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
+        raise ValueError("transition probabilities must lie in [0, 1]")
     if gap < 0:
         raise ValueError(f"gap must be >= 0, got {gap}")
     return RateBound(1.0 + abs(1.0 - alpha - beta) ** gap, "exact_n2")
@@ -146,6 +148,8 @@ def two_source_rate_grid(sums, max_gap: int = 20) -> list:
     Returns (sum, gap, rate) triples; the rate depends on (alpha, beta) only
     through |1 - alpha - beta|, so the sum alone indexes a curve.
     """
+    if max_gap < 0:
+        raise ValueError(f"max_gap must be >= 0, got {max_gap}")
     rows = []
     for s in sums:
         alpha = beta = s / 2.0

@@ -18,7 +18,7 @@ import numpy as np
 from . import bounds as _bounds
 from . import lp as _lp
 from .model import (CapacityError, MarkovModel, PrivacyPattern, order_stats,
-                    step_law)
+                    step_law, whole_numbers)
 from .scheme import (InternalConsistencyError, QueryDistribution,
                      build_query_distribution)
 from .sim import POLICIES, empirical_privacy_audit, simulate
@@ -35,23 +35,23 @@ def _write(text: str, out: str | None):
             fh.write(text)
 
 
-def _load_pattern(spec: str, horizon: int | None, seed: int) -> PrivacyPattern:
+def _load_pattern(spec: str, seed: int) -> PrivacyPattern:
     """A '1'/'0' string, or 'bernoulli:p:T' for a random pattern with the
     step-0 flag forced ON."""
     if spec.startswith("bernoulli:"):
         _, p, t = spec.split(":")
+        p, t = float(p), int(t)
+        if not (0.0 <= p <= 1.0 and t >= 0):
+            raise ValueError(f"pattern {spec!r}: need p in [0, 1] and T >= 0")
         rng = np.random.default_rng([seed, 2])
-        flags = (True,) + tuple(bool(b) for b in rng.random(int(t)) < float(p))
+        flags = (True,) + tuple(bool(b) for b in rng.random(t) < p)
         return PrivacyPattern(flags)
-    pattern = PrivacyPattern.from_string(spec)
-    if horizon is not None and horizon >= len(pattern):
-        raise ValueError(f"pattern {spec!r} shorter than horizon {horizon}")
-    return pattern
+    return PrivacyPattern.from_string(spec)
 
 
 def _cmd_bounds(args) -> int:
     model = MarkovModel.load(args.model)
-    pattern = _load_pattern(args.pattern, args.horizon, args.seed)
+    pattern = _load_pattern(args.pattern, args.seed)
     horizon = args.horizon if args.horizon is not None else len(pattern) - 1
     rows = _bounds.bounds_over_horizon(model, pattern, horizon,
                                        policy=args.policy, with_lp=args.with_lp,
@@ -72,6 +72,8 @@ def _cmd_sweep(args) -> int:
         rows = _bounds.two_source_rate_grid(sums, args.max_gap)
         _write(_bounds.grid_csv(rows, ["sum_alpha_beta", "gap", "rate"]), args.out)
     else:
+        if args.points < 1:
+            raise ValueError(f"--points must be >= 1, got {args.points}")
         alphas = np.linspace(0.0, 1.0, args.points)
         rows = _bounds.symmetric_bound_grid(args.n, alphas)
         _write(_bounds.grid_csv(rows, ["alpha", "inner_rate", "outer_rate"]), args.out)
@@ -141,16 +143,22 @@ def _cmd_simulate(args) -> int:
     if args.config is not None:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not (isinstance(cfg, dict) and isinstance(cfg.get("pattern"), str)
+                and isinstance(cfg.get("model"), (dict, str))):
+            raise ValueError("a simulate config is a JSON object with a string "
+                             "pattern and a model (an object or a file path)")
         model = (MarkovModel.from_json(cfg["model"]) if isinstance(cfg["model"], dict)
                  else MarkovModel.load(cfg["model"]))
-        pattern = _load_pattern(cfg["pattern"], None, int(cfg.get("seed", 0)))
-        episodes = int(cfg.get("episodes", args.episodes))
-        seed = int(cfg.get("seed", args.seed))
-        msg_bits = int(cfg.get("L", args.msg_bits))
+        # whole_numbers reads through float, which is exact below 2**53
+        episodes, seed, msg_bits = (
+            int(whole_numbers(cfg.get(key, default), key, 0, 1 << 53))
+            for key, default in (("episodes", args.episodes), ("seed", args.seed),
+                                 ("L", args.msg_bits)))
+        pattern = _load_pattern(cfg["pattern"], seed)
         policy = cfg.get("policy", args.policy)
     else:
         model = MarkovModel.load(args.model)
-        pattern = _load_pattern(args.pattern, None, args.seed)
+        pattern = _load_pattern(args.pattern, args.seed)
         episodes, seed = args.episodes, args.seed
         msg_bits, policy = args.msg_bits, args.policy
     result = simulate(model, pattern, episodes, seed=seed, msg_bits=msg_bits,

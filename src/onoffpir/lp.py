@@ -15,7 +15,6 @@ from itertools import combinations
 import numpy as np
 
 from .model import EPS, CapacityError, ConditionalLaw
-from .scheme import QuerySet
 
 _FEAS_TOL = 1e-7   # constraint satisfaction at optimality
 _PIVOT_TOL = 1e-9  # reduced-cost / ratio-test threshold
@@ -29,8 +28,8 @@ class IterationLimitError(RuntimeError):
 class LpProblem:
     """minimize objective @ x  subject to  eq_matrix @ x = eq_rhs, x >= 0.
 
-    ``columns`` optionally carries the (query, x, u) legend of each column
-    for problems produced by :func:`build_lp`.
+    ``columns`` optionally carries the (query bitmask, x, u) legend of each
+    column for problems produced by :func:`build_lp`.
     """
 
     objective: np.ndarray
@@ -53,8 +52,9 @@ class LpProblem:
         for row, rhs in zip(self.eq_matrix, self.eq_rhs):
             lines.append(" ".join(f"{v:g}" for v in row) + f" = {rhs:g}")
         if self.columns is not None:
-            for j, (q, x, u) in enumerate(self.columns):
-                lines.append(f"({set(q.members)},{x},{u}) -> col {j}")
+            for j, (mask, x, u) in enumerate(self.columns):
+                members = {i for i in range(mask.bit_length()) if mask >> i & 1}
+                lines.append(f"({members},{x},{u}) -> col {j}")
         return "\n".join(lines)
 
 
@@ -63,18 +63,14 @@ class LpSolution:
     status: str              # "optimal" | "infeasible" | "unbounded"
     optimum: float | None
     x: np.ndarray | None
-    assignment: dict | None  # (QuerySet, x, u) -> probability, legend problems only
+    assignment: dict | None  # (query bitmask, x, u) -> probability, legend problems only
 
 
 def _query_sets(n: int, cardinality_cap: int | None):
-    """Candidate queries: all nonempty subsets, or sizes {1..cap, n}."""
+    """Member tuples of all nonempty subsets, or of sizes {1..cap, n}."""
     sizes = range(1, n + 1) if cardinality_cap is None else \
         sorted(set(range(1, min(cardinality_cap, n) + 1)) | {n})
-    out = []
-    for size in sizes:
-        for members in combinations(range(n), size):
-            out.append(QuerySet(members))
-    return out
+    return [members for size in sizes for members in combinations(range(n), size)]
 
 
 def build_lp(law: ConditionalLaw, cardinality_cap: int | None = None,
@@ -105,11 +101,12 @@ def build_lp(law: ConditionalLaw, cardinality_cap: int | None = None,
     queries = _query_sets(n, cardinality_cap)
     columns = []
     col_of = {}
-    for qi, q in enumerate(queries):
-        for x in q.members:
+    for qi, members in enumerate(queries):
+        mask = sum(1 << i for i in members)
+        for x in members:
             for u in range(n):
                 col_of[(qi, x, u)] = len(columns)
-                columns.append((q, x, u))
+                columns.append((mask, x, u))
     ncols = len(columns)
 
     nrows = n * n + len(queries) * (n - 1)
@@ -120,19 +117,19 @@ def build_lp(law: ConditionalLaw, cardinality_cap: int | None = None,
         for x in range(n):
             row = u * n + x
             b[row] = law.table[u, x]
-            for qi, q in enumerate(queries):
-                if x in q:
+            for qi, members in enumerate(queries):
+                if x in members:
                     a[row, col_of[(qi, x, u)]] = 1.0
     # privacy: sum_x p(q, x | u) equal across u (u=0 as reference)
     row = n * n
-    for qi, q in enumerate(queries):
+    for qi, members in enumerate(queries):
         for u in range(1, n):
-            for x in q.members:
+            for x in members:
                 a[row, col_of[(qi, x, u)]] = 1.0
                 a[row, col_of[(qi, x, 0)]] -= 1.0
             row += 1
 
-    c = np.array([len(q) * prior[u] for q, _x, u in columns])
+    c = np.array([mask.bit_count() * prior[u] for mask, _x, u in columns])
     return LpProblem(c, a, b, tuple(columns))
 
 

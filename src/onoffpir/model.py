@@ -98,6 +98,8 @@ class MarkovModel:
     def symmetric(n: int, alpha: float) -> "MarkovModel":
         """n-source chain that stays put with probability alpha and moves to
         each other source with probability (1-alpha)/(n-1)."""
+        if n < 2:
+            raise ValueError(f"need at least two sources, got n={n}")
         off = (1.0 - alpha) / (n - 1)
         p = np.full((n, n), off)
         np.fill_diagonal(p, alpha)

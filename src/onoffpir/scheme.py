@@ -2,10 +2,11 @@
 
 Two constructions live here: the general sparse builder that turns any
 conditional law into a feasible query distribution meeting the inner bound,
-and the closed-form two-source policy.  Both output objects whose transmitted
-query is a *set* of sources; the builder works internally with multisets
-(whose cardinality law is exactly the theta increments) and exposes the set
-projection for the wire.
+and the closed-form two-source policy.  The transmitted query is a *set* of
+sources; the builder works with multisets (whose cardinality law is exactly
+the theta increments), held as per-source count rows, and exposes the set
+projection for the wire.  Outside a distribution a set of sources is a
+Python-int bitmask, bit i standing for source i.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,78 +30,10 @@ class InternalConsistencyError(AssertionError):
     """
 
 
-@dataclass(frozen=True)
-class MultisetQuery:
-    """A multiset of sources, stored as a per-source count vector."""
+class _QueryCounts(NamedTuple):
+    """One distinct query of a :class:`QueryDistribution`: its count row."""
 
     counts: tuple
-
-    def __post_init__(self):
-        counts = tuple(map(int, self.counts))
-        object.__setattr__(self, "counts", counts)
-        if min(counts, default=0) < 0:
-            raise ValueError("multiplicities must be nonnegative")
-        if sum(counts) > len(counts):
-            raise ValueError("multiset cardinality cannot exceed the number of sources")
-
-    @staticmethod
-    def from_elements(elements, n: int) -> "MultisetQuery":
-        counts = [0] * n
-        for e in elements:
-            counts[e] += 1
-        return MultisetQuery(tuple(counts))
-
-    @property
-    def cardinality(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def support(self) -> tuple:
-        return tuple(i for i, c in enumerate(self.counts) if c > 0)
-
-    def __contains__(self, x: int) -> bool:
-        return 0 <= x < len(self.counts) and self.counts[x] > 0
-
-    def to_set(self) -> "QuerySet":
-        return QuerySet(self.support)
-
-
-@dataclass(frozen=True)
-class QuerySet:
-    """A plain subset of sources, the object actually sent to the server."""
-
-    members: tuple
-
-    def __post_init__(self):
-        members = tuple(sorted(set(int(m) for m in self.members)))
-        if not members:
-            raise ValueError("a transmitted query is never empty")
-        if members[0] < 0:
-            raise ValueError("source indices are nonnegative")
-        object.__setattr__(self, "members", members)
-
-    @staticmethod
-    def full(n: int) -> "QuerySet":
-        return QuerySet(tuple(range(n)))
-
-    @staticmethod
-    def from_bitmask(mask: int) -> "QuerySet":
-        return QuerySet(tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
-
-    @property
-    def bitmask(self) -> int:
-        return sum(1 << i for i in self.members)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def on_step_query(n: int) -> QuerySet:
-    """The query sent whenever privacy is ON: everything."""
-    return QuerySet.full(n)
 
 
 @dataclass(frozen=True, init=False)
@@ -111,7 +45,7 @@ class QueryDistribution:
     read-only ``(Q, n)`` matrix ``counts`` holds one count vector per distinct
     query.  Entries are canonically ordered by (cardinality, count vector, x,
     u), so equal inputs produce bit-identical objects.  ``queries`` views the
-    rows of ``counts`` as :class:`MultisetQuery` values.
+    rows of ``counts`` as tuples, one ``.counts`` field each.
 
     Invariants (checked by the builder and audited independently):
       * all stored probabilities are strictly positive,
@@ -153,8 +87,8 @@ class QueryDistribution:
 
     @cached_property
     def queries(self) -> tuple:
-        """The distinct queries as :class:`MultisetQuery` values."""
-        return tuple(MultisetQuery(tuple(row)) for row in self.counts.tolist())
+        """The distinct queries, each a ``.counts`` tuple (row of ``counts``)."""
+        return tuple(_QueryCounts(tuple(row)) for row in self.counts.tolist())
 
     @cached_property
     def cardinalities(self) -> np.ndarray:
@@ -417,14 +351,15 @@ _EVEN, _ODD = "even", "odd"
 
 
 def policy_n2(alpha: float, beta: float, x_tau: int, x_t: int,
-              prev_card: int, parity: str = _EVEN) -> dict:
+              prev_card: int, parity: str = _EVEN) -> np.ndarray:
     """Closed-form two-source policy for one OFF step.
 
-    Returns the distribution of the next query over { {0}, {1}, {0,1} } given
-    the pivot request ``x_tau``, the current request ``x_t``, the cardinality
-    of the previous query, and the parity of the gap since the pivot.  Once a
-    singleton has been sent the state is absorbing: the current request is
-    asked for directly with probability one.
+    Returns the distribution of the next query over {0}, {1}, {0,1} as a
+    length-3 array, indexed by bitmask - 1, given the pivot request
+    ``x_tau``, the current request ``x_t``, the cardinality of the previous
+    query, and the parity of the gap since the pivot.  Once a singleton has
+    been sent the state is absorbing: the current request is asked for
+    directly with probability one.
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
         raise ValueError("transition probabilities must lie in [0, 1]")
@@ -432,30 +367,25 @@ def policy_n2(alpha: float, beta: float, x_tau: int, x_t: int,
         raise ValueError(f"previous query cardinality must be 1 or 2, got {prev_card}")
     if parity not in (_EVEN, _ODD):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    single = QuerySet((x_t,))
-    other = QuerySet((1 - x_t,))
-    both = QuerySet((0, 1))
-    if prev_card == 1:
-        return {single: 1.0, other: 0.0, both: 0.0}
+    w1 = 1.0   # p({x_t}); the rest goes to {0, 1}
     s = alpha + beta
-    if s == 1.0:
-        return {single: 1.0, other: 0.0, both: 0.0}
-    p = np.array([[1 - alpha, alpha], [beta, 1 - beta]])
-    if s < 1.0:
-        eff_prev = x_tau
-    else:
-        # With a length-2 query the pivot pins the previous request exactly;
-        # above the independence line it alternates, so the effective previous
-        # request flips when the gap is even.
-        eff_prev = 1 - x_tau if parity == _EVEN else x_tau
-    pi_min = p.min(axis=0)
-    denom = p[eff_prev, x_t]
-    if denom <= ZERO_TOL:
-        # Request pattern impossible under the (degenerate) chain; the safe
-        # query is everything.
-        return {single: 0.0, other: 0.0, both: 1.0}
-    w1 = min(1.0, pi_min[x_t] / denom)
-    return {single: w1, other: 0.0, both: 1.0 - w1}
+    if prev_card == 2 and s != 1.0:
+        p = np.array([[1 - alpha, alpha], [beta, 1 - beta]])
+        if s < 1.0:
+            eff_prev = x_tau
+        else:
+            # With a length-2 query the pivot pins the previous request
+            # exactly; above the independence line it alternates, so the
+            # effective previous request flips when the gap is even.
+            eff_prev = 1 - x_tau if parity == _EVEN else x_tau
+        denom = p[eff_prev, x_t]
+        # A request pattern impossible under the (degenerate) chain gets the
+        # safe query, everything.
+        w1 = 0.0 if denom <= ZERO_TOL else min(1.0, p.min(axis=0)[x_t] / denom)
+    out = np.zeros(3)
+    out[x_t] = w1
+    out[2] = 1.0 - w1
+    return out
 
 
 def policy_n2_table(alpha: float, beta: float, parity: str = _EVEN) -> np.ndarray:
@@ -464,10 +394,5 @@ def policy_n2_table(alpha: float, beta: float, parity: str = _EVEN) -> np.ndarra
     Rows iterate (x_tau, x_t) in order (0,0), (0,1), (1,0), (1,1); columns are
     the queries {0}, {1}, {0,1}.
     """
-    rows = []
-    for x_tau in (0, 1):
-        for x_t in (0, 1):
-            dist = policy_n2(alpha, beta, x_tau, x_t, 2, parity)
-            rows.append([dist[QuerySet((0,))], dist[QuerySet((1,))],
-                         dist[QuerySet((0, 1))]])
-    return np.array(rows)
+    return np.array([policy_n2(alpha, beta, x_tau, x_t, 2, parity)
+                     for x_tau in (0, 1) for x_t in (0, 1)])

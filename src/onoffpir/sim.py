@@ -23,7 +23,7 @@ from scipy.special import chdtrc
 
 from .model import (ZERO_TOL, CapacityError, ConditionalLaw, MarkovModel,
                     PrivacyPattern, tau_of)
-from .scheme import QuerySet, build_query_distribution, project_to_sets
+from .scheme import build_query_distribution, project_to_sets
 
 POLICIES = ("algorithm1", "naive", "full_download")
 # Most bytes one step's messages may take in ``simulate`` (all episodes).
@@ -197,8 +197,8 @@ def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
     hold more than ``max_branches`` nodes (Monte Carlo simulation is the
     fallback at that size).
     """
-    if horizon >= len(pattern):
-        raise ValueError(f"pattern of length {len(pattern)} too short for horizon {horizon}")
+    if not 0 <= horizon < len(pattern):
+        raise ValueError(f"horizon {horizon} outside the pattern's steps 0..{len(pattern) - 1}")
     graph = _BeliefGraph(model, pattern, policy)
     graph.root.prob = 1.0
     layer = [graph.root]
@@ -256,13 +256,13 @@ class ServerState:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One simulated step: flag, hidden request, sent query, answer size and
-    the bit-exact decode check."""
+    """One simulated step: flag, hidden request, sent query as a bitmask
+    (bit i for source i), answer size and the bit-exact decode check."""
 
     t: int
     f_on: bool
     x: int
-    query: QuerySet
+    q_mask: int
     answer_bits: int
     decode_ok: bool
 
@@ -383,8 +383,7 @@ def run_episode(model: MarkovModel, pattern: PrivacyPattern,
     res = simulate(model, pattern, 1, seed=seed, msg_bits=msg_bits, policy=policy)
     steps = zip(pattern.flags, res.xs[0].tolist(), res.q_masks[0].tolist(),
                 res.oks[0].tolist())
-    return [TraceRecord(t, f_on, x, QuerySet.from_bitmask(mask),
-                        mask.bit_count() * msg_bits, ok)
+    return [TraceRecord(t, f_on, x, mask, mask.bit_count() * msg_bits, ok)
             for t, (f_on, x, mask, ok) in enumerate(steps)]
 
 

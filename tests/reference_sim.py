@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from onoffpir.model import CapacityError
-from onoffpir.scheme import QuerySet
 from onoffpir.sim import (POLICIES, BranchView, SimulationResult, StepView,
                           TraceRecord, _law_from_joint, _scheme_algorithm1,
                           _scheme_full, _scheme_naive)
@@ -201,7 +200,7 @@ def reference_simulate(model, pattern, episodes: int, seed: int = 0,
             xs[ep, t] = x
             x_taus[ep, t] = x_tau
             if keep_traces:
-                trace.append(TraceRecord(t, f_on, x, QuerySet(sel),
+                trace.append(TraceRecord(t, f_on, x, mask,
                                          len(sel) * msg_bits, ok))
         if keep_traces:
             traces.append(trace)

@@ -77,6 +77,24 @@ def test_exact_n2_rejects_negative_gap():
         exact_rate_n2(0.2, 0.2, -1)
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.5, 1.5), (0.2, -0.1),
+                                         (float("nan"), 0.2), (0.2, float("nan"))])
+def test_exact_n2_rejects_probabilities_outside_unit_interval(alpha, beta):
+    with pytest.raises(ValueError):
+        exact_rate_n2(alpha, beta, 1)
+
+
+def test_rate_grid_rejects_negative_max_gap():
+    with pytest.raises(ValueError):
+        two_source_rate_grid([0.4], -1)
+
+
+def test_horizon_rejects_negative_horizon():
+    m = MarkovModel.two_state(0.2, 0.2)
+    with pytest.raises(ValueError):
+        bounds_over_horizon(m, PrivacyPattern.from_string("100"), -1)
+
+
 @given(st.floats(0, 1), st.floats(0, 1), st.integers(0, 30))
 def test_exact_n2_reflection_symmetry(alpha, beta, gap):
     lhs = exact_rate_n2(alpha, beta, gap).inverse_rate

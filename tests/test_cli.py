@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -151,10 +152,19 @@ def test_lp_expected_value(model3_path, capsys):
     assert main(["lp", "--model", model3_path, "--expect", "1.0"]) == 1
 
 
-def test_lp_dump(model2_path, capsys):
-    assert main(["lp", "--model", model2_path, "--dump"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("min c.x") and "-> col" in out
+def test_lp_dump(model2_path, model3_path, capsys):
+    # the column legend, "({members},x,u) -> col j", is pinned byte for byte
+    for argv, digest in (
+            ([model2_path],
+             "04cdd5ad11a3b3adb1f3b5e3462ec0a7d7c942d517e063120e5aee8d1ced2ea0"),
+            ([model3_path],
+             "146441ba8fdfaa6b94c500990591bee07219fd92bdc9879164c70578f45bade5"),
+            ([model3_path, "--cap", "1"],
+             "d7d3e3080f163e1e4c2cf70ad5d80aa22445601d1a304224bebba4280fe1bebd")):
+        assert main(["lp", "--dump", "--model", *argv]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("min c.x") and "-> col" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sweep_fig5_spot_values(capsys):
@@ -175,6 +185,20 @@ def test_sweep_fig3b_grid(capsys):
     assert len(lines) == 6
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "fig5", "--sums", "3"],
+    ["--kind", "fig5", "--sums", "-0.5"],
+    ["--kind", "fig5", "--sums", "nan"],
+    ["--kind", "fig5", "--max-gap", "-2"],
+    ["--kind", "fig3b", "--n", "1"],
+    ["--kind", "fig3b", "--points", "0"],
+])
+def test_sweep_rejects_out_of_range_inputs(argv, capsys):
+    assert main(["sweep", *argv]) == 2
+    err = capsys.readouterr()
+    assert err.out == "" and "configuration error" in err.err
 
 
 def test_simulate_summary_and_trace(model2_path, tmp_path, capsys):
@@ -199,6 +223,27 @@ def test_simulate_config_file(model2_path, tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["msg_bits"] == 16 and summary["policy"] == "full_download"
     assert summary["mean_query_size"] == [2.0, 2.0]
+
+
+@pytest.mark.parametrize("fields", [
+    {"episodes": True, "seed": "9", "L": "16"},
+    {"episodes": True}, {"seed": "9"}, {"L": "16"}, {"episodes": 2.7},
+    {"pattern": 10}, {"model": None}, {"model": ["m.json"]},
+])
+def test_simulate_config_rejects_wrongly_typed_fields(model2_path, tmp_path,
+                                                      capsys, fields):
+    cfg = {"model": model2_path, "pattern": "10", "episodes": 5, **fields}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_simulate_config_must_be_an_object(model2_path, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([model2_path, "10"]))
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_simulate_undecodable_queries_exit_one(model3_path, monkeypatch, capsys):
@@ -231,6 +276,20 @@ def test_missing_model_file_is_config_error(tmp_path):
 
 def test_bad_pattern_is_config_error(model2_path):
     assert main(["bounds", "--model", model2_path, "--pattern", "0101"]) == 2
+
+
+@pytest.mark.parametrize("spec", ["bernoulli:2:3", "bernoulli:-0.1:3",
+                                  "bernoulli:nan:5", "bernoulli:inf:5"])
+def test_bernoulli_pattern_rejects_bad_probability(model2_path, spec, capsys):
+    assert main(["bounds", "--model", model2_path, "--pattern", spec]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_bounds_rejects_horizon_outside_pattern(model2_path, capsys):
+    for horizon in ("-1", "3"):
+        assert main(["bounds", "--model", model2_path, "--pattern", "100",
+                     "--horizon", horizon]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_bernoulli_pattern_spec(model2_path, capsys):

@@ -46,15 +46,15 @@ def test_build_lp_three_state_column_count():
 
 def test_build_lp_cap_one_queries():
     problem = build_lp(worked_law(), cardinality_cap=1)
-    sizes = sorted({len(q) for q, _x, _u in problem.columns})
+    sizes = sorted({q.bit_count() for q, _x, _u in problem.columns})
     assert sizes == [1, 3]
-    singles = {q.members for q, _x, _u in problem.columns if len(q) == 1}
-    assert singles == {(0,), (1,), (2,)}
+    singles = {q for q, _x, _u in problem.columns if q.bit_count() == 1}
+    assert singles == {0b001, 0b010, 0b100}
 
 
 def test_build_lp_decodability_is_structural():
     problem = build_lp(worked_law())
-    assert all(x in q for q, x, _u in problem.columns)
+    assert all(q >> x & 1 for q, x, _u in problem.columns)
 
 
 def test_build_lp_guards():

@@ -25,6 +25,11 @@ def test_markov_model_rejects_bad_rows():
             MarkovModel(2, [[0.5, 0.5], [0.5, 0.5]], [bad, 0.5])
 
 
+def test_symmetric_model_needs_two_sources():
+    with pytest.raises(ValueError, match="two sources"):
+        MarkovModel.symmetric(1, 0.5)
+
+
 def test_model_json_round_trip(tmp_path):
     m = MarkovModel(3, worked_law().table, [0.2, 0.3, 0.5])
     again = MarkovModel.from_json(m.to_json())

@@ -3,12 +3,10 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from helpers import random_law, worked_law
 from onoffpir.model import ConditionalLaw, MarkovModel, order_stats, step_law
-from onoffpir.scheme import (MultisetQuery, QueryDistribution, QuerySet,
-                             build_query_distribution, on_step_query,
+from onoffpir.scheme import (QueryDistribution, build_query_distribution,
                              policy_n2, policy_n2_table, project_to_sets)
 
 
@@ -88,7 +86,7 @@ def test_builder_identical_rows_gives_singletons():
     row = [0.2, 0.3, 0.5]
     law = ConditionalLaw(3, np.tile(row, (3, 1)))
     dist = build_query_distribution(law)
-    assert all(q.cardinality == 1 for q in dist.queries)
+    assert np.all(dist.counts.sum(axis=1) == 1)
     assert abs(dist.expected_set_cardinality() - 1.0) < 1e-12
     for z, x, u, p in dist.entry_tuples():
         assert abs(p - row[x]) < 1e-12 and z[x] == 1
@@ -97,8 +95,7 @@ def test_builder_identical_rows_gives_singletons():
 def test_builder_identity_law_downloads_everything():
     n = 4
     dist = build_query_distribution(ConditionalLaw(n, np.eye(n)))
-    assert len(dist.queries) == 1
-    assert dist.queries[0].counts == (1,) * n
+    assert dist.counts.tolist() == [[1] * n]
     assert abs(dist.expected_multiset_cardinality() - n) < 1e-12
     totals = np.bincount(dist.us, weights=dist.probs, minlength=n)
     assert np.allclose(totals, 1.0, atol=1e-12)
@@ -149,7 +146,7 @@ def test_builder_support_growth_is_polynomial():
         law = random_law(rng, n)
         stats = order_stats(law)
         dist = build_query_distribution(law, stats)
-        cards = np.array([q.cardinality for q in dist.queries])
+        cards = dist.counts.sum(axis=1)
         for level in range(1, n + 1):
             distinct = int((cards == level).sum())
             assert distinct <= max(1, level - 1) * n * n
@@ -204,28 +201,28 @@ def test_policy_table_matches_published_two_source_example():
 def test_policy_high_switching_even_parity():
     a, b = 0.7, 0.6  # alpha + beta > 1
     dist = policy_n2(a, b, 0, 0, 2, "even")
-    assert abs(dist[QuerySet((0,))] - (1 - a) / b) < 1e-12
-    assert abs(dist[QuerySet((0, 1))] - (a + b - 1) / b) < 1e-12
+    assert abs(dist[0] - (1 - a) / b) < 1e-12
+    assert abs(dist[2] - (a + b - 1) / b) < 1e-12
     # odd parity keeps the pivot: asking directly is free
     dist = policy_n2(a, b, 0, 0, 2, "odd")
-    assert dist[QuerySet((0,))] == 1.0
+    assert dist[0] == 1.0
 
 
 def test_policy_singleton_state_is_absorbing():
     for a, b in [(0.2, 0.2), (0.9, 0.8), (0.5, 0.5)]:
         for x_tau in (0, 1):
             dist = policy_n2(a, b, x_tau, 1, 1)
-            assert dist[QuerySet((1,))] == 1.0
+            assert dist[1] == 1.0
 
 
 def test_policy_independent_chain_asks_directly():
     dist = policy_n2(0.3, 0.7, 0, 1, 2)
-    assert dist[QuerySet((1,))] == 1.0
+    assert dist[1] == 1.0
 
 
 def test_policy_degenerate_chains_download_both():
-    assert policy_n2(0.0, 0.0, 0, 1, 2)[QuerySet((0, 1))] == 1.0
-    assert policy_n2(1.0, 1.0, 0, 0, 2, "odd")[QuerySet((0, 1))] == 1.0
+    assert policy_n2(0.0, 0.0, 0, 1, 2)[2] == 1.0
+    assert policy_n2(1.0, 1.0, 0, 0, 2, "odd")[2] == 1.0
 
 
 def test_policy_rows_are_distributions():
@@ -235,8 +232,7 @@ def test_policy_rows_are_distributions():
         for parity in ("even", "odd"):
             for x_tau in (0, 1):
                 for x_t in (0, 1):
-                    dist = policy_n2(a, b, x_tau, x_t, 2, parity)
-                    vals = np.array(list(dist.values()))
+                    vals = policy_n2(a, b, x_tau, x_t, 2, parity)
                     assert np.all(vals >= -1e-12) and abs(vals.sum() - 1) < 1e-12
 
 
@@ -249,37 +245,7 @@ def test_policy_validates_arguments():
         policy_n2(0.2, 0.2, 0, 0, 2, "sideways")
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_on_step_query_is_everything(n):
-    q = on_step_query(n)
-    assert q.members == tuple(range(n))
-    assert len(q) == n
-
-
-# ----------------------------------------------------------- types and JSON
-
-def test_multiset_query_basics():
-    z = MultisetQuery.from_elements([2, 0, 2], 3)
-    assert z.counts == (1, 0, 2)
-    assert z.cardinality == 3
-    assert z.support == (0, 2)
-    assert 2 in z and 1 not in z
-    assert z.to_set().members == (0, 2)
-
-
-def test_query_set_basics():
-    q = QuerySet((2, 0))
-    assert q.members == (0, 2)
-    assert q.bitmask == 0b101
-    assert QuerySet.from_bitmask(0b101) == q
-    with pytest.raises(ValueError):
-        QuerySet(())
-
-
-@given(st.integers(min_value=1, max_value=255))
-def test_query_set_bitmask_round_trip(mask):
-    assert QuerySet.from_bitmask(mask).bitmask == mask
-
+# ----------------------------------------------------------------- JSON
 
 def test_distribution_json_round_trip():
     dist = build_query_distribution(worked_law())

@@ -66,7 +66,7 @@ def test_audit_table_one_scheme():
     assert np.allclose(cond[:, 0], cond[:, 1], atol=1e-12)
     report = audit_distribution(dist, law, stats)
     assert report.passed and report.privacy_gap < 1e-12
-    assert abs(dist.query_law()[dist.queries.index(dist.queries[0])] - 0.2) < 1e-12
+    assert abs(dist.query_law()[0] - 0.2) < 1e-12
 
 
 def test_audit_flags_leaky_scheme():
