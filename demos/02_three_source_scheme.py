@@ -13,8 +13,8 @@ Run:  python demos/02_three_source_scheme.py
 import numpy as np
 
 from onoffpir import (ConditionalLaw, audit_distribution,
-                      build_query_distribution, min_expected_query_size,
-                      order_stats, project_to_sets)
+                      build_query_distribution, order_stats, outer_bound_2,
+                      project_to_sets)
 
 law = ConditionalLaw(3, np.array([
     [0.1, 0.3, 0.6],
@@ -41,7 +41,7 @@ print()
 
 ez = dist.expected_multiset_cardinality()
 ey = project_to_sets(dist).expected_set_cardinality()
-floor = min_expected_query_size(law)
+floor = outer_bound_2(law).inverse_rate
 print(f"expected query size: {ey:.4f} messages "
       f"(multiset layer {ez:.4f}, converse floor {floor:.4f})")
 print(f"achieved rate 1/{ez:.2f} = {1 / ez:.4f} -- optimal here, since the"

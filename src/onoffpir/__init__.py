@@ -12,8 +12,7 @@ from .bounds import (HorizonRow, RateBound, bounds_over_horizon, exact_rate_n2,
                      restricted_lp_singleton_optimum)
 from .lp import IterationLimitError, LpProblem, LpSolution, build_lp, solve
 from .verify import (AuditReport, audit_distribution, conditional_query_mi,
-                     markov_privacy_extension_check, min_expected_query_size,
-                     mutual_information_bits)
+                     markov_privacy_extension_check, mutual_information_bits)
 from .sim import (ChiSquareAudit, ServerState, SimulationResult, TraceRecord,
                   empirical_privacy_audit, enumerate_steps, run_episode,
                   simulate)
@@ -29,8 +28,7 @@ __all__ = [
     "restricted_lp_singleton_optimum",
     "IterationLimitError", "LpProblem", "LpSolution", "build_lp", "solve",
     "AuditReport", "audit_distribution", "conditional_query_mi",
-    "markov_privacy_extension_check", "min_expected_query_size",
-    "mutual_information_bits",
+    "markov_privacy_extension_check", "mutual_information_bits",
     "ChiSquareAudit", "ServerState", "SimulationResult", "TraceRecord",
     "empirical_privacy_audit", "enumerate_steps", "run_episode", "simulate",
 ]

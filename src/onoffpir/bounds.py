@@ -15,9 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp as _lp
-from .model import (ConditionalLaw, MarkovModel, OrderStats, PrivacyPattern,
-                    order_stats, step_law, tau_of)
+from .model import (CapacityError, ConditionalLaw, MarkovModel, OrderStats,
+                    PrivacyPattern, mutual_information_bits, order_stats,
+                    step_law, tau_of)
 from .sim import enumerate_steps
+
+# Most (sum, gap) rows ``two_source_rate_grid`` may return.
+GRID_ROWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,7 @@ def restricted_lp_singleton_optimum(stats: OrderStats) -> RateBound:
 
 @dataclass(frozen=True)
 class HorizonRow:
-    """Per-step bound evaluations along a privacy pattern."""
+    """Per-step bound evaluations and exact leakage in bits along a pattern."""
 
     t: int
     f_on: bool
@@ -73,22 +77,23 @@ class HorizonRow:
     inner: float
     exact_n2: float | None = None
     lp_opt: float | None = None
+    mi: float = 0.0
 
 
 def bounds_over_horizon(model: MarkovModel, pattern: PrivacyPattern,
                         horizon: int, policy: str = "algorithm1",
                         with_lp: bool = False,
                         max_branches: int = 10 ** 7) -> list:
-    """Evaluate the history-averaged outer and inner bounds per step.
+    """Evaluate the history-averaged outer and inner bounds and the exact
+    leakage I(pivot; query | history) in bits (``mi``) per step.
 
     Exact enumeration of realized query-history classes under the chosen
     policy, merged where they reach the same belief; each belief contributes
-    its probability times its bound.  ON steps pin both bounds at N.
-    ``with_lp`` additionally solves the exact query-design LP per belief and
-    averages the optima.
+    its probability times its bounds and its pivot/query mutual information.
+    ON steps pin both bounds at N and leak nothing.  ``with_lp`` additionally
+    solves the exact query-design LP per belief and averages the optima.
     """
     n = model.n
-    levels = np.arange(1, n + 1, dtype=float)
     alpha = beta = None
     if n == 2:
         alpha, beta = float(model.p[0, 1]), float(model.p[1, 0])
@@ -105,18 +110,19 @@ def bounds_over_horizon(model: MarkovModel, pattern: PrivacyPattern,
             rows.append(HorizonRow(t, True, outer2, float(n), float(n), exact,
                                    float(n) if with_lp else None))
             continue
-        outer1 = inner = lp_opt = 0.0
+        outer1 = inner = lp_opt = mi = 0.0
         for br in view.branches:
-            law = br.law
-            outer1 += br.prob * float(law.table.max(axis=0).sum())
-            inner += br.prob * float(levels @ order_stats(law).thetas)
+            outer1 += br.prob * outer_bound_2(br.law).inverse_rate
+            inner += br.prob * inner_bound_first_off_step(br.law).inverse_rate
+            mi += br.prob * mutual_information_bits(
+                np.einsum("ux,kux->uk", br.pre_joint, br.scheme.w))
             if with_lp:
-                sol = _lp.solve(_lp.build_lp(law))
+                sol = _lp.solve(_lp.build_lp(br.law))
                 if sol.status != "optimal":
                     raise AssertionError(f"per-class LP came back {sol.status}")
                 lp_opt += br.prob * sol.optimum
         rows.append(HorizonRow(t, False, outer2, float(outer1), float(inner),
-                               exact, float(lp_opt) if with_lp else None))
+                               exact, float(lp_opt) if with_lp else None, mi))
     return rows
 
 
@@ -150,6 +156,9 @@ def two_source_rate_grid(sums, max_gap: int = 20) -> list:
     """
     if max_gap < 0:
         raise ValueError(f"max_gap must be >= 0, got {max_gap}")
+    if len(sums) * (max_gap + 1) > GRID_ROWS:
+        raise CapacityError(f"{len(sums)} sums x {max_gap + 1} gaps exceed "
+                            f"{GRID_ROWS} grid rows")
     rows = []
     for s in sums:
         alpha = beta = s / 2.0

@@ -25,6 +25,8 @@ from .sim import POLICIES, empirical_privacy_audit, simulate
 from .verify import audit_distribution
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_CAPACITY = 0, 1, 2, 3
+# Most steps T a ``bernoulli:p:T`` pattern may draw.
+PATTERN_STEPS = 1 << 20
 
 
 def _write(text: str, out: str | None):
@@ -43,6 +45,8 @@ def _load_pattern(spec: str, seed: int) -> PrivacyPattern:
         p, t = float(p), int(t)
         if not (0.0 <= p <= 1.0 and t >= 0):
             raise ValueError(f"pattern {spec!r}: need p in [0, 1] and T >= 0")
+        if t > PATTERN_STEPS:
+            raise CapacityError(f"pattern {spec!r}: T above {PATTERN_STEPS} steps")
         rng = np.random.default_rng([seed, 2])
         flags = (True,) + tuple(bool(b) for b in rng.random(t) < p)
         return PrivacyPattern(flags)

@@ -18,6 +18,8 @@ EPS = 1e-9
 # orders below EPS so that pruned mass cannot push an EPS-level identity out
 # of tolerance.
 ZERO_TOL = 1e-12
+# Most bytes of the n x n table ``MarkovModel.symmetric`` makes (n <= 1448).
+TABLE_BYTES = 1 << 24
 
 
 class CapacityError(RuntimeError):
@@ -100,6 +102,9 @@ class MarkovModel:
         each other source with probability (1-alpha)/(n-1)."""
         if n < 2:
             raise ValueError(f"need at least two sources, got n={n}")
+        if n * n * 8 > TABLE_BYTES:
+            raise CapacityError(f"a {n} x {n} transition matrix exceeds "
+                                f"{TABLE_BYTES} bytes")
         off = (1.0 - alpha) / (n - 1)
         p = np.full((n, n), off)
         np.fill_diagonal(p, alpha)
@@ -270,3 +275,17 @@ def order_stats(law: ConditionalLaw) -> OrderStats:
                 deltas[j] = 1.0 - b[:j].sum() - a[j + 1:].sum()
                 break
     return OrderStats(n, orderings, lambdas, thetas, sigma, deltas)
+
+
+def entropy_bits(p: np.ndarray) -> float:
+    """Shannon entropy in bits with the 0 log 0 = 0 convention."""
+    p = np.asarray(p, dtype=float).ravel()
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
+def mutual_information_bits(joint: np.ndarray) -> float:
+    """I(U; Y) from a joint table, via H(U) + H(Y) - H(U, Y)."""
+    joint = np.asarray(joint, dtype=float)
+    return entropy_bits(joint.sum(axis=1)) + entropy_bits(joint.sum(axis=0)) \
+        - entropy_bits(joint)

@@ -28,6 +28,8 @@ from .scheme import build_query_distribution, project_to_sets
 POLICIES = ("algorithm1", "naive", "full_download")
 # Most bytes one step's messages may take in ``simulate`` (all episodes).
 PAYLOAD_BYTES = 1 << 27
+# Most bytes the (episodes, T) arrays of ``simulate`` may take together.
+TRAJECTORY_BYTES = 1 << 30
 
 
 def _law_from_joint(pre_joint: np.ndarray) -> ConditionalLaw:
@@ -328,6 +330,10 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
     if episodes * n * ((msg_bits + 7) // 8) > PAYLOAD_BYTES:
         raise CapacityError(f"one step's {episodes} x {n} messages of {msg_bits} bits "
                             f"exceed {PAYLOAD_BYTES} bytes")
+    # req_u, sch_u (float64), q_masks, xs, x_taus (int64) and oks (bool)
+    if 41 * episodes * len(pattern) > TRAJECTORY_BYTES:
+        raise CapacityError(f"{episodes} episodes x {len(pattern)} steps exceed "
+                            f"{TRAJECTORY_BYTES} bytes of trajectory arrays")
     graph = _BeliefGraph(model, pattern, policy)
     horizon = len(pattern) - 1
     rng_req = np.random.default_rng([seed, 0])

@@ -12,23 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EPS, ConditionalLaw, OrderStats
+from .bounds import bounds_over_horizon
+# entropy_bits is not used here; it stays importable from this module
+from .model import (EPS, ConditionalLaw, OrderStats, entropy_bits,
+                    mutual_information_bits)
 from .scheme import QueryDistribution, project_to_sets
-from .sim import enumerate_steps
-
-
-def entropy_bits(p: np.ndarray) -> float:
-    """Shannon entropy in bits with the 0 log 0 = 0 convention."""
-    p = np.asarray(p, dtype=float).ravel()
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
-def mutual_information_bits(joint: np.ndarray) -> float:
-    """I(U; Y) from a joint table, via H(U) + H(Y) - H(U, Y)."""
-    joint = np.asarray(joint, dtype=float)
-    return entropy_bits(joint.sum(axis=1)) + entropy_bits(joint.sum(axis=0)) \
-        - entropy_bits(joint)
 
 
 def mutual_information_kl_bits(joint: np.ndarray) -> float:
@@ -40,12 +28,6 @@ def mutual_information_kl_bits(joint: np.ndarray) -> float:
     mask = joint > 0
     ratio = joint[mask] / (pu @ py)[mask]
     return float((joint[mask] * np.log2(ratio)).sum())
-
-
-def min_expected_query_size(law: ConditionalLaw) -> float:
-    """Converse floor: any pivot-independent decodable query variable has
-    expected size at least the summed column maxima of the law."""
-    return float(law.table.max(axis=0).sum())
 
 
 @dataclass(frozen=True)
@@ -163,22 +145,7 @@ def markov_privacy_extension_check(dist: QueryDistribution,
 def conditional_query_mi(model, pattern, horizon: int,
                          policy: str = "algorithm1",
                          max_branches: int = 10 ** 7) -> list:
-    """Exact per-step leakage I(pivot; query | history) in bits.
-
-    History classes are enumerated under the chosen policy, merged where they
-    reach the same belief; each belief contributes its probability times the
-    mutual information between the pivot and the transmitted set under it.  ON steps send a
-    constant query and leak nothing.
-    """
-    out = []
-    for view in enumerate_steps(model, pattern, horizon, policy=policy,
-                                max_branches=max_branches):
-        if view.f_on:
-            out.append(0.0)
-            continue
-        total = 0.0
-        for br in view.branches:
-            joint_uy = np.einsum("ux,kux->uk", br.pre_joint, br.scheme.w)
-            total += br.prob * mutual_information_bits(joint_uy)
-        out.append(total)
-    return out
+    """Exact per-step leakage I(pivot; query | history) in bits: the ``mi``
+    column of :func:`bounds_over_horizon` (0 on ON steps)."""
+    return [r.mi for r in bounds_over_horizon(model, pattern, horizon, policy,
+                                              max_branches=max_branches)]

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 import onoffpir.bounds as bounds_mod
-import onoffpir.verify as verify_mod
 from helpers import WORKED_TABLE, random_law
 from onoffpir.bounds import bounds_over_horizon
 from onoffpir.model import MarkovModel, PrivacyPattern
 from onoffpir.sim import POLICIES, enumerate_steps, run_episode, simulate
-from onoffpir.verify import conditional_query_mi
 from reference_sim import reference_enumerate_steps, reference_simulate
 
 TOL = 1e-12
@@ -50,7 +48,6 @@ def _reference_sums(monkeypatch, fn, *args, **kwargs):
     """``fn`` evaluated over the per-class reference enumeration."""
     with monkeypatch.context() as patch:
         patch.setattr(bounds_mod, "enumerate_steps", reference_enumerate_steps)
-        patch.setattr(verify_mod, "enumerate_steps", reference_enumerate_steps)
         return fn(*args, **kwargs)
 
 
@@ -68,11 +65,8 @@ def test_horizon_sums_match_per_class_reference(monkeypatch, n, pattern, with_lp
     ref = _reference_sums(monkeypatch, bounds_over_horizon, model, pat,
                           horizon, with_lp=with_lp)
     for got, want in zip(rows, ref, strict=True):
-        for name in ("outer2", "outer1", "inner", "exact_n2", "lp_opt"):
+        for name in ("outer2", "outer1", "inner", "exact_n2", "lp_opt", "mi"):
             assert _close(getattr(got, name), getattr(want, name)), (got.t, name)
-    mi = conditional_query_mi(model, pat, horizon)
-    mi_ref = _reference_sums(monkeypatch, conditional_query_mi, model, pat, horizon)
-    assert all(_close(a, b) for a, b in zip(mi, mi_ref, strict=True))
 
 
 def _mass_by_belief(view) -> dict:

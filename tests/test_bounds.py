@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import onoffpir.bounds as bounds_mod
 from helpers import random_law, worked_law
 from onoffpir.bounds import (bounds_over_horizon, exact_rate_n2, grid_csv,
                              horizon_csv, inner_bound_first_off_step,
@@ -20,6 +21,11 @@ def test_outer2_worked_example():
 def test_outer2_identity_forces_everything():
     for n in (2, 3, 5):
         assert outer_bound_2(ConditionalLaw(n, np.eye(n))).inverse_rate == n
+
+
+def test_outer2_uniform_law_needs_one_message():
+    uniform = ConditionalLaw(3, np.full((3, 3), 1 / 3))
+    assert abs(outer_bound_2(uniform).inverse_rate - 1.0) < 1e-12
 
 
 def test_outer2_two_state_closed_form_vs_matrix_power():
@@ -87,6 +93,14 @@ def test_exact_n2_rejects_probabilities_outside_unit_interval(alpha, beta):
 def test_rate_grid_rejects_negative_max_gap():
     with pytest.raises(ValueError):
         two_source_rate_grid([0.4], -1)
+
+
+def test_rate_grid_capacity_guard():
+    # one tuple per (sum, gap): checked before the first is made
+    with pytest.raises(CapacityError, match="grid rows"):
+        two_source_rate_grid([0.5], 10 ** 8)
+    with pytest.raises(CapacityError):
+        two_source_rate_grid([0.2, 0.4], bounds_mod.GRID_ROWS // 2)
 
 
 def test_horizon_rejects_negative_horizon():

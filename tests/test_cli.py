@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
+import onoffpir.cli as cli_mod
 import onoffpir.sim as sim_mod
 from helpers import WORKED_TABLE, never_the_request
 from onoffpir.cli import main
-from onoffpir.model import MarkovModel
+from onoffpir.model import CapacityError, MarkovModel
 
 
 @pytest.fixture
@@ -199,6 +200,27 @@ def test_sweep_rejects_out_of_range_inputs(argv, capsys):
     assert main(["sweep", *argv]) == 2
     err = capsys.readouterr()
     assert err.out == "" and "configuration error" in err.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--kind", "fig3b", "--n", "100000", "--points", "1"],
+    ["sweep", "--kind", "fig5", "--max-gap", "100000000"],
+    ["bounds", "--pattern", "bernoulli:0.5:100000000000"],
+], ids=["fig3b-n", "fig5-max-gap", "bernoulli-steps"])
+def test_oversized_inputs_exit_capacity(argv, model2_path, capsys):
+    if argv[0] == "bounds":
+        argv = argv + ["--model", model2_path]
+    assert main(argv) == 3
+    err = capsys.readouterr()
+    assert err.out == "" and "capacity guard" in err.err
+
+
+def test_bernoulli_pattern_step_cap():
+    # T is checked against the cap before any flag is drawn
+    steps = cli_mod.PATTERN_STEPS
+    with pytest.raises(CapacityError, match="steps"):
+        cli_mod._load_pattern(f"bernoulli:0.5:{steps + 1}", 0)
+    assert len(cli_mod._load_pattern(f"bernoulli:0.5:{steps}", 0)) == steps + 1
 
 
 def test_simulate_summary_and_trace(model2_path, tmp_path, capsys):

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import onoffpir.model as model_mod
 from helpers import random_law, worked_law
-from onoffpir.model import (ConditionalLaw, MarkovModel, PrivacyPattern,
-                            order_stats, step_law, tau_of)
+from onoffpir.model import (CapacityError, ConditionalLaw, MarkovModel,
+                            PrivacyPattern, order_stats, step_law, tau_of)
 
 
 # ---------------------------------------------------------------- validation
@@ -28,6 +31,14 @@ def test_markov_model_rejects_bad_rows():
 def test_symmetric_model_needs_two_sources():
     with pytest.raises(ValueError, match="two sources"):
         MarkovModel.symmetric(1, 0.5)
+
+
+def test_symmetric_model_capacity_guard():
+    # the n x n table is checked before it is allocated
+    with pytest.raises(CapacityError, match="transition matrix"):
+        MarkovModel.symmetric(100_000, 0.5)
+    with pytest.raises(CapacityError):
+        MarkovModel.symmetric(math.isqrt(model_mod.TABLE_BYTES // 8) + 1, 0.5)
 
 
 def test_model_json_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,22 @@ def test_simulate_rejects_bad_sizes():
     # one step's messages are drawn in one piece: its size is bounded
     with pytest.raises(CapacityError):
         simulate(m, pat, 2, msg_bits=8 * sim_mod.PAYLOAD_BYTES // 4 + 1)
+
+
+def test_simulate_trajectory_capacity_guard():
+    # 1e5 episodes x 1e4 steps would take about 41 GB of (episodes, T) arrays
+    pat = PrivacyPattern.from_string("1" + "0" * 9_999)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="trajectory"):
+            simulate(two_state(), pat, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    steps = sim_mod.TRAJECTORY_BYTES // (41 * 1000) + 1
+    with pytest.raises(CapacityError):
+        simulate(two_state(), PrivacyPattern((True,) * steps), 1000)
 
 
 def test_inverse_cdf_clamps_rows_summing_below_one():

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from helpers import random_law, worked_law
+from onoffpir.bounds import bounds_over_horizon, outer_bound_2
 from onoffpir.model import ConditionalLaw, MarkovModel, PrivacyPattern, order_stats, step_law
 from onoffpir.scheme import QueryDistribution, build_query_distribution
+from onoffpir.sim import POLICIES
 from onoffpir.verify import (audit_distribution, conditional_query_mi,
                              entropy_bits, extension_mutual_informations,
                              markov_privacy_extension_check,
-                             min_expected_query_size, mutual_information_bits,
+                             mutual_information_bits,
                              mutual_information_kl_bits)
 
 
@@ -87,7 +89,7 @@ def test_audit_random_builder_outputs():
         dist = build_query_distribution(law, stats)
         report = audit_distribution(dist, law, stats)
         assert report.passed
-        assert min_expected_query_size(law) <= dist.expected_set_cardinality() + 1e-9
+        assert outer_bound_2(law).inverse_rate <= dist.expected_set_cardinality() + 1e-9
 
 
 def test_audit_report_json():
@@ -99,15 +101,6 @@ def test_audit_report_json():
     assert set(payload) >= {"privacy_gap", "mutual_information_bits",
                             "decodability_violations", "marginal_gap",
                             "cardinality_gap"}
-
-
-# ------------------------------------------------------------- converse floor
-
-def test_min_expected_query_size_values():
-    assert abs(min_expected_query_size(worked_law()) - 1.6) < 1e-12
-    assert min_expected_query_size(ConditionalLaw(4, np.eye(4))) == 4.0
-    uniform = ConditionalLaw(3, np.full((3, 3), 1 / 3))
-    assert abs(min_expected_query_size(uniform) - 1.0) < 1e-12
 
 
 # --------------------------------------------------------- mutual information
@@ -195,6 +188,18 @@ def test_horizon_mi_naive_leaks_exactly_one_step_information():
     # given the previous request, the next one is conditionally independent
     # of the pivot, so the later naive step adds nothing new
     assert abs(mis[2]) < 1e-9
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("pattern", ["1001000", "10100", "1000110"])
+def test_leakage_is_the_horizon_mi_column(policy, pattern):
+    rng = np.random.default_rng(len(pattern))
+    m = MarkovModel(4, random_law(rng, 4).table, rng.dirichlet(np.ones(4)))
+    pat = PrivacyPattern.from_string(pattern)
+    rows = bounds_over_horizon(m, pat, len(pat) - 1, policy=policy)
+    mis = conditional_query_mi(m, pat, len(pat) - 1, policy=policy)
+    assert [r.mi for r in rows] == mis
+    assert all(r.mi == 0.0 for r in rows if r.f_on)
 
 
 def test_horizon_mi_full_download_never_leaks():
