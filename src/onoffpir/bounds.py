@@ -122,7 +122,8 @@ def bounds_over_horizon(model: MarkovModel, pattern: PrivacyPattern,
                     raise AssertionError(f"per-class LP came back {sol.status}")
                 lp_opt += br.prob * sol.optimum
         rows.append(HorizonRow(t, False, outer2, float(outer1), float(inner),
-                               exact, float(lp_opt) if with_lp else None, mi))
+                               exact, float(lp_opt) if with_lp else None,
+                               float(mi)))
     return rows
 
 

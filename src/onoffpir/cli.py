@@ -89,10 +89,10 @@ def _cmd_build(args) -> int:
     law = step_law(model, args.gap)
     stats = order_stats(law)
     dist = build_query_distribution(law, stats)
-    obj = json.loads(dist.to_json())
-    obj["expected_multiset_cardinality"] = dist.expected_multiset_cardinality()
-    obj["expected_set_cardinality"] = dist.expected_set_cardinality()
-    _write(json.dumps(obj) + "\n", args.out)
+    extra = {"expected_multiset_cardinality": dist.expected_multiset_cardinality(),
+             "expected_set_cardinality": dist.expected_set_cardinality()}
+    # spliced in before the closing brace of the scheme's JSON object
+    _write(dist.to_json()[:-1] + ", " + json.dumps(extra)[1:] + "\n", args.out)
     return EXIT_OK
 
 

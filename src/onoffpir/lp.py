@@ -9,6 +9,7 @@ auditability, not speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -18,6 +19,11 @@ from .model import EPS, CapacityError, ConditionalLaw
 
 _FEAS_TOL = 1e-7   # constraint satisfaction at optimality
 _PIVOT_TOL = 1e-9  # reduced-cost / ratio-test threshold
+# Most pivots one simplex phase may take before it is declared stalled.
+MAX_PIVOTS = 10 ** 6
+# Most bytes the phase-1 simplex tableau of a ``build_lp`` problem may take
+# (the full LP fits up to n = 8, at 149 MB).
+TABLEAU_BYTES = 1 << 28
 
 
 class IterationLimitError(RuntimeError):
@@ -66,11 +72,11 @@ class LpSolution:
     assignment: dict | None  # (query bitmask, x, u) -> probability, legend problems only
 
 
-def _query_sets(n: int, cardinality_cap: int | None):
-    """Member tuples of all nonempty subsets, or of sizes {1..cap, n}."""
-    sizes = range(1, n + 1) if cardinality_cap is None else \
-        sorted(set(range(1, min(cardinality_cap, n) + 1)) | {n})
-    return [members for size in sizes for members in combinations(range(n), size)]
+def _query_sizes(n: int, cardinality_cap: int | None) -> list:
+    """Allowed query sizes: all of 1..n, or {1..cap, n}."""
+    if cardinality_cap is None:
+        return list(range(1, n + 1))
+    return sorted(set(range(1, min(cardinality_cap, n) + 1)) | {n})
 
 
 def build_lp(law: ConditionalLaw, cardinality_cap: int | None = None,
@@ -81,56 +87,49 @@ def build_lp(law: ConditionalLaw, cardinality_cap: int | None = None,
     given, the full set always allowed so the problem stays feasible).  The
     objective is the expected transmitted-query size under a caller-supplied
     full-support prior over the pivot u (uniform by default); the
-    pivot-independence constraints make the optimum prior-free.
+    pivot-independence constraints make the optimum prior-free.  Raises
+    :class:`CapacityError` when the phase-1 tableau :func:`solve` would make
+    exceeds ``TABLEAU_BYTES``.
     """
     n = law.n
-    if cardinality_cap is None:
-        if n > 12:
-            raise CapacityError(f"full LP limited to n <= 12, got {n}")
-    else:
-        if cardinality_cap < 1:
-            raise ValueError("cardinality cap must be >= 1")
-        if n > 20:
-            raise CapacityError(f"restricted LP limited to n <= 20, got {n}")
+    if cardinality_cap is not None and cardinality_cap < 1:
+        raise ValueError("cardinality cap must be >= 1")
+    sizes = _query_sizes(n, cardinality_cap)
+    nqueries = sum(math.comb(n, k) for k in sizes)
+    nrows = n * n + nqueries * (n - 1)
+    ncols = n * sum(k * math.comb(n, k) for k in sizes)
+    if 8 * (nrows + 1) * (ncols + nrows + 1) > TABLEAU_BYTES:
+        raise CapacityError(f"LP of {nrows} rows x {ncols} columns: its simplex "
+                            f"tableau exceeds {TABLEAU_BYTES} bytes")
     if prior is None:
         prior = np.full(n, 1.0 / n)
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (n,) or np.any(prior <= 0) or abs(prior.sum() - 1.0) > 1e-9:
         raise ValueError("prior must be a full-support distribution over the pivot")
 
-    queries = _query_sets(n, cardinality_cap)
-    columns = []
-    col_of = {}
-    for qi, members in enumerate(queries):
-        mask = sum(1 << i for i in members)
-        for x in members:
-            for u in range(n):
-                col_of[(qi, x, u)] = len(columns)
-                columns.append((mask, x, u))
-    ncols = len(columns)
+    queries = [members for k in sizes for members in combinations(range(n), k)]
+    masks = [sum(1 << i for i in members) for members in queries]
+    slots = [(qi, x) for qi, members in enumerate(queries) for x in members]
+    # one column per (query, x in query, u), u fastest
+    columns = tuple((masks[qi], x, u) for qi, x in slots for u in range(n))
+    qs, xs = np.repeat(np.array(slots), n, axis=0).T
+    us = np.tile(np.arange(n), len(slots))
+    cols = np.arange(ncols)
 
-    nrows = n * n + len(queries) * (n - 1)
     a = np.zeros((nrows, ncols))
     b = np.zeros(nrows)
     # mass: sum_q p(q, x | u) = law[u, x]
-    for u in range(n):
-        for x in range(n):
-            row = u * n + x
-            b[row] = law.table[u, x]
-            for qi, members in enumerate(queries):
-                if x in members:
-                    a[row, col_of[(qi, x, u)]] = 1.0
-    # privacy: sum_x p(q, x | u) equal across u (u=0 as reference)
-    row = n * n
-    for qi, members in enumerate(queries):
-        for u in range(1, n):
-            for x in members:
-                a[row, col_of[(qi, x, u)]] = 1.0
-                a[row, col_of[(qi, x, 0)]] -= 1.0
-            row += 1
+    a[us * n + xs, cols] = 1.0
+    b[:n * n] = law.table.ravel()
+    # privacy: sum_x p(q, x | u) equal across u (u=0 as reference), one row
+    # per (query, u >= 1); a column's u=0 twin sits u columns to its left
+    pos = us > 0
+    rows = n * n + qs[pos] * (n - 1) + us[pos] - 1
+    a[rows, cols[pos]] = 1.0
+    a[rows, cols[pos] - us[pos]] = -1.0
 
-    c = np.array([mask.bit_count() * prior[u] for mask, _x, u in columns])
-    return LpProblem(c, a, b, tuple(columns))
+    c = np.array([len(members) for members in queries], dtype=float)[qs] * prior[us]
+    return LpProblem(c, a, b, columns)
 
 
 def _pivot(tab: np.ndarray, row: int, col: int):
@@ -140,36 +139,29 @@ def _pivot(tab: np.ndarray, row: int, col: int):
     tab -= np.outer(factors, tab[row])
 
 
-def _run_simplex(tab: np.ndarray, basis: list, budget: list) -> str:
+def _run_simplex(tab: np.ndarray, basis: list) -> str:
     """Bland's rule on a tableau whose last row is reduced costs and last
     column the rhs.  Returns "optimal" or "unbounded"."""
-    ncols = tab.shape[1] - 1
-    while True:
-        enter = -1
-        for j in range(ncols):
-            if tab[-1, j] < -_PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+    for _ in range(MAX_PIVOTS):
+        entering = np.flatnonzero(tab[-1, :-1] < -_PIVOT_TOL)
+        if not len(entering):
             return "optimal"
+        enter = int(entering[0])
+        # smallest ratio, ties within 1e-12 to the smallest basic variable
         leave, best, best_var = -1, np.inf, np.inf
-        for i in range(tab.shape[0] - 1):
-            aij = tab[i, enter]
-            if aij > _PIVOT_TOL:
-                ratio = tab[i, -1] / aij
-                if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12
-                                            and basis[i] < best_var):
-                    leave, best, best_var = i, ratio, basis[i]
+        for i in np.flatnonzero(tab[:-1, enter] > _PIVOT_TOL).tolist():
+            ratio = tab[i, -1] / tab[i, enter]
+            if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12
+                                        and basis[i] < best_var):
+                leave, best, best_var = i, ratio, basis[i]
         if leave < 0:
             return "unbounded"
         _pivot(tab, leave, enter)
         basis[leave] = enter
-        budget[0] -= 1
-        if budget[0] <= 0:
-            raise IterationLimitError("pivot cap exceeded")
+    raise IterationLimitError(f"no optimum after {MAX_PIVOTS} pivots")
 
 
-def solve(problem: LpProblem, max_pivots: int = 10 ** 6) -> LpSolution:
+def solve(problem: LpProblem) -> LpSolution:
     """Two-phase primal simplex with Bland's anti-cycling rule."""
     a = problem.eq_matrix.copy()
     b = problem.eq_rhs.copy()
@@ -178,7 +170,6 @@ def solve(problem: LpProblem, max_pivots: int = 10 ** 6) -> LpSolution:
     a[neg] *= -1.0
     b[neg] *= -1.0
     m, ncols = a.shape
-    budget = [max_pivots]
 
     # phase 1: artificial basis, minimize total artificial mass
     tab = np.zeros((m + 1, ncols + m + 1))
@@ -188,7 +179,7 @@ def solve(problem: LpProblem, max_pivots: int = 10 ** 6) -> LpSolution:
     tab[-1, :ncols] = -a.sum(axis=0)
     tab[-1, -1] = -b.sum()
     basis = list(range(ncols, ncols + m))
-    if _run_simplex(tab, basis, budget) != "optimal":
+    if _run_simplex(tab, basis) != "optimal":
         raise AssertionError("phase 1 cannot be unbounded")
     if -tab[-1, -1] > _FEAS_TOL:
         return LpSolution("infeasible", None, None, None)
@@ -197,30 +188,25 @@ def solve(problem: LpProblem, max_pivots: int = 10 ** 6) -> LpSolution:
     keep = []
     for i in range(m):
         if basis[i] >= ncols:
-            piv = next((j for j in range(ncols) if abs(tab[i, j]) > _PIVOT_TOL), None)
-            if piv is None:
+            nonzero = np.flatnonzero(np.abs(tab[i, :ncols]) > _PIVOT_TOL)
+            if not len(nonzero):
                 continue
-            _pivot(tab, i, piv)
-            basis[i] = piv
+            _pivot(tab, i, nonzero[0])
+            basis[i] = int(nonzero[0])
         keep.append(i)
 
-    # phase 2 tableau on the original columns
-    rows = len(keep)
-    tab2 = np.zeros((rows + 1, ncols + 1))
-    for r, i in enumerate(keep):
-        tab2[r, :ncols] = tab[i, :ncols]
-        tab2[r, -1] = tab[i, -1]
-    basis2 = [basis[i] for i in keep]
+    # phase 2 tableau on the original columns, reduced costs in the last row
+    tab2 = np.zeros((len(keep) + 1, ncols + 1))
+    tab2[:-1] = tab[np.ix_(keep, np.r_[:ncols, -1])]
     tab2[-1, :ncols] = c
-    for r in range(rows):
-        tab2[-1] -= c[basis2[r]] * tab2[r]
-    status = _run_simplex(tab2, basis2, budget)
-    if status == "unbounded":
+    basis2 = [basis[i] for i in keep]
+    for r, var in enumerate(basis2):
+        tab2[-1] -= c[var] * tab2[r]
+    if _run_simplex(tab2, basis2) == "unbounded":
         return LpSolution("unbounded", None, None, None)
 
     x = np.zeros(ncols)
-    for r, var in enumerate(basis2):
-        x[var] = tab2[r, -1]
+    x[basis2] = tab2[:-1, -1]
     x = np.where(x < 0, 0.0, x)
     residual = problem.eq_matrix @ x - problem.eq_rhs
     if np.max(np.abs(residual)) > _FEAS_TOL:
@@ -228,6 +214,5 @@ def solve(problem: LpProblem, max_pivots: int = 10 ** 6) -> LpSolution:
     optimum = float(c @ x)
     assignment = None
     if problem.columns is not None:
-        assignment = {problem.columns[j]: float(x[j])
-                      for j in range(ncols) if x[j] > EPS}
+        assignment = {problem.columns[j]: float(x[j]) for j in np.flatnonzero(x > EPS)}
     return LpSolution("optimal", optimum, x, assignment)

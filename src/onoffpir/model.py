@@ -8,7 +8,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,9 +136,14 @@ OFF = False
 
 @dataclass(frozen=True)
 class PrivacyPattern:
-    """Privacy status flags per time step; index 0 is always ON."""
+    """Privacy status flags per time step; index 0 is always ON.
+
+    ``taus[t]`` is the pivot of step t, the most recent step <= t whose flag
+    is ON, as a read-only int64 array.
+    """
 
     flags: tuple
+    taus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         flags = tuple(bool(f) for f in self.flags)
@@ -146,7 +151,11 @@ class PrivacyPattern:
             raise ValueError("pattern must contain at least the step-0 flag")
         if not flags[0]:
             raise ValueError("privacy must be ON at step 0")
+        steps = np.arange(len(flags))
+        taus = np.maximum.accumulate(np.where(flags, steps, 0))
+        taus.setflags(write=False)
         object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "taus", taus)
 
     @staticmethod
     def from_string(s: str) -> "PrivacyPattern":
@@ -166,10 +175,7 @@ def tau_of(pattern: PrivacyPattern, t: int) -> int:
     """Most recent time <= t at which privacy was ON (defined since flag 0 is ON)."""
     if t < 0 or t >= len(pattern):
         raise IndexError(f"t={t} outside pattern of length {len(pattern)}")
-    for i in range(t, -1, -1):
-        if pattern.flags[i]:
-            return i
-    raise AssertionError("unreachable: flag 0 is ON")
+    return int(pattern.taus[t])
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .model import (ZERO_TOL, CapacityError, ConditionalLaw, MarkovModel,
-                    PrivacyPattern, tau_of)
+                    PrivacyPattern)
 from .scheme import build_query_distribution, project_to_sets
 
 POLICIES = ("algorithm1", "naive", "full_download")
@@ -114,8 +114,8 @@ def _inverse_cdf(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
 class BranchView:
     """One belief node: the realized histories that reach the same belief at
     step t, merged.  ``prob`` is their total probability, filled in by the
-    exact enumeration; ``children`` holds the nodes reached so far, by
-    candidate-query index."""
+    exact enumeration; ``children`` holds the nodes the walk reached from it,
+    by candidate-query index."""
 
     t: int
     pre_joint: np.ndarray          # p(pivot, current | history) before this query
@@ -135,10 +135,12 @@ class StepView:
 class _BeliefGraph:
     """Layered belief graph of one (model, pattern, policy).
 
-    A node is keyed by (t, posterior joint rounded to 1e-12), so histories
-    reaching the same belief share it; it is expanded once, when first
-    reached, and its children are made on first request.  Algorithm 1's
-    schemes are memoized by law; the other policies send one fixed scheme.
+    A node is one step's belief, the posterior joint rounded to 1e-12, so
+    histories reaching the same belief share it.  The graph keeps no node:
+    its walker holds the current layer and a dict of the next one keyed on
+    the rounded belief, so a layer is freed once the walk has left it.
+    Algorithm 1's schemes are memoized by law; the other policies send one
+    fixed scheme.
     """
 
     def __init__(self, model: MarkovModel, pattern: PrivacyPattern, policy: str):
@@ -150,8 +152,6 @@ class _BeliefGraph:
         self._fixed = (_scheme_naive(model.n) if policy == "naive" else
                        _scheme_full(model.n) if policy == "full_download" else None)
         self._schemes: dict = {}   # law.key() -> algorithm 1's scheme
-        self._nodes: dict = {}
-        self.root = self._node(0, np.diag(model.pi0))
 
     def _scheme(self, law: ConditionalLaw) -> StepScheme:
         if self._fixed is not None:
@@ -162,29 +162,33 @@ class _BeliefGraph:
         return scheme
 
     def _node(self, t: int, joint: np.ndarray) -> BranchView:
-        key = (t, np.round(joint, 12).tobytes())
-        node = self._nodes.get(key)
-        if node is None:
-            pre = joint if t == 0 else joint @ self.model.p
-            law = scheme = None
-            if not self.pattern.flags[t]:
-                law = _law_from_joint(pre)
-                scheme = self._scheme(law)
-            node = self._nodes[key] = BranchView(t, pre, law, scheme)
-        return node
+        pre = joint if t == 0 else joint @ self.model.p
+        law = scheme = None
+        if not self.pattern.flags[t]:
+            law = _law_from_joint(pre)
+            scheme = self._scheme(law)
+        return BranchView(t, pre, law, scheme)
 
-    def child(self, node: BranchView, k: int) -> BranchView:
+    def root(self) -> BranchView:
+        """A new step-0 node: the prior belief, diag(pi0)."""
+        return self._node(0, np.diag(self.model.pi0))
+
+    def child(self, node: BranchView, k: int, layer: dict) -> BranchView:
         """The node reached after ``node``'s k-th candidate query (the Bayes
-        step); an ON step has the full set as its only candidate (k = 0)."""
-        nxt = node.children.get(k)
+        step), shared through ``layer``, the next step's nodes keyed on the
+        rounded belief; an ON step has the full set as its only candidate
+        (k = 0)."""
+        if node.scheme is None:
+            marg = node.pre_joint.sum(axis=0)
+            post = np.diag(marg / marg.sum())
+        else:
+            post = node.pre_joint * node.scheme.w[k]
+            post /= post.sum()
+        key = np.round(post, 12).tobytes()
+        nxt = layer.get(key)
         if nxt is None:
-            if node.scheme is None:
-                marg = node.pre_joint.sum(axis=0)
-                post = np.diag(marg / marg.sum())
-            else:
-                post = node.pre_joint * node.scheme.w[k]
-                post /= post.sum()
-            nxt = node.children[k] = self._node(node.t + 1, post)
+            nxt = layer[key] = self._node(node.t + 1, post)
+        node.children[k] = nxt
         return nxt
 
 
@@ -202,26 +206,24 @@ def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
     if not 0 <= horizon < len(pattern):
         raise ValueError(f"horizon {horizon} outside the pattern's steps 0..{len(pattern) - 1}")
     graph = _BeliefGraph(model, pattern, policy)
-    graph.root.prob = 1.0
-    layer = [graph.root]
+    layer = [graph.root()]
+    layer[0].prob = 1.0
     for t in range(horizon + 1):
         yield StepView(t, pattern.flags[t], layer)
         if t == horizon:
             return
-        nxt: dict = {}   # insertion-ordered set of the next layer's nodes
+        nxt: dict = {}   # rounded belief -> node of the next layer
         for node in layer:
             edges = ([(0, 1.0)] if node.scheme is None
                      else enumerate(node.scheme.query_marginal(node.pre_joint)))
             for k, weight in edges:
                 if weight > ZERO_TOL:
-                    child = graph.child(node, k)
-                    child.prob += node.prob * weight
-                    nxt[child] = None
+                    graph.child(node, k, nxt).prob += node.prob * weight
         if len(nxt) > max_branches:
             raise CapacityError(
                 f"{len(nxt)} belief nodes at t={t + 1}; raise max_branches "
                 "or use Monte Carlo simulation")
-        layer = list(nxt)
+        layer = list(nxt.values())
 
 
 class ServerState:
@@ -345,14 +347,15 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
     q_masks = np.empty((episodes, horizon + 1), dtype=np.int64)
     xs = np.empty_like(q_masks)
     oks = np.empty(q_masks.shape, dtype=bool)
-    taus = [tau_of(pattern, t) for t in range(horizon + 1)]
+    taus = pattern.taus
     rows = np.arange(episodes)
-    layer = [graph.root]
+    layer = [graph.root()]
     at = np.zeros(episodes, dtype=np.intp)   # layer index of each episode's node
     for t in range(horizon + 1):
         x = xs[:, t] = _inverse_cdf(np.cumsum(model.pi0) if t == 0 else p_cum[x],
                                     req_u[:, t])
-        nxt: dict = {}   # child node -> its index in the next layer
+        nxt: dict = {}    # rounded belief -> node of the next layer
+        slot: dict = {}   # node of the next layer -> its index there
         at_next = np.empty_like(at)
         for i, node in enumerate(layer):
             group = np.flatnonzero(at == i)
@@ -365,9 +368,9 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
                 q_masks[group, t] = np.array(node.scheme.y_masks)[ks]
             if t < horizon:
                 for k in np.unique(ks):
-                    child = graph.child(node, int(k))
-                    at_next[group[ks == k]] = nxt.setdefault(child, len(nxt))
-        layer, at = list(nxt), at_next
+                    child = graph.child(node, int(k), nxt)
+                    at_next[group[ks == k]] = slot.setdefault(child, len(slot))
+        layer, at = list(slot), at_next
 
         # fresh messages, answers, and a bit-exact decode from x's slot
         mask = q_masks[:, t]

@@ -2,6 +2,8 @@
 loop references in ``reference_sim``: seeded trajectories bit-identical,
 per-step bound and leakage sums within 1e-12, merged masses summing to one."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,15 @@ def test_merged_masses(n, pattern):
         assert got.keys() == want.keys()
         assert all(abs(got[k] - want[k]) <= TOL for k in want)
         assert len(view.branches) <= len(ref.branches)
+
+
+def test_walk_frees_past_layers():
+    # the graph keeps no node: while the walk is at step t, every node of
+    # steps before t - 1 is gone, and of step t - 1 at most the one the
+    # walker's loop variable still holds
+    refs = []
+    for view in enumerate_steps(_chain(3), PrivacyPattern.from_string("100000000"), 8):
+        refs.append([weakref.ref(br) for br in view.branches])
+        alive = [sum(ref() is not None for ref in step) for step in refs[:-1]]
+        assert alive[:-1] == [0] * (view.t - 1) and alive[-1:] <= [1], alive
+    assert [len(step) for step in refs[:6]] == [1, 1, 6, 10, 16, 23]

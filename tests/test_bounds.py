@@ -192,6 +192,15 @@ def test_horizon_ordering_with_lp():
                 assert r.inner <= cap1 + 1e-9
 
 
+def test_horizon_rows_hold_python_floats():
+    model = MarkovModel(3, worked_law().table, np.full(3, 1.0 / 3))
+    rows = bounds_over_horizon(model, PrivacyPattern.from_string("10010"), 4,
+                               with_lp=True)
+    for row in rows:
+        for name in ("outer2", "outer1", "inner", "lp_opt", "mi"):
+            assert type(getattr(row, name)) is float, (row.t, name)
+
+
 def test_horizon_capacity_guard():
     m = MarkovModel(3, worked_law().table, np.full(3, 1 / 3))
     with pytest.raises(CapacityError):

@@ -72,6 +72,16 @@ def test_build_verify_round_trip(model3_path, tmp_path, capsys):
     assert report1 == report2
 
 
+def test_build_output_pinned(model3_path, capsys):
+    # the cardinality keys spliced onto the scheme's JSON, byte for byte
+    for gap, digest in (
+            ("1", "e2cf395667f39127bdcc43c50eca7b4c80210a8f91d6967dce0a5dc0f57e8f63"),
+            ("2", "7e24da6b8b6ba8040d5b8e15e9c49fbdbceb16d3f82ef34a7fbc9cd17da55e24")):
+        assert main(["build", "--model", model3_path, "--gap", gap]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_rejects_tampered_distribution(model3_path, tmp_path, capsys):
     dist_path = str(tmp_path / "dist.json")
     main(["build", "--model", model3_path, "--out", dist_path])
@@ -166,6 +176,16 @@ def test_lp_dump(model2_path, model3_path, capsys):
         out = capsys.readouterr().out
         assert out.startswith("min c.x") and "-> col" in out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,cap", [(10, None), (20, "2")], ids=["full-n10", "cap2-n20"])
+def test_lp_tableau_guard_exits_capacity(tmp_path, capsys, n, cap):
+    path = tmp_path / "sym.json"
+    path.write_text(MarkovModel.symmetric(n, 0.5).to_json())
+    argv = ["lp", "--model", str(path)] + ([] if cap is None else ["--cap", cap])
+    assert main(argv) == 3
+    err = capsys.readouterr()
+    assert err.out == "" and "tableau exceeds" in err.err
 
 
 def test_sweep_fig5_spot_values(capsys):

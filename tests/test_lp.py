@@ -1,12 +1,17 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import onoffpir.lp as lp_mod
+import reference_lp
 from helpers import random_law, worked_law
 from onoffpir.bounds import restricted_lp_singleton_optimum
-from onoffpir.lp import LpProblem, build_lp, solve
-from onoffpir.model import CapacityError, MarkovModel, order_stats, step_law
+from onoffpir.lp import IterationLimitError, LpProblem, build_lp, solve
+from onoffpir.model import (CapacityError, ConditionalLaw, MarkovModel,
+                            PrivacyPattern, order_stats, step_law)
+from onoffpir.sim import enumerate_steps
 
 
 def brute_force_optimum(problem, tol=1e-9):
@@ -66,6 +71,31 @@ def test_build_lp_guards():
         build_lp(worked_law(), cardinality_cap=0)
     with pytest.raises(ValueError):
         build_lp(worked_law(), prior=[1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("n,cap,rows,cols", [
+    (9, None, 4169, 20736), (10, None, 9307, 51200), (20, 2, 4409, 8400),
+    (64, 1, 8191, 8192)])
+def test_build_lp_tableau_guard(n, cap, rows, cols):
+    # refused from the sizes alone, before any column is enumerated
+    law = ConditionalLaw(n, np.full((n, n), 1.0 / n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"{rows} rows x {cols} columns"):
+            build_lp(law, cardinality_cap=cap)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_lp_tableau_guard_boundary(monkeypatch):
+    # the worked law's LP: 9 + 7 * 2 rows, 36 columns, so a phase-1
+    # tableau of 8 * 24 * 60 bytes
+    monkeypatch.setattr(lp_mod, "TABLEAU_BYTES", 8 * 24 * 60)
+    assert build_lp(worked_law()).eq_matrix.shape == (23, 36)
+    monkeypatch.setattr(lp_mod, "TABLEAU_BYTES", 8 * 24 * 60 - 1)
+    with pytest.raises(CapacityError):
+        build_lp(worked_law())
 
 
 def test_dump_text_mentions_legend():
@@ -183,3 +213,67 @@ def test_prior_does_not_move_the_optimum():
     base = solve(build_lp(law)).optimum
     skew = solve(build_lp(law, prior=[0.6, 0.3, 0.1])).optimum
     assert abs(base - skew) < 1e-7
+
+
+# ------------------------------------------------- against the loop reference
+
+def _workload_chain(seed: int, n: int) -> MarkovModel:
+    """The benchmark's ``random_chain``: a fixed base table per size,
+    jittered entrywise by +-1% from the seed, uniform pi0."""
+    base = np.random.default_rng([25, n]).uniform(0.5, 1.5, (n, n))
+    jitter = np.random.default_rng([seed, n]).uniform(0.99, 1.01, (n, n))
+    table = base * jitter
+    return MarkovModel(n, table / table.sum(axis=1, keepdims=True),
+                       np.full(n, 1.0 / n))
+
+
+def _random_problems():
+    rng = np.random.default_rng(56)
+    laws = [(random_law(rng, n, ties=bool(i % 2)), cap)
+            for n in (2, 3, 4, 5) for i in range(4) for cap in (None, 1, 2)]
+    return [(build_lp(law, cap), reference_lp.build_lp(law, cap))
+            for law, cap in laws]
+
+
+def _per_class_problems():
+    # the 88 per-class laws of the horizon-exact workload's LP chain, seed 11
+    chain = _workload_chain(11, 4)
+    laws = [br.law for view in enumerate_steps(
+                chain, PrivacyPattern.from_string("10000"), 4)
+            for br in view.branches if br.law is not None]
+    assert len(laws) == 88
+    return [(build_lp(law), reference_lp.build_lp(law)) for law in laws]
+
+
+def _toy_problems():
+    toys = [([1.0], [[1.0], [1.0]], [1.0, 2.0]),
+            ([-1.0, 0.0], [[1.0, -1.0]], [0.0]),
+            ([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0])]
+    return [(LpProblem(*toy), LpProblem(*toy)) for toy in toys]
+
+
+@pytest.mark.parametrize("problems", [_random_problems, _per_class_problems,
+                                      _toy_problems],
+                         ids=["random-caps", "horizon-classes", "toys"])
+def test_matches_loop_reference_bit_for_bit(problems):
+    statuses = set()
+    for got, want in problems():
+        for name in ("objective", "eq_matrix", "eq_rhs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+        assert got.columns == want.columns
+        sol, ref = solve(got), reference_lp.solve(want)
+        statuses.add(sol.status)
+        assert sol.status == ref.status
+        assert (sol.x is None and ref.x is None) or sol.x.tobytes() == ref.x.tobytes()
+        assert repr(sol.optimum) == repr(ref.optimum)
+        assert repr(sol.assignment) == repr(ref.assignment)
+    assert statuses == ({"optimal", "infeasible", "unbounded"}
+                        if problems is _toy_problems else {"optimal"})
+
+
+def test_pivot_cap_raises(monkeypatch):
+    monkeypatch.setattr(lp_mod, "MAX_PIVOTS", 1)
+    with pytest.raises(IterationLimitError):
+        solve(build_lp(worked_law()))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -108,6 +109,31 @@ def test_tau_of_matches_definition(tail):
     for t in range(len(flags)):
         expected = max(i for i in range(t + 1) if flags[i])
         assert tau_of(pat, t) == expected
+
+
+def _tau_scan(flags, t):
+    return next(i for i in range(t, -1, -1) if flags[i])
+
+
+def test_tau_of_matches_scan_on_random_patterns():
+    rng = np.random.default_rng(7)
+    for length in (1, 2, 5, 40, 300):
+        for p_on in (0.0, 0.1, 0.5, 1.0):
+            flags = (True, *(rng.random(length - 1) < p_on))
+            pat = PrivacyPattern(flags)
+            assert all(tau_of(pat, t) == _tau_scan(flags, t)
+                       for t in range(length))
+            assert pat.taus.tolist() == [_tau_scan(flags, t) for t in range(length)]
+            assert not pat.taus.flags.writeable
+
+
+def test_tau_of_is_constant_time_on_long_off_runs():
+    # 2**15 steps after one ON step: a backward scan per call is O(T**2)
+    pat = PrivacyPattern((True,) + (False,) * (2 ** 15 - 1))
+    start = time.perf_counter()
+    taus = [tau_of(pat, t) for t in range(len(pat))]
+    assert time.perf_counter() - start < 1.0
+    assert taus == [0] * len(pat) and type(taus[-1]) is int
 
 
 # ------------------------------------------------------------------ step_law
