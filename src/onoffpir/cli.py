@@ -27,6 +27,8 @@ from .verify import audit_distribution
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_CAPACITY = 0, 1, 2, 3
 # Most steps T a ``bernoulli:p:T`` pattern may draw.
 PATTERN_STEPS = 1 << 20
+# Episodes per block of the ``simulate --out`` trace CSV.
+CSV_CHUNK = 1024
 
 
 def _write(text: str, out: str | None):
@@ -130,16 +132,22 @@ def _cmd_lp(args) -> int:
 
 
 def _trace_csv(result) -> str:
+    """One row per (episode, step), formatted by column in blocks of
+    ``CSV_CHUNK`` episodes so that the temporary columns stay small."""
     out = io.StringIO()
     out.write("episode,t,F,x,q,len_bits,decode_ok\n")
-    horizon = result.q_masks.shape[1] - 1
-    sizes = result.cardinalities()
-    for ep in range(result.episodes):
-        for t in range(horizon + 1):
-            out.write(f"{ep},{t},{int(result.pattern.flags[t])},"
-                      f"{result.xs[ep, t]},{result.q_masks[ep, t]},"
-                      f"{sizes[ep, t] * result.msg_bits},"
-                      f"{int(result.oks[ep, t])}\n")
+    steps = result.q_masks.shape[1]
+    flags = [int(f) for f in result.pattern.flags[:steps]]
+    bits = result.cardinalities() * result.msg_bits
+    for lo in range(0, result.episodes, CSV_CHUNK):
+        block = slice(lo, min(lo + CSV_CHUNK, result.episodes))
+        k = block.stop - lo
+        cols = (np.repeat(np.arange(lo, block.stop), steps),
+                np.tile(np.arange(steps), k), np.tile(flags, k),
+                result.xs[block], result.q_masks[block], bits[block],
+                result.oks[block].astype(np.int64))
+        lines = zip(*[map(str, col.ravel().tolist()) for col in cols])
+        out.write("\n".join(map(",".join, lines)) + "\n")
     return out.getvalue()
 
 

@@ -26,18 +26,24 @@ class CapacityError(RuntimeError):
     """Raised when an exact computation would exceed its size guard."""
 
 
-def numbers(values, what: str) -> np.ndarray:
-    """``values``, a number or nested lists of numbers, as a float array.
+def check_number_types(kinds, what: str):
+    """Raise ValueError unless every type in ``kinds`` is a number type.
 
     Only ints and floats pass, Python's or numpy's (numpy's bool is neither):
     ``np.asarray`` would silently turn strings, bytes and booleans into
     numbers, so they raise ValueError like any other type.
     """
-    arr = np.asarray(values, dtype=object)
-    for kind in set(map(type, arr.ravel().tolist())):
+    for kind in kinds:
         if issubclass(kind, bool) or not issubclass(
                 kind, (int, float, np.integer, np.floating)):
             raise ValueError(f"{what} must be numbers, not {kind.__name__}")
+
+
+def numbers(values, what: str) -> np.ndarray:
+    """``values``, a number or nested lists of numbers, as a float array,
+    after :func:`check_number_types` on every element."""
+    arr = np.asarray(values, dtype=object)
+    check_number_types(set(map(type, arr.ravel().tolist())), what)
     return arr.astype(float)
 
 

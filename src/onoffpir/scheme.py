@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import (EPS, ZERO_TOL, ConditionalLaw, OrderStats, numbers,
-                    order_stats, whole_numbers)
+from .model import (EPS, ZERO_TOL, ConditionalLaw, OrderStats,
+                    check_number_types, numbers, order_stats, whole_numbers)
 
 
 class InternalConsistencyError(AssertionError):
@@ -74,7 +75,7 @@ class QueryDistribution:
         return dist
 
     def _freeze(self, n, counts, qidx, xs, us, probs):
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", int(n))
         for name, arr, dtype in (("counts", counts, np.int64), ("qidx", qidx, np.int64),
                                  ("xs", xs, np.int64), ("us", us, np.int64),
                                  ("probs", probs, float)):
@@ -131,9 +132,14 @@ class QueryDistribution:
                     self.probs.tolist())]
 
     def to_json(self) -> str:
-        entries = [{"z": list(z), "x": x, "u": u, "p": p}
-                   for z, x, u, p in self.entry_tuples()]
-        return json.dumps({"n": self.n, "entries": entries})
+        """What ``json.dumps`` writes for the entries as objects, formatting
+        each distinct count row once (``repr`` is its format for a float)."""
+        rows = [json.dumps(row) for row in self.counts.tolist()]
+        entries = ", ".join([
+            f'{{"z": {rows[q]}, "x": {x}, "u": {u}, "p": {p!r}}}'
+            for q, x, u, p in zip(self.qidx.tolist(), self.xs.tolist(),
+                                  self.us.tolist(), self.probs.tolist())])
+        return f'{{"n": {self.n}, "entries": [{entries}]}}'
 
     @staticmethod
     def from_json(obj) -> "QueryDistribution":
@@ -143,7 +149,7 @@ class QueryDistribution:
             items = [(e["z"], e["x"], e["u"], e["p"]) for e in obj["entries"]]
             n = int(whole_numbers(obj["n"], "n", 0, 1 << 31))
             return QueryDistribution.from_items(n, items)
-        except TypeError as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed query distribution: {exc}") from exc
 
     @staticmethod
@@ -154,19 +160,28 @@ class QueryDistribution:
         Raises ValueError unless every count vector holds n nonnegative
         integers summing to at most n, x and u are integers in [0, n), and
         every probability is finite and nonnegative; booleans and strings
-        are not numbers here.
+        are not numbers here.  Count vectors are lists, tuples or arrays; the
+        type of every count is checked, its value once per distinct vector.
         """
         items = list(items)
-        zs, xs, us, ps = zip(*items) if items else (np.zeros((0, n)), (), (), ())
-        zs = whole_numbers(zs, "counts", 0, n + 1)
-        if zs.shape != (len(items), n):
+        zs, xs, us, ps = zip(*items) if items else ((), (), (), ())
+        if not all(issubclass(kind, (list, tuple, np.ndarray))
+                   for kind in set(map(type, zs))):
+            raise ValueError("count vectors must be lists, tuples or arrays")
+        check_number_types(set(map(type, chain.from_iterable(zs))), "counts")
+        # Interned only now: True == 1 and hash(1.0) == hash(1), so before the
+        # type check [true, 0] would hide behind an earlier [1, 0].
+        index_of: dict = {}
+        row_of = [index_of.setdefault(tuple(z), len(index_of)) for z in zs]
+        rows = whole_numbers(list(index_of) or np.zeros((0, n)), "counts", 0, n + 1)
+        if rows.shape != (len(index_of), n):
             raise ValueError(f"count vectors must have length n={n}")
-        if np.any(zs.sum(axis=1) > n):
+        if np.any(rows.sum(axis=1) > n):
             raise ValueError("multiset cardinality cannot exceed the number of sources")
         ps = numbers(ps, "p")
         if not np.all(np.isfinite(ps) & (ps >= 0)):
             raise ValueError("probabilities must be finite and nonnegative")
-        return _assemble(n, zs, np.arange(len(items)), whole_numbers(xs, "x", 0, n),
+        return _assemble(n, rows, row_of, whole_numbers(xs, "x", 0, n),
                          whole_numbers(us, "u", 0, n), ps)
 
 

@@ -423,27 +423,48 @@ def empirical_privacy_audit(result: SimulationResult, t: int) -> ChiSquareAudit:
     thinner than 5 flag the result unreliable instead of failing.
     """
     masks, taus = result.q_masks, result.x_taus
-    if t >= masks.shape[1]:
-        raise IndexError(f"step {t} beyond simulated horizon")
+    if not 0 <= t < masks.shape[1]:
+        raise IndexError(f"step {t} outside the simulated horizon")
 
-    hist = masks[:, :t]
-    qt = masks[:, t]
-    xt = taus[:, t]
-    strata, inverse = (np.unique(hist, axis=0, return_inverse=True)
-                       if t > 0 else (np.zeros((1, 0)), np.zeros(len(qt), dtype=int)))
-    stat, dof, min_expected = 0.0, 0, np.inf
-    for s in range(len(strata)):
-        m = inverse == s
-        rows, ri = np.unique(xt[m], return_inverse=True)
-        cols, ci = np.unique(qt[m], return_inverse=True)
-        if len(rows) < 2 or len(cols) < 2:
-            continue
-        table = np.zeros((len(rows), len(cols)))
-        np.add.at(table, (ri, ci), 1.0)
-        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-        min_expected = min(min_expected, float(expected.min()))
-        stat += float(((table - expected) ** 2 / expected).sum())
-        dof += (len(rows) - 1) * (len(cols) - 1)
+    # Histories and queries as dense codes; strata are numbered in the
+    # lexicographic order of their histories.  Every code below stays under
+    # episodes^2 * n, far inside int64 for the episodes simulate allows.
+    stratum = np.zeros(masks.shape[0], dtype=np.int64)
+    for col in masks[:, :t].T:
+        code = _dense_codes(col)
+        stratum = _dense_codes(stratum * (int(code.max()) + 1) + code)
+    qt = _dense_codes(masks[:, t])
+    n_q, n_x = int(qt.max()) + 1, int(taus[:, t].max()) + 1
+    # The observed (stratum, pivot, query) cells in increasing order: the
+    # table of a stratum has its pivots as rows and its queries as columns.
+    cells, observed = np.unique((stratum * n_x + taus[:, t]) * n_q + qt,
+                                return_counts=True)
+    cell_s = cells // (n_x * n_q)
+    row_keys, row_of = np.unique(cells // n_q, return_inverse=True)
+    col_keys, col_of = np.unique(cell_s * n_q + cells % n_q, return_inverse=True)
+    row_s, col_s = row_keys // n_x, col_keys // n_q
+    row_sum = np.bincount(row_of, weights=observed)
+    col_sum = np.bincount(col_of, weights=observed)
+    total = np.bincount(cell_s, weights=observed)
+    expected = row_sum[row_of] * col_sum[col_of] / total[cell_s]
+    # A zero cell adds its expected count: per row, the row sum times the
+    # column mass the row misses (integral, so exact) over the total.
+    missed = total[row_s] - np.bincount(row_of, weights=col_sum[col_of])
+    per_stratum = (np.bincount(cell_s, weights=(observed - expected) ** 2 / expected)
+                   + np.bincount(row_s, weights=row_sum * missed / total[row_s]))
+    n_rows, n_cols = np.bincount(row_s), np.bincount(col_s)
+    tested = (n_rows >= 2) & (n_cols >= 2)
+    stat = float(per_stratum[tested].sum())
+    dof = int(((n_rows - 1) * (n_cols - 1))[tested].sum())
+    # The thinnest expected cell of a table: least row sum x least column sum.
+    min_row, min_col = np.full(len(total), np.inf), np.full(len(total), np.inf)
+    np.minimum.at(min_row, row_s, row_sum)
+    np.minimum.at(min_col, col_s, col_sum)
     p_value = float(chdtrc(dof, stat)) if dof > 0 else 1.0
-    unreliable = dof > 0 and min_expected < 5.0
-    return ChiSquareAudit(stat, dof, p_value, len(qt), int(len(strata)), unreliable)
+    unreliable = dof > 0 and float((min_row * min_col / total)[tested].min()) < 5.0
+    return ChiSquareAudit(stat, dof, p_value, len(qt), len(total), unreliable)
+
+
+def _dense_codes(values: np.ndarray) -> np.ndarray:
+    """Each value's rank among the distinct values."""
+    return np.unique(values, return_inverse=True)[1].ravel()

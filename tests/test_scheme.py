@@ -326,3 +326,20 @@ def test_from_items_accepts_numpy_numbers():
     ])
     assert dist.entry_tuples() == [((0, 1, 0), 1, 1, 0.75)]
 
+
+def test_numpy_n_serializes():
+    dist = QueryDistribution.from_items(np.int64(3), [((0, 1, 0), 1, 1, 1.0)])
+    assert type(dist.n) is int
+    wire = dist.to_json()
+    assert QueryDistribution.from_json(wire).to_json() == wire
+
+
+@pytest.mark.parametrize("wire", [
+    '{"entries": []}',
+    '{"n": 3}',
+    '{"n": 3, "entries": [{"z": [0, 1, 0], "x": 1, "u": 1}]}',
+])
+def test_from_json_missing_key_is_value_error(wire):
+    with pytest.raises(ValueError, match="malformed"):
+        QueryDistribution.from_json(wire)
+

@@ -371,6 +371,13 @@ def test_privacy_audit_bounds_checks():
         empirical_privacy_audit(res, 5)
 
 
+def test_privacy_audit_rejects_negative_step():
+    res = simulate(two_state(), PrivacyPattern.from_string("1000"), 50, seed=17)
+    for t in (-1, -4, -5):
+        with pytest.raises(IndexError):
+            empirical_privacy_audit(res, t)
+
+
 def test_summary_fields():
     m = two_state()
     res = simulate(m, PrivacyPattern.from_string("10"), 500, seed=18)
