@@ -163,9 +163,12 @@ def _cmd_simulate(args) -> int:
                  else MarkovModel.load(cfg["model"]))
         # whole_numbers reads through float, which is exact below 2**53
         episodes, seed, msg_bits = (
-            int(whole_numbers(cfg.get(key, default), key, 0, 1 << 53))
+            whole_numbers(cfg.get(key, default), key, 0, 1 << 53)
             for key, default in (("episodes", args.episodes), ("seed", args.seed),
                                  ("L", args.msg_bits)))
+        if episodes.ndim or seed.ndim or msg_bits.ndim:
+            raise ValueError("episodes, seed and L must be single integers")
+        episodes, seed, msg_bits = int(episodes), int(seed), int(msg_bits)
         pattern = _load_pattern(cfg["pattern"], seed)
         policy = cfg.get("policy", args.policy)
     else:

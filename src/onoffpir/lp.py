@@ -2,9 +2,13 @@
 
 Builds the query-design linear program for one step (decodability baked into
 the variable set, pivot-independence and mass constraints as equalities) and
-solves it with a self-contained dense two-phase tableau simplex.  Problem
-sizes at desk scale are tiny, so the dense tableau is chosen for
-auditability, not speed.
+solves it with a self-contained dense two-phase tableau simplex under Bland's
+rule.  A pivot subtracts its rank-1 update only from the rows whose
+pivot-column entry is nonzero; at desk scale most rows have a zero there.
+Skipping a row skips only ``v - 0 * w``, so the pivot path and every nonzero
+value match the full update, but a zero may keep the sign ``-0.0`` that the
+full update would have cleared.  ``solve`` therefore writes every zero of
+``x`` as ``+0.0``, so ``x`` stays byte-identical to the full update's.
 """
 
 from __future__ import annotations
@@ -136,7 +140,8 @@ def _pivot(tab: np.ndarray, row: int, col: int):
     tab[row] /= tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
+    nz = np.flatnonzero(factors)
+    tab[nz] -= factors[nz, None] * tab[row]
 
 
 def _run_simplex(tab: np.ndarray, basis: list) -> str:
@@ -207,7 +212,7 @@ def solve(problem: LpProblem) -> LpSolution:
 
     x = np.zeros(ncols)
     x[basis2] = tab2[:-1, -1]
-    x = np.where(x < 0, 0.0, x)
+    x = np.where(x <= 0, 0.0, x)
     residual = problem.eq_matrix @ x - problem.eq_rhs
     if np.max(np.abs(residual)) > _FEAS_TOL:
         raise AssertionError("optimal tableau violates constraints beyond tolerance")

@@ -124,7 +124,7 @@ class MarkovModel:
         try:
             return MarkovModel(int(whole_numbers(obj["n"], "n", 0, 1 << 31)),
                                numbers(obj["p"], "p"), numbers(obj["pi0"], "pi0"))
-        except TypeError as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed Markov model: {exc}") from exc
 
     def to_json(self) -> str:

@@ -65,8 +65,23 @@ class QueryDistribution:
     probs: np.ndarray
 
     def __init__(self, n: int, queries, qidx, xs, us, probs):
+        """Raises ValueError unless the arrays are parallel, every index is
+        in range, every count row holds nonnegative counts summing to at most
+        n, and every probability is finite and nonnegative.  Structural
+        invariants (x in z, privacy, ...) are left to the audit."""
         counts = np.array([q.counts for q in queries], dtype=np.int64)
         self._freeze(n, counts.reshape(len(counts), n), qidx, xs, us, probs)
+        if not len(self.qidx) == len(self.xs) == len(self.us) == len(self.probs):
+            raise ValueError("qidx, xs, us and probs must have equal lengths")
+        if np.any((self.qidx < 0) | (self.qidx >= len(self.counts))):
+            raise ValueError(f"query indices must lie in [0, {len(self.counts)})")
+        for name, arr in (("x", self.xs), ("u", self.us)):
+            if np.any((arr < 0) | (arr >= self.n)):
+                raise ValueError(f"{name} must lie in [0, {self.n})")
+        if np.any(self.counts < 0) or np.any(self.counts.sum(axis=1) > self.n):
+            raise ValueError("counts must be nonnegative and sum to at most n per query")
+        if not np.all(np.isfinite(self.probs) & (self.probs >= 0)):
+            raise ValueError("probabilities must be finite and nonnegative")
 
     @classmethod
     def _of_counts(cls, n: int, counts, qidx, xs, us, probs) -> "QueryDistribution":

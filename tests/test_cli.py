@@ -3,12 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import onoffpir.cli as cli_mod
 import onoffpir.sim as sim_mod
 from helpers import WORKED_TABLE, never_the_request
 from onoffpir.cli import main
-from onoffpir.model import CapacityError, MarkovModel
+from onoffpir.model import CapacityError, MarkovModel, order_stats, step_law
+from onoffpir.scheme import build_query_distribution
+from onoffpir.sim import POLICIES
 
 
 @pytest.fixture
@@ -271,6 +274,7 @@ def test_simulate_config_file(model2_path, tmp_path, capsys):
     {"episodes": True, "seed": "9", "L": "16"},
     {"episodes": True}, {"seed": "9"}, {"L": "16"}, {"episodes": 2.7},
     {"pattern": 10}, {"model": None}, {"model": ["m.json"]},
+    {"seed": []}, {"episodes": [3]}, {"L": [16, 16]},
 ])
 def test_simulate_config_rejects_wrongly_typed_fields(model2_path, tmp_path,
                                                       capsys, fields):
@@ -340,3 +344,128 @@ def test_bernoulli_pattern_spec(model2_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 8  # header + 7 steps
     assert lines[1].split(",")[1] == "1"  # step 0 forced ON
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text("01n", max_size=2)
+    | st.sampled_from([0.5, -0.5, 1.5, float("nan"), float("inf"), 1e300]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "p", "pi0", "z", "x", "u"]), inner,
+                      max_size=3),
+    max_leaves=8)
+_MODELS = [MarkovModel.two_state(0.2, 0.2),
+           MarkovModel(3, WORKED_TABLE, np.full(3, 1 / 3)),
+           MarkovModel(2, np.eye(2), np.array([1.0, 0.0])),
+           MarkovModel(3, np.full((3, 3), 1 / 3), np.array([0.0, 0.5, 0.5]))]
+# the first five are valid
+_PATTERNS = ["100", "1", "10", "1001", "bernoulli:0.5:3", "0", "", "12", "x",
+             "bernoulli:nan:2", "bernoulli:0.5", "bernoulli:2:3", "bernoulli:0.5:-1",
+             "bernoulli:a:b", "bernoulli:0.5:2097152"]
+
+
+def _pick(draw, good, bad):
+    """One of ``good`` three times in four, else one of ``bad``."""
+    return draw(st.sampled_from(good if draw(st.integers(0, 3)) else bad))
+
+
+def _model_json(draw) -> str:
+    kind = _pick(draw, ["good"], ["shape", "junk", "text"])
+    if kind == "good":
+        return draw(st.sampled_from(_MODELS)).to_json()
+    if kind == "text":
+        return draw(st.sampled_from(["", "{", "NaN", "[]", '"model.json"']))
+    if kind == "shape":  # the right keys, wrong values
+        return json.dumps({"n": draw(st.integers(-1, 3) | _JUNK),
+                           "p": draw(st.sampled_from([[[0.5, 0.5]] * 2, [[1.0]], []])
+                                     | _JUNK),
+                           "pi0": draw(st.sampled_from([[0.5, 0.5], [1.0], []]) | _JUNK)})
+    return json.dumps(draw(_JUNK))
+
+
+def _dist_json(draw, model_text) -> str:
+    kind = _pick(draw, ["built"], ["entries", "junk"])
+    if kind == "built":
+        try:
+            model = MarkovModel.from_json(model_text)
+        except ValueError:
+            model = draw(st.sampled_from(_MODELS))
+        law = step_law(model, 1)
+        return build_query_distribution(law, order_stats(law)).to_json()
+    if kind == "entries":
+        entries = draw(st.lists(st.fixed_dictionaries(
+            {"z": st.lists(st.integers(-1, 3), max_size=4) | _JUNK,
+             "x": st.integers(-1, 3) | _JUNK, "u": st.integers(-1, 3) | _JUNK,
+             "p": st.sampled_from([0.5, 1.0, 0.0, -1.0, float("nan")]) | _JUNK}),
+            max_size=3))
+        return json.dumps({"n": draw(st.integers(-1, 4) | _JUNK), "entries": entries})
+    return json.dumps(draw(_JUNK))
+
+
+@st.composite
+def _cli_inputs(draw, command):
+    """argv for one subcommand (options as ``--name=value``, so a value may
+    start with '-'), and the texts of the files it names."""
+    files = {"model.json": _model_json(draw)}
+    model = "--model=" + _pick(draw, ["model.json"], ["missing.json"])
+    ints = ["0", "1", "2"], ["-1", "3"]  # good, bad
+    argv = [command]
+    if command == "bounds":
+        argv += [model, "--pattern=" + _pick(draw, _PATTERNS[:5], _PATTERNS[5:]),
+                 "--seed=" + _pick(draw, *ints),
+                 "--format=" + draw(st.sampled_from(["csv", "json"]))]
+        argv += draw(st.sampled_from([[], ["--with-lp"], ["--policy=naive"]]))
+        argv += draw(st.sampled_from([[], ["--horizon=" + _pick(draw, *ints)],
+                                      ["--max-branches=" + _pick(draw, ["9"], ints[1])]]))
+    elif command == "sweep":
+        if draw(st.booleans()):
+            sums = _pick(draw, ["0.2,1.0", "0,2"], ["", "nan", "-1", "2.5", "a,0.5", "inf"])
+            argv += ["--kind=fig5", "--sums=" + sums,
+                     "--max-gap=" + _pick(draw, ["0", "3"], ["-1", "100000000"])]
+        else:
+            argv += ["--kind=fig3b",
+                     "--n=" + _pick(draw, ["2", "4"], ["-1", "0", "1", "100000"]),
+                     "--points=" + _pick(draw, ["1", "5"], ["-1", "0"])]
+    elif command in ("build", "verify", "lp"):
+        argv += [model, "--gap=" + _pick(draw, ["1", "3", "1000000"], ["-1", "0"])]
+        if command == "verify":
+            files["dist.json"] = _dist_json(draw, files["model.json"])
+            argv += ["--dist=" + _pick(draw, ["dist.json"], ["missing.json"])]
+        if command == "lp":
+            argv += draw(st.sampled_from(
+                [[], ["--dump"], ["--cap=" + _pick(draw, ["1", "2", "9"], ["-1", "0"])],
+                 ["--expect=" + _pick(draw, ["1.6"], ["nan", "inf", "-1"])]]))
+    else:
+        if draw(st.booleans()):
+            cfg = {key: draw(strategy) for key, strategy in (
+                ("model", st.sampled_from(["model.json", "missing.json"]) | _JUNK),
+                ("pattern", st.sampled_from(_PATTERNS) | _JUNK),
+                ("episodes", st.integers(-1, 5) | _JUNK),
+                ("seed", st.integers(-1, 5) | _JUNK), ("L", st.integers(-1, 70) | _JUNK),
+                ("policy", st.sampled_from(POLICIES + ("n2_closed_form",)) | _JUNK))
+                if _pick(draw, [True], [False])}
+            files["cfg.json"] = _pick(draw, [json.dumps(cfg)], ["{", "[]"])
+            argv += ["--config=cfg.json"]
+        else:
+            argv += [model, "--pattern=" + _pick(draw, _PATTERNS[:5], _PATTERNS[5:])]
+        argv += ["--episodes=" + _pick(draw, ["1", "7"], ["-1", "0"]),
+                 "--msg-bits=" + _pick(draw, ["1", "9"], ["-1", "0"]),
+                 "--seed=" + _pick(draw, *ints),
+                 "--policy=" + draw(st.sampled_from(POLICIES))]
+    if draw(st.booleans()):
+        argv += ["--out=" + _pick(draw, ["out.txt"], ["no/such/dir/out.txt"])]
+    return argv, files
+
+
+@pytest.mark.parametrize("command", ["bounds", "sweep", "build", "verify", "lp",
+                                     "simulate"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_main_fuzz_returns_exit_code(command, data, tmp_path, monkeypatch):
+    argv, files = data.draw(_cli_inputs(command))
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) in (0, 1, 2, 3), argv

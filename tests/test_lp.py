@@ -273,6 +273,37 @@ def test_matches_loop_reference_bit_for_bit(problems):
                         if problems is _toy_problems else {"optimal"})
 
 
+def _tied_and_zero_laws():
+    """Laws rounded to quarters and laws with exact zero cells (column 0
+    kept positive), n = 3..5 under caps none/1/2.  Their degenerate pivots
+    leave signed zeros in the tableau, which ``random_law`` never does."""
+    rng = np.random.default_rng(76)
+    laws = []
+    for n, count in ((3, 60), (4, 36), (5, 6)):
+        for i in range(count):
+            if i % 2:
+                t = np.round(rng.random((n, n)) * 4.0) / 4.0
+            else:
+                t = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+            t[:, 0] = np.maximum(t[:, 0], 0.25)
+            laws.append((ConditionalLaw(n, t / t.sum(axis=1, keepdims=True)),
+                         (None, 1, 2)[i % 3]))
+    return laws
+
+
+def test_matches_loop_reference_on_tied_and_zero_laws():
+    # the row-restricted pivot skips ``x - 0 * v`` and so can leave -0.0
+    # where the dense update left +0.0; solve must map every zero of x to
+    # +0.0 for the bytes to agree
+    for law, cap in _tied_and_zero_laws():
+        problem = build_lp(law, cap)
+        sol, ref = solve(problem), reference_lp.solve(problem)
+        assert sol.status == ref.status == "optimal"
+        assert sol.x.tobytes() == ref.x.tobytes()
+        assert repr(sol.optimum) == repr(ref.optimum)
+        assert repr(sol.assignment) == repr(ref.assignment)
+
+
 def test_pivot_cap_raises(monkeypatch):
     monkeypatch.setattr(lp_mod, "MAX_PIVOTS", 1)
     with pytest.raises(IterationLimitError):

@@ -67,6 +67,12 @@ def test_model_json_rejects_non_numbers(change):
         MarkovModel.from_json({**good, **change})
 
 
+@pytest.mark.parametrize("obj", [{"p": [[1.0]], "pi0": [1.0]}, {"n": 2}, {}])
+def test_model_json_missing_key_is_value_error(obj):
+    with pytest.raises(ValueError, match="malformed"):
+        MarkovModel.from_json(obj)
+
+
 def test_model_json_accepts_numpy_numbers():
     m = MarkovModel.from_json({"n": np.int32(2),
                                "p": np.array([[0.5, 0.5], [0.25, 0.75]]),

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import random_law, worked_law
 from onoffpir.model import ConditionalLaw, MarkovModel, order_stats, step_law
-from onoffpir.scheme import (QueryDistribution, build_query_distribution,
+from onoffpir.scheme import (QueryDistribution, _QueryCounts, build_query_distribution,
                              policy_n2, policy_n2_table, project_to_sets)
 
 
@@ -343,3 +343,36 @@ def test_from_json_missing_key_is_value_error(wire):
     with pytest.raises(ValueError, match="malformed"):
         QueryDistribution.from_json(wire)
 
+
+def _constructor_args(**changes):
+    """Arguments of a valid one-query, three-entry distribution, with some
+    replaced."""
+    args = dict(queries=[_QueryCounts((0, 1, 1))], qidx=[0, 0, 0], xs=[1, 2, 1],
+                us=[0, 1, 2], probs=[1.0, 1.0, 1.0])
+    args.update(changes)
+    return args
+
+
+def test_constructor_accepts_valid_arrays():
+    dist = QueryDistribution(3, **_constructor_args())
+    assert len(dist) == 3 and dist.counts.tolist() == [[0, 1, 1]]
+    # structural invariants are the audit's: x outside z still constructs
+    assert len(QueryDistribution(3, **_constructor_args(xs=[0, 2, 1]))) == 3
+
+
+@pytest.mark.parametrize("changes", [
+    {"xs": [1, 2]},                      # parallel arrays of unequal length
+    {"qidx": [0, 4, 0]},                 # query index past the last query
+    {"qidx": [0, -1, 0]},                # and below zero
+    {"xs": [1, 7, 1]},                   # x outside [0, n)
+    {"us": [0, -2, 2]},                  # u outside [0, n)
+    {"queries": [_QueryCounts((-1, 1, 1))]},  # negative count
+    {"queries": [_QueryCounts((0, 0, 5))]},   # cardinality above n
+    {"probs": [1.0, float("nan"), 1.0]},
+    {"probs": [1.0, float("inf"), 1.0]},
+    {"probs": [1.0, -0.5, 1.0]},
+], ids=["lengths", "qidx-high", "qidx-negative", "x-range", "u-range",
+        "negative-count", "cardinality", "nan-p", "inf-p", "negative-p"])
+def test_constructor_rejects_invalid_arrays(changes):
+    with pytest.raises(ValueError):
+        QueryDistribution(3, **_constructor_args(**changes))
