@@ -1,12 +1,14 @@
 """The query-design problem as a linear program.
 
-Treating every p(query, request | pivot) with request inside the query as a
-variable, decodability is baked into the variable set and privacy plus mass
-conservation are equalities, so minimizing the expected query size is a
-small LP.  The built-in two-phase simplex solves it exactly; restricting the
-query sizes to {1, N} recovers a simple closed form, and the constructive
-scheme matches the unrestricted optimum on these instances without solving
-anything.
+Privacy makes the query law r(q) the same for every pivot, and a scheme
+with that query law and the request always inside the query exists exactly
+when Hall's condition holds: for every proper set B of sources, the queries
+inside B get no more probability than the least mass any pivot puts on B.
+So minimizing the expected query size is an LP with one variable per query
+and one row per set B.  The built-in two-phase simplex solves it exactly;
+restricting the query sizes to {1, N} recovers a simple closed form, and the
+constructive scheme matches the unrestricted optimum on these instances
+without solving anything.
 
 Run:  python demos/04_lp_oracle.py
 """
@@ -30,15 +32,15 @@ law = ConditionalLaw(3, np.array([
 ]))
 
 problem = build_lp(law)
-print(f"Full LP: {len(problem.columns)} variables, "
+print(f"Full LP: {len(problem.columns)} query variables plus "
+      f"{problem.eq_matrix.shape[1] - len(problem.columns)} Hall slacks, "
       f"{problem.eq_matrix.shape[0]} equality rows")
 solution = solve(problem)
 print(f"optimum {solution.optimum:.6f} (status {solution.status})")
-print("support of the optimal scheme:")
-for (q, x, u), p in sorted(solution.assignment.items(),
-                           key=lambda kv: (kv[0][0].bit_count(), members(kv[0][0]),
-                                           kv[0][1], kv[0][2])):
-    print(f"  q={{{','.join(map(str, members(q)))}}} x={x} pivot={u}  p={p:.3f}")
+print("support of the optimal query law r:")
+for q, r in sorted(solution.assignment.items(),
+                   key=lambda kv: (kv[0].bit_count(), members(kv[0]))):
+    print(f"  q={{{','.join(map(str, members(q)))}}}  r={r:.3f}")
 print()
 
 stats = order_stats(law)
@@ -55,4 +57,4 @@ print("converse floor:", f"{outer_bound_2(law).inverse_rate:.6f}")
 print("level-increment bound:",
       f"{inner_bound_first_off_step(law).inverse_rate:.6f}")
 print("\nThe builder hits the LP optimum here in linear-ish time, which is")
-print("the whole point: the LP has ~N^2 2^N variables and stops scaling.")
+print("the whole point: the LP has 2^N - 1 rows and stops scaling at N = 11.")

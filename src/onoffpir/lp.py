@@ -1,9 +1,12 @@
 """Exact optimality oracle for small instances.
 
-Builds the query-design linear program for one step (decodability baked into
-the variable set, pivot-independence and mass constraints as equalities) and
-solves it with a self-contained dense two-phase tableau simplex under Bland's
-rule.  A pivot subtracts its rank-1 update only from the rows whose
+Privacy makes the query law r(q) the same for every pivot u, and for a fixed
+r a per-pivot split p(q, x | u) with the request x inside q exists if and
+only if Hall's condition sum_{q subset of B} r(q) <= m(B) = min_u law[u, B]
+holds for every proper nonempty set B of sources.  So the one-step
+query-design LP has one variable per query mask and 2^n - 1 rows, and this
+module solves it with a self-contained dense two-phase tableau simplex under
+Bland's rule.  A pivot subtracts its rank-1 update only from the rows whose
 pivot-column entry is nonzero; at desk scale most rows have a zero there.
 Skipping a row skips only ``v - 0 * w``, so the pivot path and every nonzero
 value match the full update, but a zero may keep the sign ``-0.0`` that the
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -26,7 +28,7 @@ _PIVOT_TOL = 1e-9  # reduced-cost / ratio-test threshold
 # Most pivots one simplex phase may take before it is declared stalled.
 MAX_PIVOTS = 10 ** 6
 # Most bytes the phase-1 simplex tableau of a ``build_lp`` problem may take
-# (the full LP fits up to n = 8, at 149 MB).
+# (the LP fits up to n = 11, at 101 MB, whatever the cap).
 TABLEAU_BYTES = 1 << 28
 
 
@@ -38,8 +40,9 @@ class IterationLimitError(RuntimeError):
 class LpProblem:
     """minimize objective @ x  subject to  eq_matrix @ x = eq_rhs, x >= 0.
 
-    ``columns`` optionally carries the (query bitmask, x, u) legend of each
-    column for problems produced by :func:`build_lp`.
+    ``columns`` optionally carries the query bitmask of each leading column
+    for problems produced by :func:`build_lp`; the columns after them are
+    slacks.
     """
 
     objective: np.ndarray
@@ -62,9 +65,9 @@ class LpProblem:
         for row, rhs in zip(self.eq_matrix, self.eq_rhs):
             lines.append(" ".join(f"{v:g}" for v in row) + f" = {rhs:g}")
         if self.columns is not None:
-            for j, (mask, x, u) in enumerate(self.columns):
+            for j, mask in enumerate(self.columns):
                 members = {i for i in range(mask.bit_length()) if mask >> i & 1}
-                lines.append(f"({members},{x},{u}) -> col {j}")
+                lines.append(f"({members}) -> col {j}")
         return "\n".join(lines)
 
 
@@ -73,7 +76,7 @@ class LpSolution:
     status: str              # "optimal" | "infeasible" | "unbounded"
     optimum: float | None
     x: np.ndarray | None
-    assignment: dict | None  # (query bitmask, x, u) -> probability, legend problems only
+    assignment: dict | None  # column label -> value on its support, labelled problems only
 
 
 def _query_sizes(n: int, cardinality_cap: int | None) -> list:
@@ -83,57 +86,47 @@ def _query_sizes(n: int, cardinality_cap: int | None) -> list:
     return sorted(set(range(1, min(cardinality_cap, n) + 1)) | {n})
 
 
-def build_lp(law: ConditionalLaw, cardinality_cap: int | None = None,
-             prior=None) -> LpProblem:
+def build_lp(law: ConditionalLaw, cardinality_cap: int | None = None) -> LpProblem:
     """The one-step query-design LP for a given conditional law.
 
-    Variables are p(q, x | u) for x in q (and |q| restricted when a cap is
-    given, the full set always allowed so the problem stays feasible).  The
-    objective is the expected transmitted-query size under a caller-supplied
-    full-support prior over the pivot u (uniform by default); the
-    pivot-independence constraints make the optimum prior-free.  Raises
-    :class:`CapacityError` when the phase-1 tableau :func:`solve` would make
-    exceeds ``TABLEAU_BYTES``.
+    Minimize sum_q |q| r(q) subject to sum_q r(q) = 1, r >= 0 and, for every
+    proper nonempty source mask B, sum_{q subset of B} r(q) + s_B = m(B) with
+    m(B) = min_u law[u, B] and a slack s_B >= 0.  The columns are the
+    allowed query masks (|q| restricted when a cap is given, the full set
+    always allowed so the problem stays feasible), by size and then by
+    value, followed by the slacks; row 0 is the mass row and row B the Hall
+    row of B.  Raises :class:`CapacityError` when the phase-1 tableau
+    :func:`solve` would make exceeds ``TABLEAU_BYTES``.
     """
     n = law.n
     if cardinality_cap is not None and cardinality_cap < 1:
         raise ValueError("cardinality cap must be >= 1")
     sizes = _query_sizes(n, cardinality_cap)
-    nqueries = sum(math.comb(n, k) for k in sizes)
-    nrows = n * n + nqueries * (n - 1)
-    ncols = n * sum(k * math.comb(n, k) for k in sizes)
+    nrows = (1 << n) - 1
+    ncols = sum(math.comb(n, k) for k in sizes) + nrows - 1
     if 8 * (nrows + 1) * (ncols + nrows + 1) > TABLEAU_BYTES:
         raise CapacityError(f"LP of {nrows} rows x {ncols} columns: its simplex "
                             f"tableau exceeds {TABLEAU_BYTES} bytes")
-    if prior is None:
-        prior = np.full(n, 1.0 / n)
-    prior = np.asarray(prior, dtype=float)
-    if prior.shape != (n,) or np.any(prior <= 0) or abs(prior.sum() - 1.0) > 1e-9:
-        raise ValueError("prior must be a full-support distribution over the pivot")
 
-    queries = [members for k in sizes for members in combinations(range(n), k)]
-    masks = [sum(1 << i for i in members) for members in queries]
-    slots = [(qi, x) for qi, members in enumerate(queries) for x in members]
-    # one column per (query, x in query, u), u fastest
-    columns = tuple((masks[qi], x, u) for qi, x in slots for u in range(n))
-    qs, xs = np.repeat(np.array(slots), n, axis=0).T
-    us = np.tile(np.arange(n), len(slots))
-    cols = np.arange(ncols)
+    # law[u, B] and |B| for every mask B, one source at a time: the masks
+    # with top bit i are those below 2^i plus source i
+    mass = np.zeros((n, nrows + 1))
+    size = np.zeros(nrows + 1, dtype=np.int64)
+    for i in range(n):
+        mass[:, 1 << i:2 << i] = mass[:, :1 << i] + law.table[:, i, None]
+        size[1 << i:2 << i] = size[:1 << i] + 1
+    order = np.argsort(size, kind="stable")
+    masks = order[np.isin(size[order], sizes)]
+    hall = np.arange(1, nrows)
 
     a = np.zeros((nrows, ncols))
-    b = np.zeros(nrows)
-    # mass: sum_q p(q, x | u) = law[u, x]
-    a[us * n + xs, cols] = 1.0
-    b[:n * n] = law.table.ravel()
-    # privacy: sum_x p(q, x | u) equal across u (u=0 as reference), one row
-    # per (query, u >= 1); a column's u=0 twin sits u columns to its left
-    pos = us > 0
-    rows = n * n + qs[pos] * (n - 1) + us[pos] - 1
-    a[rows, cols[pos]] = 1.0
-    a[rows, cols[pos] - us[pos]] = -1.0
-
-    c = np.array([len(members) for members in queries], dtype=float)[qs] * prior[us]
-    return LpProblem(c, a, b, columns)
+    a[0, :len(masks)] = 1.0
+    a[1:, :len(masks)] = (masks & hall[:, None]) == masks
+    a[hall, len(masks) - 1 + hall] = 1.0
+    b = np.concatenate(([1.0], mass[:, 1:-1].min(axis=0)))
+    c = np.zeros(ncols)
+    c[:len(masks)] = size[masks]
+    return LpProblem(c, a, b, tuple(masks.tolist()))
 
 
 def _pivot(tab: np.ndarray, row: int, col: int):
@@ -219,5 +212,6 @@ def solve(problem: LpProblem) -> LpSolution:
     optimum = float(c @ x)
     assignment = None
     if problem.columns is not None:
-        assignment = {problem.columns[j]: float(x[j]) for j in np.flatnonzero(x > EPS)}
+        labelled = x[:len(problem.columns)]
+        assignment = {problem.columns[j]: float(x[j]) for j in np.flatnonzero(labelled > EPS)}
     return LpSolution("optimal", optimum, x, assignment)

@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .model import (ZERO_TOL, CapacityError, ConditionalLaw, MarkovModel,
                     PrivacyPattern)
@@ -422,6 +421,9 @@ def empirical_privacy_audit(result: SimulationResult, t: int) -> ChiSquareAudit:
     pooled statistic sums per-stratum Pearson contributions.  Expected cells
     thinner than 5 flag the result unreliable instead of failing.
     """
+    # imported here: scipy.special is most of the package's import time
+    from scipy.special import chdtrc
+
     masks, taus = result.q_masks, result.x_taus
     if not 0 <= t < masks.shape[1]:
         raise IndexError(f"step {t} outside the simulated horizon")

@@ -1,5 +1,9 @@
-"""Shared fixtures-in-spirit: the worked three-source law, random laws and
-a broken policy scheme."""
+"""Shared fixtures-in-spirit: the worked three-source law, random laws, a
+broken policy scheme and a fresh interpreter."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -37,3 +41,13 @@ def never_the_request(n: int) -> StepScheme:
         tbl[:, x] = 1.0
         tables[1 << (x + 1) % n] = tbl
     return StepScheme.from_tables(n, tables)
+
+
+def run_fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports
+    this checkout's package."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout

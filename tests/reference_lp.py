@@ -1,11 +1,14 @@
-"""Loop reference for the LP oracle in ``onoffpir.lp``.
+"""Reference formulation and loop solver for the LP oracle in ``onoffpir.lp``.
 
-``build_lp``, ``_pivot``, ``_run_simplex`` and ``solve`` below are the
-straight-loop forms the array code in ``onoffpir.lp`` replaces: the matrix
-built through a ``col_of`` dict, Bland's entering scan and the ratio test as
-Python loops, and one pivot budget shared by both phases.  The tests require
-``onoffpir.lp`` to build byte-identical problems and return bit-identical
-solutions.
+``build_lp`` below is the per-pivot form of the one-step LP: a variable
+p(q, x | u) for every request x inside every query q and every pivot u, mass
+rows per (u, x) and privacy rows per (q, u), built through a ``col_of``
+dict.  ``onoffpir.lp.build_lp`` solves the same problem in set-function form,
+and the tests require the same optimum from both within 1e-12.  ``_pivot``,
+``_run_simplex`` and ``solve`` are the straight-loop forms of the array
+solver: Bland's entering scan and the ratio test as Python loops, a dense
+rank-1 update, and one pivot budget shared by both phases.  The tests
+require ``onoffpir.lp.solve`` to return bit-identical solutions.
 """
 
 from __future__ import annotations

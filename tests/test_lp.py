@@ -6,7 +6,7 @@ import pytest
 
 import onoffpir.lp as lp_mod
 import reference_lp
-from helpers import random_law, worked_law
+from helpers import random_law, run_fresh_python, worked_law
 from onoffpir.bounds import restricted_lp_singleton_optimum
 from onoffpir.lp import IterationLimitError, LpProblem, build_lp, solve
 from onoffpir.model import (CapacityError, ConditionalLaw, MarkovModel,
@@ -40,26 +40,50 @@ def brute_force_optimum(problem, tol=1e-9):
 def test_build_lp_two_state_column_count():
     law = step_law(MarkovModel.two_state(0.2, 0.2), 1)
     problem = build_lp(law)
-    assert len(problem.columns) == 8  # 2 pivots x (1 + 1 + 2) request slots
+    # masks {0}, {1}, {0, 1}, then a slack for each of {0} and {1}
+    assert problem.columns == (0b01, 0b10, 0b11)
+    assert problem.eq_matrix.shape == (3, 5)
 
 
 def test_build_lp_three_state_column_count():
     problem = build_lp(worked_law())
-    # sum over subsets of |q| = 12, times three pivot values
-    assert len(problem.columns) == 36
+    # seven query masks by size, then six Hall slacks; 2^3 - 1 rows
+    assert problem.columns == (0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
+    assert problem.eq_matrix.shape == (7, 13)
+    assert problem.objective.tolist() == [1, 1, 1, 2, 2, 2, 3] + [0] * 6
 
 
 def test_build_lp_cap_one_queries():
     problem = build_lp(worked_law(), cardinality_cap=1)
-    sizes = sorted({q.bit_count() for q, _x, _u in problem.columns})
-    assert sizes == [1, 3]
-    singles = {q for q, _x, _u in problem.columns if q.bit_count() == 1}
-    assert singles == {0b001, 0b010, 0b100}
+    assert problem.columns == (0b001, 0b010, 0b100, 0b111)
+    assert problem.eq_matrix.shape == (7, 10)
 
 
 def test_build_lp_decodability_is_structural():
-    problem = build_lp(worked_law())
-    assert all(q >> x & 1 for q, x, _u in problem.columns)
+    # decodability lives in the Hall rows: row B sums exactly the queries
+    # inside B, and its slack, against the least mass any pivot puts on B
+    rng = np.random.default_rng(5)
+    for law, cap in [(worked_law(), None), (random_law(rng, 4), 1),
+                     (random_law(rng, 5, ties=True), 2),
+                     (random_law(rng, 5), None)]:
+        n = law.n
+        problem = build_lp(law, cap)
+        masks = problem.columns
+        a = np.zeros((2 ** n - 1, len(masks) + 2 ** n - 2))
+        b = np.zeros(2 ** n - 1)
+        a[0, :len(masks)] = 1.0
+        b[0] = 1.0
+        for hall in range(1, 2 ** n - 1):
+            for j, q in enumerate(masks):
+                a[hall, j] = float(q & hall == q)
+            a[hall, len(masks) + hall - 1] = 1.0
+            b[hall] = min(sum(law.table[u, x] for x in range(n) if hall >> x & 1)
+                          for u in range(n))
+        assert problem.eq_matrix.tobytes() == a.tobytes()
+        assert problem.eq_rhs.tobytes() == b.tobytes()
+        assert problem.objective.tolist() == [q.bit_count() for q in masks] + \
+            [0] * (2 ** n - 2)
+        assert sorted(masks, key=lambda q: (q.bit_count(), q)) == list(masks)
 
 
 def test_build_lp_guards():
@@ -69,15 +93,13 @@ def test_build_lp_guards():
         build_lp(big)
     with pytest.raises(ValueError):
         build_lp(worked_law(), cardinality_cap=0)
-    with pytest.raises(ValueError):
-        build_lp(worked_law(), prior=[1.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("n,cap,rows,cols", [
-    (9, None, 4169, 20736), (10, None, 9307, 51200), (20, 2, 4409, 8400),
-    (64, 1, 8191, 8192)])
+    (12, None, 4095, 8189), (12, 1, 4095, 4107), (20, 2, 1048575, 1048785),
+    (64, 1, 2 ** 64 - 1, 2 ** 64 + 63)])
 def test_build_lp_tableau_guard(n, cap, rows, cols):
-    # refused from the sizes alone, before any column is enumerated
+    # refused from the sizes alone, before any mask is enumerated
     law = ConditionalLaw(n, np.full((n, n), 1.0 / n))
     tracemalloc.start()
     try:
@@ -89,11 +111,11 @@ def test_build_lp_tableau_guard(n, cap, rows, cols):
 
 
 def test_build_lp_tableau_guard_boundary(monkeypatch):
-    # the worked law's LP: 9 + 7 * 2 rows, 36 columns, so a phase-1
-    # tableau of 8 * 24 * 60 bytes
-    monkeypatch.setattr(lp_mod, "TABLEAU_BYTES", 8 * 24 * 60)
-    assert build_lp(worked_law()).eq_matrix.shape == (23, 36)
-    monkeypatch.setattr(lp_mod, "TABLEAU_BYTES", 8 * 24 * 60 - 1)
+    # the worked law's LP: 7 rows, 7 + 6 columns, so a phase-1 tableau of
+    # 8 * 8 * 21 bytes
+    monkeypatch.setattr(lp_mod, "TABLEAU_BYTES", 8 * 8 * 21)
+    assert build_lp(worked_law()).eq_matrix.shape == (7, 13)
+    monkeypatch.setattr(lp_mod, "TABLEAU_BYTES", 8 * 8 * 21 - 1)
     with pytest.raises(CapacityError):
         build_lp(worked_law())
 
@@ -101,7 +123,8 @@ def test_build_lp_tableau_guard_boundary(monkeypatch):
 def test_dump_text_mentions_legend():
     text = build_lp(step_law(MarkovModel.two_state(0.5, 0.5), 1)).dump_text()
     assert text.startswith("min c.x")
-    assert "A x = b" in text and "-> col 0" in text
+    assert "A x = b" in text
+    assert text.endswith("({0}) -> col 0\n({1}) -> col 1\n({0, 1}) -> col 2")
 
 
 # ------------------------------------------------------------------- solving
@@ -133,6 +156,8 @@ def test_solution_satisfies_constraints():
     assert np.all(sol.x >= -1e-9)
     assert abs(problem.objective @ sol.x - sol.optimum) < 1e-7
     assert all(v > 0 for v in sol.assignment.values())
+    r = sol.x[:len(problem.columns)]
+    assert sol.assignment == {q: float(v) for q, v in zip(problem.columns, r) if v > 1e-9}
 
 
 def test_solve_infeasible_toy():
@@ -209,10 +234,33 @@ def test_simplex_matches_brute_force_two_state():
 
 
 def test_prior_does_not_move_the_optimum():
-    law = worked_law()
-    base = solve(build_lp(law)).optimum
-    skew = solve(build_lp(law, prior=[0.6, 0.3, 0.1])).optimum
-    assert abs(base - skew) < 1e-7
+    # Hall's condition read backwards: the optimal query law r splits, for
+    # every pivot u, into p(q, x | u) with x in q.  Together the splits are
+    # a feasible point of the (q, x, u) LP, and its cost under a drawn pivot
+    # prior is the optimum.
+    rng = np.random.default_rng(66)
+    laws = [worked_law()] + [random_law(rng, n, ties=bool(i % 2))
+                             for n in (2, 3, 4, 5) for i in range(3)]
+    for law in laws:
+        n = law.n
+        sol = solve(build_lp(law))
+        support = list(sol.assignment)
+        pairs = [(q, x) for q in support for x in range(n) if q >> x & 1]
+        split_rows = np.zeros((len(support) + n, len(pairs)))
+        for j, (q, x) in enumerate(pairs):
+            split_rows[support.index(q), j] = 1.0
+            split_rows[len(support) + x, j] = 1.0
+        ref = reference_lp.build_lp(law, prior=rng.dirichlet(np.ones(n)))
+        col = {label: j for j, label in enumerate(ref.columns)}
+        point = np.zeros(len(ref.columns))
+        for u in range(n):
+            rhs = [*sol.assignment.values(), *law.table[u]]
+            split = solve(LpProblem(np.zeros(len(pairs)), split_rows, rhs))
+            assert split.status == "optimal"
+            for j, (q, x) in enumerate(pairs):
+                point[col[(q, x, u)]] = split.x[j]
+        assert np.max(np.abs(ref.eq_matrix @ point - ref.eq_rhs)) < 1e-7
+        assert abs(ref.objective @ point - sol.optimum) < 1e-9
 
 
 # ------------------------------------------------- against the loop reference
@@ -227,43 +275,37 @@ def _workload_chain(seed: int, n: int) -> MarkovModel:
                        np.full(n, 1.0 / n))
 
 
-def _random_problems():
+def _random_laws():
     rng = np.random.default_rng(56)
-    laws = [(random_law(rng, n, ties=bool(i % 2)), cap)
+    return [(random_law(rng, n, ties=bool(i % 2)), cap)
             for n in (2, 3, 4, 5) for i in range(4) for cap in (None, 1, 2)]
-    return [(build_lp(law, cap), reference_lp.build_lp(law, cap))
-            for law, cap in laws]
 
 
-def _per_class_problems():
+def _per_class_laws():
     # the 88 per-class laws of the horizon-exact workload's LP chain, seed 11
     chain = _workload_chain(11, 4)
     laws = [br.law for view in enumerate_steps(
                 chain, PrivacyPattern.from_string("10000"), 4)
             for br in view.branches if br.law is not None]
     assert len(laws) == 88
-    return [(build_lp(law), reference_lp.build_lp(law)) for law in laws]
+    return [(law, None) for law in laws]
 
 
 def _toy_problems():
     toys = [([1.0], [[1.0], [1.0]], [1.0, 2.0]),
             ([-1.0, 0.0], [[1.0, -1.0]], [0.0]),
             ([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0])]
-    return [(LpProblem(*toy), LpProblem(*toy)) for toy in toys]
+    return [LpProblem(*toy) for toy in toys]
 
 
-@pytest.mark.parametrize("problems", [_random_problems, _per_class_problems,
-                                      _toy_problems],
-                         ids=["random-caps", "horizon-classes", "toys"])
+@pytest.mark.parametrize("problems", [
+    lambda: [reference_lp.build_lp(law, cap) for law, cap in _random_laws()],
+    lambda: [reference_lp.build_lp(law, cap) for law, cap in _per_class_laws()],
+    _toy_problems], ids=["random-caps", "horizon-classes", "toys"])
 def test_matches_loop_reference_bit_for_bit(problems):
     statuses = set()
-    for got, want in problems():
-        for name in ("objective", "eq_matrix", "eq_rhs"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes(), name
-        assert got.columns == want.columns
-        sol, ref = solve(got), reference_lp.solve(want)
+    for want in problems():
+        sol, ref = solve(want), reference_lp.solve(want)
         statuses.add(sol.status)
         assert sol.status == ref.status
         assert (sol.x is None and ref.x is None) or sol.x.tobytes() == ref.x.tobytes()
@@ -294,14 +336,45 @@ def _tied_and_zero_laws():
 def test_matches_loop_reference_on_tied_and_zero_laws():
     # the row-restricted pivot skips ``x - 0 * v`` and so can leave -0.0
     # where the dense update left +0.0; solve must map every zero of x to
-    # +0.0 for the bytes to agree
+    # +0.0 for the bytes to agree.  Both formulations' matrices are solved,
+    # the set-function one without its legend (the loop solver labels every
+    # column).
     for law, cap in _tied_and_zero_laws():
-        problem = build_lp(law, cap)
-        sol, ref = solve(problem), reference_lp.solve(problem)
-        assert sol.status == ref.status == "optimal"
-        assert sol.x.tobytes() == ref.x.tobytes()
-        assert repr(sol.optimum) == repr(ref.optimum)
-        assert repr(sol.assignment) == repr(ref.assignment)
+        hall = build_lp(law, cap)
+        for problem in (reference_lp.build_lp(law, cap),
+                        LpProblem(hall.objective, hall.eq_matrix, hall.eq_rhs)):
+            sol, ref = solve(problem), reference_lp.solve(problem)
+            assert sol.status == ref.status == "optimal"
+            assert sol.x.tobytes() == ref.x.tobytes()
+            assert repr(sol.optimum) == repr(ref.optimum)
+            assert repr(sol.assignment) == repr(ref.assignment)
+
+
+@pytest.mark.parametrize("laws", [_random_laws, _tied_and_zero_laws,
+                                  _per_class_laws],
+                         ids=["random-caps", "tied-and-zero", "horizon-classes"])
+def test_optimum_matches_reference_formulation(laws):
+    # the set-function LP and the (q, x, u) LP have the same optimum
+    for law, cap in laws():
+        got = solve(build_lp(law, cap)).optimum
+        want = solve(reference_lp.build_lp(law, cap)).optimum
+        assert abs(got - want) <= 1e-12
+
+
+def test_degenerate_symmetric_six_source_lp_is_fast():
+    # symmetric n=6, alpha=0.5: every likelihood ties, which made the
+    # (q, x, u) LP take 7079 degenerate pivots; timed in a fresh interpreter,
+    # where the first solve pays for every page the tableau touches
+    code = ("import time\n"
+            "from onoffpir import MarkovModel, build_lp, solve, step_law\n"
+            "law = step_law(MarkovModel.symmetric(6, 0.5), 1)\n"
+            "t0 = time.perf_counter()\n"
+            "sol = solve(build_lp(law))\n"
+            "print(sol.status, repr(sol.optimum), time.perf_counter() - t0)\n")
+    out = run_fresh_python(code).split()
+    assert out[0] == "optimal"
+    assert abs(float(out[1]) - 3.0) < 1e-9
+    assert float(out[2]) < 2.0
 
 
 def test_pivot_cap_raises(monkeypatch):

@@ -1,12 +1,15 @@
 """Property tests on laws with ties, exact zeros, near-zero (1e-13) mass,
 and on permutation and identity chains: the builder, its set projection and
-the wire format; and, on such chains with point-mass starts, the exact
+the wire format, and at three sources the builder's cost against the LP
+optimum; and, on such chains with point-mass starts, the exact
 enumeration, its beliefs, its leakage and the Monte Carlo episodes against
 it."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from onoffpir.bounds import inner_bound_first_off_step
+from onoffpir.lp import build_lp, solve
 from onoffpir.model import ConditionalLaw, MarkovModel, PrivacyPattern, order_stats
 from onoffpir.scheme import QueryDistribution, build_query_distribution, project_to_sets
 from onoffpir.sim import enumerate_steps, simulate
@@ -50,6 +53,15 @@ def test_built_scheme_audits_and_round_trips(law):
         assert not d.counts.flags.writeable
         for k, q in enumerate(d.queries):
             assert tuple(d.counts[k].tolist()) == q.counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(laws(st.just(3)))
+def test_builder_meets_lp_optimum_at_three_sources(law):
+    # measured, not proved: the paper shows the builder optimal for N = 2
+    # only, and at N >= 4 it sits above the optimum on most random laws
+    opt = solve(build_lp(law)).optimum
+    assert abs(inner_bound_first_off_step(law).inverse_rate - opt) <= 1e-9
 
 
 @st.composite
