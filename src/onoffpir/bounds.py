@@ -82,8 +82,7 @@ class HorizonRow:
 
 def bounds_over_horizon(model: MarkovModel, pattern: PrivacyPattern,
                         horizon: int, policy: str = "algorithm1",
-                        with_lp: bool = False,
-                        max_branches: int = 10 ** 7) -> list:
+                        with_lp: bool = False) -> list:
     """Evaluate the history-averaged outer and inner bounds and the exact
     leakage I(pivot; query | history) in bits (``mi``) per step.
 
@@ -98,8 +97,7 @@ def bounds_over_horizon(model: MarkovModel, pattern: PrivacyPattern,
     if n == 2:
         alpha, beta = float(model.p[0, 1]), float(model.p[1, 0])
     rows = []
-    for view in enumerate_steps(model, pattern, horizon, policy=policy,
-                                max_branches=max_branches):
+    for view in enumerate_steps(model, pattern, horizon, policy=policy):
         t = view.t
         gap = t - tau_of(pattern, t)
         outer2 = float(n) if gap == 0 else outer_bound_2(step_law(model, gap)).inverse_rate

@@ -60,8 +60,7 @@ def _cmd_bounds(args) -> int:
     pattern = _load_pattern(args.pattern, args.seed)
     horizon = args.horizon if args.horizon is not None else len(pattern) - 1
     rows = _bounds.bounds_over_horizon(model, pattern, horizon,
-                                       policy=args.policy, with_lp=args.with_lp,
-                                       max_branches=args.max_branches)
+                                       policy=args.policy, with_lp=args.with_lp)
     if args.format == "csv":
         _write(_bounds.horizon_csv(rows), args.out)
     else:
@@ -210,9 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--policy", choices=POLICIES, default="algorithm1")
     p.add_argument("--with-lp", action="store_true")
-    p.add_argument("--max-branches", type=int, default=10 ** 7,
-                   help="most belief nodes per step, histories reaching the "
-                        "same belief merged (exit 3 beyond it)")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("sweep", help="figure-style rate grids as CSV")

@@ -142,7 +142,8 @@ OFF = False
 
 @dataclass(frozen=True)
 class PrivacyPattern:
-    """Privacy status flags per time step; index 0 is always ON.
+    """Privacy status flags per time step; index 0 is always ON.  A flag is
+    anything equal to 0 or 1 (bools, numpy bools, the ints 0 and 1).
 
     ``taus[t]`` is the pivot of step t, the most recent step <= t whose flag
     is ON, as a read-only int64 array.
@@ -152,6 +153,9 @@ class PrivacyPattern:
     taus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        bad = [f for f in self.flags if f not in (0, 1)]
+        if bad:
+            raise ValueError(f"privacy flags must be 0 or 1, got {bad[0]!r}")
         flags = tuple(bool(f) for f in self.flags)
         if not flags:
             raise ValueError("pattern must contain at least the step-0 flag")

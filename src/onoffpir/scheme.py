@@ -65,10 +65,12 @@ class QueryDistribution:
     probs: np.ndarray
 
     def __init__(self, n: int, queries, qidx, xs, us, probs):
-        """Raises ValueError unless the arrays are parallel, every index is
-        in range, every count row holds nonnegative counts summing to at most
-        n, and every probability is finite and nonnegative.  Structural
-        invariants (x in z, privacy, ...) are left to the audit."""
+        """Raises ValueError unless n >= 1, the arrays are parallel, every
+        index is in range, every count row holds nonnegative counts summing to
+        at most n, and every probability is finite and nonnegative.
+        Structural invariants (x in z, privacy, ...) are left to the audit."""
+        if n < 1:
+            raise ValueError(f"a query distribution needs n >= 1 sources, got {n}")
         counts = np.array([q.counts for q in queries], dtype=np.int64)
         self._freeze(n, counts.reshape(len(counts), n), qidx, xs, us, probs)
         if not len(self.qidx) == len(self.xs) == len(self.us) == len(self.probs):
@@ -111,17 +113,16 @@ class QueryDistribution:
         """Per-entry multiset cardinality |z|."""
         return self.counts.sum(axis=1)[self.qidx]
 
-    def query_law(self, prior=None) -> np.ndarray:
-        """p(z) per distinct query under a prior over u (uniform by default)."""
-        prior = np.full(self.n, 1.0 / self.n) if prior is None else np.asarray(prior, float)
-        return np.bincount(self.qidx, weights=self.probs * prior[self.us],
+    def query_law(self) -> np.ndarray:
+        """p(z) per distinct query, the pivot u uniform over the n sources."""
+        return np.bincount(self.qidx, weights=self.probs * (1.0 / self.n),
                            minlength=len(self.counts))
 
-    def expected_multiset_cardinality(self, prior=None) -> float:
-        return float(self.query_law(prior) @ self.counts.sum(axis=1, dtype=float))
+    def expected_multiset_cardinality(self) -> float:
+        return float(self.query_law() @ self.counts.sum(axis=1, dtype=float))
 
-    def expected_set_cardinality(self, prior=None) -> float:
-        return float(self.query_law(prior) @ (self.counts > 0).sum(axis=1, dtype=float))
+    def expected_set_cardinality(self) -> float:
+        return float(self.query_law() @ (self.counts > 0).sum(axis=1, dtype=float))
 
     @property
     def is_set_view(self) -> bool:
@@ -162,7 +163,7 @@ class QueryDistribution:
             obj = json.loads(obj)
         try:
             items = [(e["z"], e["x"], e["u"], e["p"]) for e in obj["entries"]]
-            n = int(whole_numbers(obj["n"], "n", 0, 1 << 31))
+            n = int(whole_numbers(obj["n"], "n", 1, 1 << 31))
             return QueryDistribution.from_items(n, items)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed query distribution: {exc}") from exc
@@ -172,12 +173,14 @@ class QueryDistribution:
         """Build from (counts, x, u, prob) tuples, merging duplicates and
         dropping sub-threshold mass, in canonical order.
 
-        Raises ValueError unless every count vector holds n nonnegative
-        integers summing to at most n, x and u are integers in [0, n), and
-        every probability is finite and nonnegative; booleans and strings
-        are not numbers here.  Count vectors are lists, tuples or arrays; the
-        type of every count is checked, its value once per distinct vector.
+        Raises ValueError unless n >= 1, each count vector holds n
+        nonnegative integers summing to at most n, x and u are integers in
+        [0, n), and every probability is finite and nonnegative (booleans and
+        strings are not numbers here).  Count vectors are lists, tuples or
+        arrays; each count's type is checked, its value once per distinct vector.
         """
+        if n < 1:
+            raise ValueError(f"a query distribution needs n >= 1 sources, got {n}")
         items = list(items)
         zs, xs, us, ps = zip(*items) if items else ((), (), (), ())
         if not all(issubclass(kind, (list, tuple, np.ndarray))
@@ -355,26 +358,38 @@ def build_query_distribution(law: ConditionalLaw,
     return dist
 
 
-def _check_built(dist: QueryDistribution, law: ConditionalLaw, stats: OrderStats):
-    """Cheap structural self-check; failures are builder bugs by construction."""
+def identity_gaps(dist: QueryDistribution, law: ConditionalLaw, thetas):
+    """How far ``dist``'s stored arrays are from the identities that ``law``
+    and its theta increments fix, all zero for an exact scheme: the count of
+    nonpositive or undecodable (x not in z) entries, then per (u, x) cell
+    |sum_z p(z, x | u) - law[u, x]|, per query max_u p(z | u) - min_u p(z | u),
+    and per level i = 1..n |P(|Z| = i) - theta_i|.  Raises ValueError when
+    ``dist`` and ``law`` differ in size."""
+    if dist.n != law.n:
+        raise ValueError(f"distribution over n={dist.n} sources audited "
+                         f"against a law over n={law.n}")
     n = dist.n
-    if np.any(dist.probs <= 0):
-        raise InternalConsistencyError("nonpositive probability stored")
-    totals = np.bincount(dist.us, weights=dist.probs, minlength=n)
-    if np.max(np.abs(totals - 1.0)) > EPS:
-        raise InternalConsistencyError(f"per-pivot totals off: {totals}")
-    marg = dist.law_marginal()
-    if np.max(np.abs(marg - law.table)) > EPS:
-        raise InternalConsistencyError("summing out z does not recover the law")
-    if not np.all(dist.counts[dist.qidx, dist.xs] > 0):
-        raise InternalConsistencyError("stored entry with x outside z")
+    violations = (int(np.count_nonzero(dist.probs <= 0))
+                  + int(np.count_nonzero(dist.counts[dist.qidx, dist.xs] <= 0)))
     cond = dist.query_conditionals()
-    if np.max(cond.max(axis=1) - cond.min(axis=1)) > EPS:
-        raise InternalConsistencyError("query law depends on the pivot")
     card_law = np.bincount(dist.cardinalities, weights=dist.probs / n,
                            minlength=n + 1)[1:]
-    if np.max(np.abs(card_law - stats.thetas)) > EPS:
-        raise InternalConsistencyError("cardinality law differs from thetas")
+    return (violations, np.abs(dist.law_marginal() - law.table),
+            cond.max(axis=1) - cond.min(axis=1), np.abs(card_law - thetas))
+
+
+def _check_built(dist: QueryDistribution, law: ConditionalLaw, stats: OrderStats):
+    """Cheap structural self-check; failures are builder bugs by construction."""
+    violations, marginal, spread, cardinality = identity_gaps(dist, law, stats.thetas)
+    if violations:
+        raise InternalConsistencyError(
+            f"{violations} nonpositive or undecodable entries stored")
+    totals = np.bincount(dist.us, weights=dist.probs, minlength=dist.n)
+    for what, gap in (("per-pivot totals", np.abs(totals - 1.0)),
+                      ("marginal", marginal), ("privacy", spread),
+                      ("cardinality law", cardinality)):
+        if gap.max(initial=0.0) > EPS:
+            raise InternalConsistencyError(f"{what} gap {gap.max()!r} above {EPS}")
 
 
 _EVEN, _ODD = "even", "odd"

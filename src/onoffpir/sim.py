@@ -29,6 +29,8 @@ POLICIES = ("algorithm1", "naive", "full_download")
 PAYLOAD_BYTES = 1 << 27
 # Most bytes the (episodes, T) arrays of ``simulate`` may take together.
 TRAJECTORY_BYTES = 1 << 30
+# Most belief nodes one step of the belief graph may hold.
+MAX_BELIEFS = 10 ** 7
 
 
 def _law_from_joint(pre_joint: np.ndarray) -> ConditionalLaw:
@@ -176,7 +178,8 @@ class _BeliefGraph:
         """The node reached after ``node``'s k-th candidate query (the Bayes
         step), shared through ``layer``, the next step's nodes keyed on the
         rounded belief; an ON step has the full set as its only candidate
-        (k = 0)."""
+        (k = 0).  Raises :class:`CapacityError` instead of making the node
+        that would put more than ``MAX_BELIEFS`` nodes in ``layer``."""
         if node.scheme is None:
             marg = node.pre_joint.sum(axis=0)
             post = np.diag(marg / marg.sum())
@@ -186,21 +189,24 @@ class _BeliefGraph:
         key = np.round(post, 12).tobytes()
         nxt = layer.get(key)
         if nxt is None:
+            if len(layer) >= MAX_BELIEFS:
+                raise CapacityError(f"more than {MAX_BELIEFS} belief nodes "
+                                    f"at t={node.t + 1}")
             nxt = layer[key] = self._node(node.t + 1, post)
         node.children[k] = nxt
         return nxt
 
 
 def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
-                    policy: str = "algorithm1", max_branches: int = 10 ** 7):
+                    policy: str = "algorithm1"):
     """Exact enumeration of realized query histories under a policy.
 
     Yields one :class:`StepView` per t in 0..horizon.  Its branches are the
     belief nodes reached at t, each with the total probability of the
     histories merged into it; query outcomes of probability at most
     ``ZERO_TOL`` are dropped.  Raises :class:`CapacityError` when a step would
-    hold more than ``max_branches`` nodes (Monte Carlo simulation is the
-    fallback at that size).
+    hold more than ``MAX_BELIEFS`` nodes, before it makes the node past the
+    cap (Monte Carlo simulation is the fallback at that size).
     """
     if not 0 <= horizon < len(pattern):
         raise ValueError(f"horizon {horizon} outside the pattern's steps 0..{len(pattern) - 1}")
@@ -218,10 +224,6 @@ def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
             for k, weight in edges:
                 if weight > ZERO_TOL:
                     graph.child(node, k, nxt).prob += node.prob * weight
-        if len(nxt) > max_branches:
-            raise CapacityError(
-                f"{len(nxt)} belief nodes at t={t + 1}; raise max_branches "
-                "or use Monte Carlo simulation")
         layer = list(nxt.values())
 
 
@@ -321,6 +323,7 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
     grouped by the belief-graph node each episode has reached, then the
     server draws every episode's messages and answers every query, and each
     user decodes its request from the slot its query and request give.
+    Raises :class:`CapacityError` past ``MAX_BELIEFS`` nodes at a step.
     """
     if episodes < 1 or msg_bits < 1:
         raise ValueError(f"episodes and msg_bits must be at least 1, "

@@ -1,8 +1,10 @@
 """Exact checkers for the scheme's defining identities.
 
-Everything here recomputes its quantities from scratch over the sparse
-support, independently of the builder's own bookkeeping, so a passing audit
-is evidence and not an echo.
+Everything here recomputes its quantities from the stored sparse support,
+not from the builder's lanes and rounds, so a passing audit is evidence and
+not an echo.  The gap measurements are the ones the builder's final
+self-check reads (``scheme.identity_gaps``); the tests hold an independent
+pure-Python oracle for them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .bounds import bounds_over_horizon
 # entropy_bits is not used here; it stays importable from this module
 from .model import (EPS, ConditionalLaw, OrderStats, entropy_bits,
                     mutual_information_bits)
-from .scheme import QueryDistribution, project_to_sets
+from .scheme import QueryDistribution, identity_gaps, project_to_sets
 
 
 def mutual_information_kl_bits(joint: np.ndarray) -> float:
@@ -58,54 +60,37 @@ class AuditReport:
         })
 
 
-def _independence_gap(dist: QueryDistribution):
-    cond = dist.query_conditionals()
-    spread = cond.max(axis=1) - cond.min(axis=1)
-    qi = int(np.argmax(spread)) if len(spread) else 0
-    worst = dist.counts[qi].tolist() if len(spread) else None
-    return (float(spread.max()) if len(spread) else 0.0), worst
-
-
 def audit_distribution(dist: QueryDistribution, law: ConditionalLaw,
-                       stats: OrderStats, prior=None) -> AuditReport:
+                       stats: OrderStats) -> AuditReport:
     """Exact audit of a scheme against its law and pre-calculated stats.
 
-    The pivot prior (default uniform) only weights the mutual-information
-    summary; the gap checks are prior-free.  Privacy is checked on both the
-    multiset layer and its set projection, the cardinality law on the
-    multiset layer where it is exact.
+    The gaps are :func:`~onoffpir.scheme.identity_gaps`, plus the privacy
+    spread of the set projection: privacy is checked on both the multiset
+    layer and its set projection, the cardinality law on the multiset layer
+    where it is exact.  The mutual-information summary takes the pivot
+    uniform.  Raises ValueError when ``dist`` and ``law`` differ in size.
     """
-    n = dist.n
-    prior = np.full(n, 1.0 / n) if prior is None else np.asarray(prior, float)
+    violations, marginal, spread_z, cardinality = identity_gaps(dist, law, stats.thetas)
     set_view = project_to_sets(dist)
-
-    violations = int(np.count_nonzero(dist.probs <= 0))
-    violations += int(np.count_nonzero(dist.counts[dist.qidx, dist.xs] <= 0))
-
-    marg_gap_tbl = np.abs(dist.law_marginal() - law.table)
-    marginal_gap = float(marg_gap_tbl.max())
-    mu, mx = np.unravel_index(int(np.argmax(marg_gap_tbl)), marg_gap_tbl.shape)
-
-    gap_z, worst_z = _independence_gap(dist)
-    gap_y, worst_y = _independence_gap(set_view)
+    set_cond = set_view.query_conditionals()
+    spread_y = set_cond.max(axis=1) - set_cond.min(axis=1)
+    gap_z, gap_y = (float(s.max(initial=0.0)) for s in (spread_z, spread_y))
     privacy_gap = max(gap_z, gap_y)
-
-    card_law = np.bincount(dist.cardinalities, weights=dist.probs / n,
-                           minlength=n + 1)[1:]
-    card_gaps = np.abs(card_law - stats.thetas)
-    cardinality_gap = float(card_gaps.max())
+    view, spread = (dist, spread_z) if gap_z >= gap_y else (set_view, spread_y)
+    marginal_gap = float(marginal.max())
+    mu, mx = np.unravel_index(int(np.argmax(marginal)), marginal.shape)
+    cardinality_gap = float(cardinality.max())
 
     # leakage summary: joint of pivot and transmitted set
-    joint = prior[:, None] * set_view.query_conditionals().T
-    mi = mutual_information_bits(joint)
+    mi = mutual_information_bits((1.0 / dist.n) * set_cond.T)
 
     passed = (privacy_gap <= EPS and marginal_gap <= EPS
               and cardinality_gap <= EPS and violations == 0)
     worst = {
-        "privacy_query": list(worst_z) if gap_z >= gap_y and worst_z else
-                         (list(worst_y) if worst_y else None),
+        "privacy_query": (view.counts[int(np.argmax(spread))].tolist()
+                          if len(spread) else None),
         "marginal_cell": [int(mu), int(mx)],
-        "cardinality_level": int(np.argmax(card_gaps)) + 1,
+        "cardinality_level": int(np.argmax(cardinality)) + 1,
     }
     return AuditReport(privacy_gap, mi, violations, marginal_gap,
                        cardinality_gap, passed, worst)
@@ -133,19 +118,17 @@ def extension_mutual_informations(dist: QueryDistribution,
 
 
 def markov_privacy_extension_check(dist: QueryDistribution,
-                                   chain_joint: np.ndarray,
-                                   tol: float = EPS) -> bool:
+                                   chain_joint: np.ndarray) -> bool:
     """True iff the query is independent of the pivot *and* of the earlier
-    protected request; chain structure makes the first imply the second, and
-    this verifies both by exact enumeration."""
+    protected request, each mutual information within ``EPS`` bits; chain
+    structure makes the first imply the second, and this verifies both by
+    exact enumeration."""
     mi_pivot, mi_earlier = extension_mutual_informations(dist, chain_joint)
-    return mi_pivot <= tol and mi_earlier <= tol
+    return mi_pivot <= EPS and mi_earlier <= EPS
 
 
 def conditional_query_mi(model, pattern, horizon: int,
-                         policy: str = "algorithm1",
-                         max_branches: int = 10 ** 7) -> list:
+                         policy: str = "algorithm1") -> list:
     """Exact per-step leakage I(pivot; query | history) in bits: the ``mi``
     column of :func:`bounds_over_horizon` (0 on ON steps)."""
-    return [r.mi for r in bounds_over_horizon(model, pattern, horizon, policy,
-                                              max_branches=max_branches)]
+    return [r.mi for r in bounds_over_horizon(model, pattern, horizon, policy)]

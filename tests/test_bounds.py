@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import onoffpir.bounds as bounds_mod
+import onoffpir.sim as sim_mod
 from helpers import random_law, worked_law
 from onoffpir.bounds import (bounds_over_horizon, exact_rate_n2, grid_csv,
                              horizon_csv, inner_bound_first_off_step,
@@ -201,11 +202,11 @@ def test_horizon_rows_hold_python_floats():
             assert type(getattr(row, name)) is float, (row.t, name)
 
 
-def test_horizon_capacity_guard():
+def test_horizon_capacity_guard(monkeypatch):
     m = MarkovModel(3, worked_law().table, np.full(3, 1 / 3))
+    monkeypatch.setattr(sim_mod, "MAX_BELIEFS", 2)
     with pytest.raises(CapacityError):
-        bounds_over_horizon(m, PrivacyPattern.from_string("10000"), 4,
-                            max_branches=2)
+        bounds_over_horizon(m, PrivacyPattern.from_string("10000"), 4)
 
 
 def test_horizon_rejects_short_pattern():

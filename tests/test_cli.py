@@ -52,10 +52,9 @@ def test_bounds_deterministic_output(model2_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_bounds_capacity_exit_code(model3_path, capsys):
-    code = main(["bounds", "--model", model3_path, "--pattern", "10000",
-                 "--max-branches", "2"])
-    assert code == 3
+def test_bounds_capacity_exit_code(model3_path, capsys, monkeypatch):
+    monkeypatch.setattr(sim_mod, "MAX_BELIEFS", 2)
+    assert main(["bounds", "--model", model3_path, "--pattern", "10000"]) == 3
 
 
 def test_build_verify_round_trip(model3_path, tmp_path, capsys):
@@ -122,8 +121,11 @@ def test_verify_rejects_out_of_range_entry(model3_path, tmp_path, capsys):
     {"n": 3, "entries": [{"z": [1, 0, 0], "x": "0", "u": 0, "p": 1.0}]},
     {"n": 3, "entries": [{"z": [1, 0, 0], "x": 0, "u": True, "p": 1.0}]},
     {"n": 3, "entries": [{"z": [1, 0, 0], "x": 0, "u": 0, "p": "1.0"}]},
+    {"n": 0, "entries": []},
+    {"n": 2, "entries": [{"z": [1, 0], "x": 0, "u": 0, "p": 1.0},
+                         {"z": [1, 0], "x": 0, "u": 1, "p": 1.0}]},
 ], ids=["entry-list", "z-object", "entries-object", "top-list", "n-str",
-        "z-str", "x-str", "u-bool", "p-str"])
+        "z-str", "x-str", "u-bool", "p-str", "n-zero", "n-mismatch"])
 def test_verify_rejects_wrongly_typed_json(model3_path, tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -149,7 +151,8 @@ def test_build_rejects_wrongly_typed_model(tmp_path, capsys, payload):
     ["sweep", "--kind", "fig5", "--format", "json"],
     ["build", "--model", "m.json", "--seed", "1"],
     ["simulate", "--model", "m.json", "--pattern", "10", "--format", "csv"],
-], ids=["sweep-format", "build-seed", "simulate-format"])
+    ["bounds", "--model", "m.json", "--pattern", "10", "--max-branches", "2"],
+], ids=["sweep-format", "build-seed", "simulate-format", "bounds-max-branches"])
 def test_flags_exist_only_where_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -423,8 +426,7 @@ def _cli_inputs(draw, command):
                  "--seed=" + _pick(draw, *ints),
                  "--format=" + draw(st.sampled_from(["csv", "json"]))]
         argv += draw(st.sampled_from([[], ["--with-lp"], ["--policy=naive"]]))
-        argv += draw(st.sampled_from([[], ["--horizon=" + _pick(draw, *ints)],
-                                      ["--max-branches=" + _pick(draw, ["9"], ints[1])]]))
+        argv += draw(st.sampled_from([[], ["--horizon=" + _pick(draw, *ints)]]))
     elif command == "sweep":
         if draw(st.booleans()):
             sums = _pick(draw, ["0.2,1.0", "0,2"], ["", "nan", "-1", "2.5", "a,0.5", "inf"])

@@ -90,6 +90,10 @@ def test_pattern_parsing():
         PrivacyPattern.from_string("1x0")
     with pytest.raises(ValueError):
         PrivacyPattern.from_string("")
+    assert str(PrivacyPattern((True, np.True_, 1, 0, np.False_, np.int64(0)))) == "111000"
+    for flags in ("1000", (1, 0.5, None, [], 2), (1, "0"), (True, 2)):
+        with pytest.raises(ValueError):
+            PrivacyPattern(flags)
 
 
 # -------------------------------------------------------------------- tau_of

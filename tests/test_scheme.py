@@ -6,7 +6,8 @@ import pytest
 
 from helpers import random_law, worked_law
 from onoffpir.model import ConditionalLaw, MarkovModel, order_stats, step_law
-from onoffpir.scheme import (QueryDistribution, _QueryCounts, build_query_distribution,
+from onoffpir.scheme import (InternalConsistencyError, QueryDistribution,
+                             _check_built, _QueryCounts, build_query_distribution,
                              policy_n2, policy_n2_table, project_to_sets)
 
 
@@ -65,6 +66,37 @@ def test_builder_worked_example_table():
     assert set(got) == set(expected)
     for key, val in expected.items():
         assert abs(got[key] - val) < 1e-12, key
+
+
+@pytest.mark.parametrize("identity,message", [
+    ("nonpositive", "nonpositive or undecodable"),
+    ("x-outside-z", "nonpositive or undecodable"),
+    ("pivot-mass-moved", "privacy"),
+    ("marginal", "marginal"),
+    ("thetas", "cardinality law"),
+])
+def test_builder_self_check_catches_each_identity(identity, message):
+    law = worked_law()
+    stats = order_stats(law)
+    dist = build_query_distribution(law, stats)
+    entry = {(z, x, u): e for e, (z, x, u, _p) in enumerate(dist.entry_tuples())}
+    probs, xs = dist.probs.copy(), dist.xs.copy()
+    if identity == "nonpositive":
+        probs[0] = 0.0
+    elif identity == "x-outside-z":
+        xs[entry[((1, 0, 1), 0, 1)]] = 1
+    elif identity == "pivot-mass-moved":
+        # pivot 1 asks for request 0 with {0, 2} less often and {0, 1, 2} more
+        probs[entry[((1, 0, 1), 0, 1)]] -= 0.05
+        probs[entry[((1, 1, 1), 0, 1)]] += 0.05
+    elif identity == "marginal":
+        law = ConditionalLaw(3, law.table + [[0.01, -0.01, 0], [0, 0, 0], [0, 0, 0]])
+    else:
+        stats = order_stats(ConditionalLaw(3, np.eye(3)))
+    tampered = QueryDistribution._of_counts(3, dist.counts, dist.qidx, xs,
+                                            dist.us, probs)
+    with pytest.raises(InternalConsistencyError, match=message):
+        _check_built(tampered, law, stats)
 
 
 def test_builder_worked_example_rates():
@@ -342,6 +374,16 @@ def test_numpy_n_serializes():
 def test_from_json_missing_key_is_value_error(wire):
     with pytest.raises(ValueError, match="malformed"):
         QueryDistribution.from_json(wire)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_readers_require_a_source(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        QueryDistribution(n, [], [], [], [], [])
+    with pytest.raises(ValueError, match="n >= 1"):
+        QueryDistribution.from_items(n, [])
+    with pytest.raises(ValueError, match=r"\[1, "):
+        QueryDistribution.from_json({"n": n, "entries": []})
 
 
 def _constructor_args(**changes):

@@ -87,11 +87,32 @@ def test_enumeration_branch_probabilities_sum_to_one():
         assert abs(sum(b.prob for b in view.branches) - 1.0) < 1e-9
 
 
-def test_enumeration_capacity_guard():
+def test_enumeration_capacity_guard(monkeypatch):
     m = MarkovModel(3, worked_law().table, np.full(3, 1 / 3))
+    monkeypatch.setattr(sim_mod, "MAX_BELIEFS", 2)
     with pytest.raises(CapacityError):
-        list(enumerate_steps(m, PrivacyPattern.from_string("1000"), 3,
-                             max_branches=2))
+        list(enumerate_steps(m, PrivacyPattern.from_string("1000"), 3))
+
+
+def test_belief_cap_checked_before_each_new_node(monkeypatch):
+    """The cap covers Monte Carlo too, and the enumeration makes no node of
+    a step past it (the rest of that step is never built)."""
+    m = MarkovModel(3, worked_law().table, np.full(3, 1 / 3))
+    pattern = PrivacyPattern.from_string("10000")
+    monkeypatch.setattr(sim_mod, "MAX_BELIEFS", 2)
+    with pytest.raises(CapacityError):
+        simulate(m, pattern, 200, seed=1)
+    made = []   # the step of every node made
+    make = sim_mod._BeliefGraph._node
+
+    def counted(graph, t, joint):
+        made.append(t)
+        return make(graph, t, joint)
+    monkeypatch.setattr(sim_mod._BeliefGraph, "_node", counted)
+    with pytest.raises(CapacityError):
+        list(enumerate_steps(m, pattern, 4))
+    assert made.count(made[-1]) == 2
+    assert max(made.count(t) for t in made) == 2
 
 
 def test_enumeration_query_masks_exact_beyond_63_sources():

@@ -80,6 +80,13 @@ def test_audit_flags_leaky_scheme():
     assert abs(report.mutual_information - (1 - binary_entropy(0.2))) < 1e-12
 
 
+def test_audit_rejects_size_mismatch():
+    law = worked_law()
+    two = build_query_distribution(step_law(MarkovModel.two_state(0.2, 0.2), 1))
+    with pytest.raises(ValueError, match="n=2 .* n=3"):
+        audit_distribution(two, law, order_stats(law))
+
+
 def test_audit_random_builder_outputs():
     rng = np.random.default_rng(50)
     for _ in range(100):
