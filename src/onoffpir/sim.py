@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .model import (ZERO_TOL, CapacityError, ConditionalLaw, MarkovModel,
                     PrivacyPattern)
-from .scheme import build_query_distribution, project_to_sets
+from .scheme import build_query_distribution
 
 POLICIES = ("algorithm1", "naive", "full_download")
 # Most bytes one step's messages may take in ``simulate`` (all episodes).
@@ -54,23 +55,21 @@ def _law_from_joint(pre_joint: np.ndarray) -> ConditionalLaw:
 class StepScheme:
     """One step's query rule in sampling-ready form.
 
-    ``w[k, u, x]`` is the probability of sending the k-th candidate set given
-    pivot u and current request x; ``cum`` holds its cumulative sums along k.
+    ``w[k, u, x]`` is the probability of sending the set ``y_masks[k]``
+    (masks increasing) given pivot u and current request x.  ``cum[u, x]``,
+    its cumulative sums along k, is made on first read: only sampling needs it.
     """
 
-    n: int
     y_masks: tuple
-    set_sizes: np.ndarray
     w: np.ndarray
-    cum: np.ndarray
 
-    @staticmethod
-    def from_tables(n: int, tables: dict) -> "StepScheme":
-        masks = tuple(sorted(tables))
-        w = np.stack([tables[m] for m in masks])
-        cum = np.ascontiguousarray(np.cumsum(w, axis=0).transpose(1, 2, 0))
-        sizes = np.array([bin(m).count("1") for m in masks], dtype=np.int64)
-        return StepScheme(n, masks, sizes, w, cum)
+    @cached_property
+    def set_sizes(self) -> np.ndarray:
+        return np.array([m.bit_count() for m in self.y_masks], dtype=np.int64)
+
+    @cached_property
+    def cum(self) -> np.ndarray:
+        return np.ascontiguousarray(np.cumsum(self.w, axis=0).transpose(1, 2, 0))
 
     def query_marginal(self, pre_joint: np.ndarray) -> np.ndarray:
         """p(y_k | history) for a branch with the given extended joint."""
@@ -78,30 +77,30 @@ class StepScheme:
 
 
 def _scheme_algorithm1(law: ConditionalLaw) -> StepScheme:
-    dist = project_to_sets(build_query_distribution(law))
+    """Algorithm 1's scheme: each multiset entry summed into its (support, u,
+    x) cell in entry order, as the set projection sums it, over p(x | u)."""
+    dist = build_query_distribution(law)
     n = law.n
     # object dtype keeps the masks exact Python ints beyond 63 sources
-    masks = dist.counts @ (1 << np.arange(n, dtype=object))
-    w = np.zeros((len(masks), n, n))
-    w[dist.qidx, dist.us, dist.xs] = dist.probs
+    supports = (dist.counts > 0) @ (1 << np.arange(n, dtype=object))
+    masks, k = np.unique(supports, return_inverse=True)
+    w = np.bincount((k[dist.qidx] * n + dist.us) * n + dist.xs, dist.probs,
+                    len(masks) * n * n).reshape(len(masks), n, n)
     with np.errstate(invalid="ignore", divide="ignore"):
         w /= law.table
     w[~np.isfinite(w)] = 0.0
     np.clip(w, 0.0, 1.0, out=w)
-    return StepScheme.from_tables(n, dict(zip(masks, w)))
+    return StepScheme(tuple(masks.tolist()), w)
 
 
 def _scheme_naive(n: int) -> StepScheme:
-    tables = {}
-    for x in range(n):
-        tbl = np.zeros((n, n))
-        tbl[:, x] = 1.0
-        tables[1 << x] = tbl
-    return StepScheme.from_tables(n, tables)
+    w = np.zeros((n, n, n))
+    w[np.arange(n), :, np.arange(n)] = 1.0
+    return StepScheme(tuple(1 << x for x in range(n)), w)
 
 
 def _scheme_full(n: int) -> StepScheme:
-    return StepScheme.from_tables(n, {(1 << n) - 1: np.ones((n, n))})
+    return StepScheme(((1 << n) - 1,), np.ones((1, n, n)))
 
 
 def _inverse_cdf(cum: np.ndarray, r: np.ndarray) -> np.ndarray:

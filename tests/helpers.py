@@ -35,12 +35,9 @@ def random_law(rng, n: int, ties: bool = False) -> ConditionalLaw:
 
 def never_the_request(n: int) -> StepScheme:
     """A broken ``naive`` policy: asks for source x + 1 mod n instead of x."""
-    tables = {}
-    for x in range(n):
-        tbl = np.zeros((n, n))
-        tbl[:, x] = 1.0
-        tables[1 << (x + 1) % n] = tbl
-    return StepScheme.from_tables(n, tables)
+    w = np.zeros((n, n, n))
+    w[np.arange(n), :, (np.arange(n) - 1) % n] = 1.0
+    return StepScheme(tuple(1 << k for k in range(n)), w)
 
 
 def run_fresh_python(code: str) -> str:

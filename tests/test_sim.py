@@ -5,10 +5,12 @@ import pytest
 
 import onoffpir.sim as sim_mod
 from helpers import never_the_request, random_law, worked_law
-from onoffpir.model import (ZERO_TOL, CapacityError, MarkovModel,
-                            PrivacyPattern, tau_of)
-from onoffpir.scheme import policy_n2
+from onoffpir.bounds import bounds_over_horizon
+from onoffpir.model import (ZERO_TOL, CapacityError, ConditionalLaw,
+                            MarkovModel, PrivacyPattern, tau_of)
+from onoffpir.scheme import build_query_distribution, policy_n2, project_to_sets
 from onoffpir.sim import (POLICIES, ServerState, _inverse_cdf,
+                          _scheme_algorithm1, _scheme_full, _scheme_naive,
                           empirical_privacy_audit, enumerate_steps,
                           run_episode, simulate)
 
@@ -120,6 +122,103 @@ def test_enumeration_query_masks_exact_beyond_63_sources():
     model = MarkovModel(n, np.full((n, n), 1.0 / n), np.full(n, 1.0 / n))
     steps = list(enumerate_steps(model, PrivacyPattern.from_string("10"), 1))
     assert steps[1].branches[0].scheme.y_masks == tuple(1 << i for i in range(n))
+
+
+# ------------------------------------------------------------- step schemes
+
+def _sampling_table(tables: dict):
+    """``(y_masks, w, cum, set_sizes)`` from a ``{mask: w[k]}`` dict, as the
+    schemes were first assembled: masks sorted, tables stacked, then the
+    cumulative sums along k moved last."""
+    masks = tuple(sorted(tables))
+    w = np.stack([tables[m] for m in masks])
+    cum = np.ascontiguousarray(np.cumsum(w, axis=0).transpose(1, 2, 0))
+    sizes = np.array([bin(m).count("1") for m in masks], dtype=np.int64)
+    return masks, w, cum, sizes
+
+
+def _projected_table(law):
+    """Algorithm 1's sampling table by way of the set projection: scatter
+    the projected entries into w and divide by p(x | u)."""
+    dist = project_to_sets(build_query_distribution(law))
+    n = law.n
+    masks = dist.counts @ (1 << np.arange(n, dtype=object))
+    w = np.zeros((len(masks), n, n))
+    w[dist.qidx, dist.us, dist.xs] = dist.probs
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w /= law.table
+    w[~np.isfinite(w)] = 0.0
+    np.clip(w, 0.0, 1.0, out=w)
+    return _sampling_table(dict(zip(masks, w)))
+
+
+def _assert_same_table(scheme, ref):
+    masks, w, cum, sizes = ref
+    assert scheme.y_masks == masks
+    assert all(type(m) is int for m in scheme.y_masks)
+    for got, want in ((scheme.w, w), (scheme.cum, cum), (scheme.set_sizes, sizes)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _edge_case_laws(rng, n):
+    """A random, a tied, a zero-cell and a near-zero-column law over n sources."""
+    zeros = rng.random((n, n)) * (rng.random((n, n)) > 0.3)
+    zeros[np.arange(n), rng.integers(0, n, n)] += 0.1
+    dust = random_law(rng, n).table.copy()
+    dust[:, rng.integers(0, n)] = 1e-13
+    return [random_law(rng, n), random_law(rng, n, ties=True),
+            ConditionalLaw(n, zeros / zeros.sum(axis=1, keepdims=True)),
+            ConditionalLaw(n, dust / dust.sum(axis=1, keepdims=True))]
+
+
+def test_scheme_table_matches_set_projection_bytes():
+    """Algorithm 1's sampling table, summed straight from the multiset
+    entries, has the bytes of the table built from the set projection."""
+    rng = np.random.default_rng(13)
+    laws = [law for n in range(2, 9) for _ in range(5)
+            for law in _edge_case_laws(rng, n)]
+    walk = PrivacyPattern.from_string("10000")
+    for n in (3, 4):
+        m = MarkovModel(n, random_law(rng, n).table, rng.dirichlet(np.ones(n)))
+        laws += [node.law for view in enumerate_steps(m, walk, 4)
+                 for node in view.branches if node.law is not None]
+    assert len(laws) > 160
+    for law in laws:
+        _assert_same_table(_scheme_algorithm1(law), _projected_table(law))
+
+
+@pytest.mark.parametrize("n", [2, 5, 70])
+def test_fixed_policy_tables_match_dict_construction(n):
+    naive = {}
+    for x in range(n):
+        tbl = np.zeros((n, n))
+        tbl[:, x] = 1.0
+        naive[1 << x] = tbl
+    _assert_same_table(_scheme_naive(n), _sampling_table(naive))
+    _assert_same_table(_scheme_full(n), _sampling_table({(1 << n) - 1: np.ones((n, n))}))
+
+
+def test_only_sampling_builds_cumulative_sums(monkeypatch):
+    """The exact enumeration reads ``w`` alone; ``cum`` is made for the
+    schemes ``simulate`` samples from."""
+    built = []
+    for name in ("_scheme_algorithm1", "_scheme_naive", "_scheme_full"):
+        def recorded(arg, make=getattr(sim_mod, name)):
+            built.append(make(arg))
+            return built[-1]
+        monkeypatch.setattr(sim_mod, name, recorded)
+    m = MarkovModel(3, worked_law().table, np.full(3, 1 / 3))
+    pattern = PrivacyPattern.from_string("10010")
+    for policy in POLICIES:
+        bounds_over_horizon(m, pattern, 4, policy=policy)
+    assert len(built) > 3
+    assert not any("cum" in vars(scheme) for scheme in built)
+    built.clear()
+    for policy in POLICIES:
+        simulate(m, pattern, 200, seed=5, policy=policy)
+    assert len(built) > 3
+    assert all("cum" in vars(scheme) for scheme in built)
 
 
 @pytest.mark.parametrize("pattern", ["1000000", "1010010", "1001000"])
