@@ -240,33 +240,34 @@ def project_to_sets(dist: QueryDistribution) -> QueryDistribution:
                      dist.probs)
 
 
-def _lane_take(q_mat: np.ndarray, row_ptr: np.ndarray, u: int, amount: float):
+def _lane_take(q_mat: list, row_ptr: list, u: int, amount: float):
     """Consume `amount` of mass from row u of the auxiliary matrix, scanning
     left to right, taking full cells until the last one is truncated.
 
     Returns a list of (column, value) pairs summing to `amount`.
     """
-    n = q_mat.shape[0]
+    row = q_mat[u]
+    n = len(row)
     out = []
     need = amount
     k = row_ptr[u]
     while need > ZERO_TOL:
-        while k < n and q_mat[u, k] <= ZERO_TOL:
+        while k < n and row[k] <= ZERO_TOL:
             k += 1
         if k == n:
             if need <= EPS:
                 break  # float dust only
             raise InternalConsistencyError(
                 f"auxiliary row {u} exhausted with {need!r} still to assign")
-        avail = q_mat[u, k]
+        avail = row[k]
         if avail < need - ZERO_TOL:
             out.append((k, avail))
-            q_mat[u, k] = 0.0
+            row[k] = 0.0
             need -= avail
             k += 1
         else:
             out.append((k, need))
-            q_mat[u, k] = avail - need
+            row[k] = avail - need
             need = 0.0
     row_ptr[u] = k
     return out
@@ -281,21 +282,20 @@ def _merge_lanes(lanes):
     whose front was the minimum.  Zero-weight rounds advance exhausted ties
     without producing output.
     """
-    m = len(lanes)
-    idx = [0] * m
+    idx = [0] * len(lanes)
+    cols = [lane[0][0] for lane in lanes]
     cur = [lane[0][1] for lane in lanes]
     rounds = []
     while True:
         nu = min(cur)
         pick = cur.index(nu)
         if nu > ZERO_TOL:
-            rounds.append((tuple(lanes[i][idx[i]][0] for i in range(m)), nu))
-        for i in range(m):
-            cur[i] -= nu
+            rounds.append((tuple(cols), nu))
+        cur = [c - nu for c in cur]
         idx[pick] += 1
         if idx[pick] == len(lanes[pick]):
             return rounds
-        cur[pick] = lanes[pick][idx[pick]][1]
+        cols[pick], cur[pick] = lanes[pick][idx[pick]]
 
 
 def build_query_distribution(law: ConditionalLaw,
@@ -313,27 +313,27 @@ def build_query_distribution(law: ConditionalLaw,
         stats = order_stats(law)
     n = law.n
     table = law.table
-    orderings = stats.orderings
-    deltas = stats.deltas
-    # sorted_likes[x, i] = p(x | u^(x, i+1))
-    sorted_likes = np.take_along_axis(table.T, orderings, axis=1)
+    # sorted_likes[x][i] = p(x | u^(x, i+1)); the lanes run on Python floats,
+    # which round exactly as numpy's float64 scalars do.
+    sorted_likes = np.take_along_axis(table.T, stats.orderings, axis=1).tolist()
+    q_mat = np.maximum(table - stats.deltas[None, :], 0.0).tolist()
+    orderings, deltas = stats.orderings.tolist(), stats.deltas.tolist()
+    row_ptr = [0] * n
 
-    q_mat = np.maximum(table - deltas[None, :], 0.0)
-    row_ptr = np.zeros(n, dtype=np.int64)
-
-    rows: list = []     # one count vector per merge round
-    row_of: list = []
-    out_x: list = []
-    out_u: list = []
-    out_p: list = []
-    all_us = list(range(n))
+    # Per merge round its request and weight; per lane entry its round,
+    # pivot and column.  Every other pivot of a round asks for the request.
+    round_x: list = []
+    round_nu: list = []
+    lane_round: list = []
+    lane_pivot: list = []
+    lane_col: list = []
     for card in range(1, min(stats.sigma + 1, n) + 1):
         for x in range(n):
-            prev = sorted_likes[x, card - 2] if card >= 2 else 0.0
-            target = min(deltas[x], sorted_likes[x, card - 1]) - prev
+            prev = sorted_likes[x][card - 2] if card >= 2 else 0.0
+            target = min(deltas[x], sorted_likes[x][card - 1]) - prev
             if target <= ZERO_TOL:
                 continue
-            lane_us = [int(orderings[x, i]) for i in range(card - 1)]
+            lane_us = orderings[x][:card - 1]
             if card == 1:
                 rounds = [((), target)]
             else:
@@ -341,19 +341,27 @@ def build_query_distribution(law: ConditionalLaw,
                 if any(not lane for lane in lanes):
                     continue  # target vanished to float dust inside the lanes
                 rounds = _merge_lanes(lanes)
-            lane_set = set(lane_us)
-            others = [u for u in all_us if u not in lane_set]
-            m = len(lane_us) + len(others)
             for zeta, nu in rounds:
-                row_of.extend([len(rows)] * m)
-                rows.append(np.bincount((x, *zeta), minlength=n))
-                out_x.extend(zeta)
-                out_x.extend([x] * len(others))
-                out_u.extend(lane_us)
-                out_u.extend(others)
-                out_p.extend([nu] * m)
+                lane_round.extend([len(round_x)] * len(zeta))
+                lane_pivot.extend(lane_us)
+                lane_col.extend(zeta)
+                round_x.append(x)
+                round_nu.append(nu)
 
-    dist = _assemble(n, rows, row_of, out_x, out_u, out_p)
+    # Expand each round to its n entries, one per pivot u, in one pass.  The
+    # entries of a round differ in u, so _assemble still sums every merge key
+    # over the rounds in round order.
+    n_rounds = len(round_x)
+    round_x = np.asarray(round_x, dtype=np.int64)
+    lane_round = np.asarray(lane_round, dtype=np.int64)
+    lane_col = np.asarray(lane_col, dtype=np.int64)
+    counts = np.bincount(np.concatenate([np.arange(n_rounds) * n + round_x,
+                                         lane_round * n + lane_col]),
+                         minlength=n_rounds * n).reshape(n_rounds, n)
+    xs = np.repeat(round_x, n).reshape(n_rounds, n)
+    xs[lane_round, np.asarray(lane_pivot, dtype=np.int64)] = lane_col
+    dist = _assemble(n, counts, np.repeat(np.arange(n_rounds), n), xs.ravel(),
+                     np.tile(np.arange(n), n_rounds), np.repeat(round_nu, n))
     _check_built(dist, law, stats)
     return dist
 

@@ -1,5 +1,5 @@
-"""Shared fixtures-in-spirit: the worked three-source law, random laws, a
-broken policy scheme and a fresh interpreter."""
+"""Shared fixtures-in-spirit: the worked three-source law, random laws, the
+benchmark's random tables, a broken policy scheme and a fresh interpreter."""
 
 import os
 import subprocess
@@ -31,6 +31,15 @@ def random_law(rng, n: int, ties: bool = False) -> ConditionalLaw:
         t = np.ceil(t * 4.0)
     t = t / t.sum(axis=1, keepdims=True)
     return ConditionalLaw(n, t)
+
+
+def workload_table(seed: int, n: int) -> np.ndarray:
+    """The benchmark's ``random_table``: a fixed base table per size,
+    jittered entrywise by +-1% from the seed, rows normalized."""
+    base = np.random.default_rng([25, n]).uniform(0.5, 1.5, (n, n))
+    jitter = np.random.default_rng([seed, n]).uniform(0.99, 1.01, (n, n))
+    table = base * jitter
+    return table / table.sum(axis=1, keepdims=True)
 
 
 def never_the_request(n: int) -> StepScheme:

@@ -6,7 +6,7 @@ import pytest
 
 import onoffpir.lp as lp_mod
 import reference_lp
-from helpers import random_law, run_fresh_python, worked_law
+from helpers import random_law, run_fresh_python, worked_law, workload_table
 from onoffpir.bounds import restricted_lp_singleton_optimum
 from onoffpir.lp import IterationLimitError, LpProblem, build_lp, solve
 from onoffpir.model import (CapacityError, ConditionalLaw, MarkovModel,
@@ -266,13 +266,8 @@ def test_prior_does_not_move_the_optimum():
 # ------------------------------------------------- against the loop reference
 
 def _workload_chain(seed: int, n: int) -> MarkovModel:
-    """The benchmark's ``random_chain``: a fixed base table per size,
-    jittered entrywise by +-1% from the seed, uniform pi0."""
-    base = np.random.default_rng([25, n]).uniform(0.5, 1.5, (n, n))
-    jitter = np.random.default_rng([seed, n]).uniform(0.99, 1.01, (n, n))
-    table = base * jitter
-    return MarkovModel(n, table / table.sum(axis=1, keepdims=True),
-                       np.full(n, 1.0 / n))
+    """The benchmark's ``random_chain``: ``workload_table``, uniform pi0."""
+    return MarkovModel(n, workload_table(seed, n), np.full(n, 1.0 / n))
 
 
 def _random_laws():

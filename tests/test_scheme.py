@@ -1,14 +1,17 @@
+import dataclasses
 import hashlib
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from helpers import random_law, worked_law
+import reference_builder
+from helpers import random_law, worked_law, workload_table
 from onoffpir.model import ConditionalLaw, MarkovModel, order_stats, step_law
 from onoffpir.scheme import (InternalConsistencyError, QueryDistribution,
                              _check_built, _QueryCounts, build_query_distribution,
                              policy_n2, policy_n2_table, project_to_sets)
+from onoffpir.sim import PrivacyPattern, enumerate_steps
 
 
 def oracle_audit(dist, law, thetas, tol=1e-9):
@@ -170,6 +173,47 @@ def test_builder_deterministic_bit_for_bit():
     assert d1.entry_tuples() == d2.entry_tuples()
     assert d1.probs.tobytes() == d2.probs.tobytes()
     assert d1.qidx.tobytes() == d2.qidx.tobytes()
+
+
+def _reference_laws():
+    """Random, tied, zero-cell and 1e-13-cell laws at n = 2..8, the belief
+    laws of a short horizon walk, and the benchmark's tables at n = 12, 40."""
+    rng = np.random.default_rng(2024)
+    laws = []
+    for n in range(2, 9):
+        for _ in range(6):
+            laws += [random_law(rng, n), random_law(rng, n, ties=True)]
+            for dust in (0.0, 1e-13):
+                t = rng.random((n, n))
+                t[rng.random((n, n)) < 0.3] = dust
+                t[:, 0] += 1e-3
+                laws.append(ConditionalLaw(n, t / t.sum(axis=1, keepdims=True)))
+    chain = MarkovModel(5, workload_table(11, 5), np.full(5, 0.2))
+    laws += [br.law for view in enumerate_steps(
+                 chain, PrivacyPattern.from_string("1000"), 3)
+             for br in view.branches if br.law is not None]
+    return laws + [ConditionalLaw(n, workload_table(seed, n))
+                   for n in (12, 40) for seed in (11, 21)]
+
+
+def test_builder_matches_reference_bit_for_bit():
+    for law in _reference_laws():
+        got = build_query_distribution(law)
+        want = reference_builder.build_query_distribution(law)
+        for name in ("counts", "qidx", "xs", "us", "probs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.shape, a.dtype) == (b.shape, b.dtype), name
+            assert a.tobytes() == b.tobytes(), name
+
+
+def test_builder_lane_exhaustion_raises():
+    # deltas of one leave the auxiliary matrix empty, so the first lane of
+    # cardinality two has nothing to take
+    law = random_law(np.random.default_rng(3), 5)
+    stats = dataclasses.replace(order_stats(law), deltas=np.ones(5))
+    with pytest.raises(InternalConsistencyError,
+                       match=r"auxiliary row \d+ exhausted with [0-9.e-]+ still to assign"):
+        build_query_distribution(law, stats)
 
 
 def test_builder_support_growth_is_polynomial():
