@@ -79,6 +79,8 @@ def _cmd_sweep(args) -> int:
     else:
         if args.points < 1:
             raise ValueError(f"--points must be >= 1, got {args.points}")
+        if args.points > _bounds.GRID_ROWS:
+            raise CapacityError(f"{args.points} points exceed {_bounds.GRID_ROWS} grid rows")
         alphas = np.linspace(0.0, 1.0, args.points)
         rows = _bounds.symmetric_bound_grid(args.n, alphas)
         _write(_bounds.grid_csv(rows, ["alpha", "inner_rate", "outer_rate"]), args.out)

@@ -115,12 +115,13 @@ class BranchView:
     """One belief node: the realized histories that reach the same belief at
     step t, merged.  ``prob`` is their total probability, filled in by the
     exact enumeration; ``children`` holds the nodes the walk reached from it,
-    by candidate-query index."""
+    by candidate-query index.  An ON node's joint is already reset to the
+    diagonal of its current-request marginal: that request is the pivot."""
 
     t: int
     pre_joint: np.ndarray          # p(pivot, current | history) before this query
     law: ConditionalLaw | None     # None on ON steps (query carries no choice)
-    scheme: StepScheme | None      # None on ON steps
+    scheme: StepScheme             # the full download on ON steps
     prob: float = 0.0
     children: dict = field(default_factory=dict, repr=False)
 
@@ -140,7 +141,8 @@ class _BeliefGraph:
     its walker holds the current layer and a dict of the next one keyed on
     the rounded belief, so a layer is freed once the walk has left it.
     Algorithm 1's schemes are memoized by law; the other policies send one
-    fixed scheme.
+    fixed scheme.  Only ``_node`` reads the pattern: an ON node holds the
+    pivot-reset joint and the full download, so every edge is one Bayes step.
     """
 
     def __init__(self, model: MarkovModel, pattern: PrivacyPattern, policy: str):
@@ -148,26 +150,25 @@ class _BeliefGraph:
             raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
         self.model = model
         self.pattern = pattern
-        self.full_mask = (1 << model.n) - 1
+        self._full = _scheme_full(model.n)
         self._fixed = (_scheme_naive(model.n) if policy == "naive" else
-                       _scheme_full(model.n) if policy == "full_download" else None)
+                       self._full if policy == "full_download" else None)
         self._schemes: dict = {}   # law.key() -> algorithm 1's scheme
 
     def _scheme(self, law: ConditionalLaw) -> StepScheme:
         if self._fixed is not None:
             return self._fixed
-        scheme = self._schemes.get(law.key())
-        if scheme is None:
-            scheme = self._schemes[law.key()] = _scheme_algorithm1(law)
-        return scheme
+        key = law.key()
+        if key not in self._schemes:
+            self._schemes[key] = _scheme_algorithm1(law)
+        return self._schemes[key]
 
     def _node(self, t: int, joint: np.ndarray) -> BranchView:
         pre = joint if t == 0 else joint @ self.model.p
-        law = scheme = None
-        if not self.pattern.flags[t]:
-            law = _law_from_joint(pre)
-            scheme = self._scheme(law)
-        return BranchView(t, pre, law, scheme)
+        if self.pattern.flags[t]:
+            return BranchView(t, np.diag(pre.sum(axis=0)), None, self._full)
+        law = _law_from_joint(pre)
+        return BranchView(t, pre, law, self._scheme(law))
 
     def root(self) -> BranchView:
         """A new step-0 node: the prior belief, diag(pi0)."""
@@ -176,15 +177,11 @@ class _BeliefGraph:
     def child(self, node: BranchView, k: int, layer: dict) -> BranchView:
         """The node reached after ``node``'s k-th candidate query (the Bayes
         step), shared through ``layer``, the next step's nodes keyed on the
-        rounded belief; an ON step has the full set as its only candidate
-        (k = 0).  Raises :class:`CapacityError` instead of making the node
-        that would put more than ``MAX_BELIEFS`` nodes in ``layer``."""
-        if node.scheme is None:
-            marg = node.pre_joint.sum(axis=0)
-            post = np.diag(marg / marg.sum())
-        else:
-            post = node.pre_joint * node.scheme.w[k]
-            post /= post.sum()
+        rounded belief; at an ON node the one candidate, the full set, keeps
+        the reset joint.  Raises :class:`CapacityError` instead of making the
+        node that would put more than ``MAX_BELIEFS`` nodes in ``layer``."""
+        post = node.pre_joint * node.scheme.w[k]
+        post /= post.sum()
         key = np.round(post, 12).tobytes()
         nxt = layer.get(key)
         if nxt is None:
@@ -218,9 +215,7 @@ def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
             return
         nxt: dict = {}   # rounded belief -> node of the next layer
         for node in layer:
-            edges = ([(0, 1.0)] if node.scheme is None
-                     else enumerate(node.scheme.query_marginal(node.pre_joint)))
-            for k, weight in edges:
+            for k, weight in enumerate(node.scheme.query_marginal(node.pre_joint)):
                 if weight > ZERO_TOL:
                     graph.child(node, k, nxt).prob += node.prob * weight
         layer = list(nxt.values())
@@ -297,6 +292,16 @@ class SimulationResult:
     def p_cardinality(self, t: int, c: int) -> float:
         return float((self.cardinalities(t) == c).mean())
 
+    @cached_property
+    def _history_strata(self) -> np.ndarray:
+        """Column t: each episode's stratum, the rank of its query history
+        before t, numbered in the histories' lexicographic order."""
+        strata = np.zeros(self.q_masks.shape, dtype=np.int64)
+        for t in range(1, strata.shape[1]):
+            code = _dense_codes(self.q_masks[:, t - 1])
+            strata[:, t] = _dense_codes(strata[:, t - 1] * (int(code.max()) + 1) + code)
+        return strata
+
     def summary(self) -> dict:
         horizon = self.q_masks.shape[1] - 1
         return {
@@ -333,7 +338,8 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
     if episodes * n * ((msg_bits + 7) // 8) > PAYLOAD_BYTES:
         raise CapacityError(f"one step's {episodes} x {n} messages of {msg_bits} bits "
                             f"exceed {PAYLOAD_BYTES} bytes")
-    # req_u, sch_u (float64), q_masks, xs, x_taus (int64) and oks (bool)
+    # req_u, sch_u (float64), q_masks, xs, x_taus (int64) and oks (bool); the
+    # audits' history strata, made on first audit, add 8 bytes more
     if 41 * episodes * len(pattern) > TRAJECTORY_BYTES:
         raise CapacityError(f"{episodes} episodes x {len(pattern)} steps exceed "
                             f"{TRAJECTORY_BYTES} bytes of trajectory arrays")
@@ -360,13 +366,9 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
         at_next = np.empty_like(at)
         for i, node in enumerate(layer):
             group = np.flatnonzero(at == i)
-            if node.scheme is None:
-                ks = np.zeros(len(group), dtype=np.intp)
-                q_masks[group, t] = graph.full_mask
-            else:
-                ks = _inverse_cdf(node.scheme.cum[xs[group, taus[t]], x[group]],
-                                  sch_u[group, t])
-                q_masks[group, t] = np.array(node.scheme.y_masks)[ks]
+            ks = _inverse_cdf(node.scheme.cum[xs[group, taus[t]], x[group]],
+                              sch_u[group, t])
+            q_masks[group, t] = np.array(node.scheme.y_masks)[ks]
             if t < horizon:
                 for k in np.unique(ks):
                     child = graph.child(node, int(k), nxt)
@@ -378,9 +380,9 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
         member = (mask[:, None] >> np.arange(n) & 1).astype(bool)
         server.advance(episodes)
         payload, _bits = server.answer(member)
-        slot = np.bitwise_count(mask & (1 << x) - 1)
+        pos = np.bitwise_count(mask & (1 << x) - 1)
         oks[:, t] = member[rows, x] & np.all(
-            payload[rows, slot] == server.messages[rows, x], axis=1)
+            payload[rows, pos] == server.messages[rows, x], axis=1)
 
     return SimulationResult(model, pattern, episodes, seed, msg_bits, policy,
                             q_masks, xs, xs[:, taus], oks, int((~oks).sum()))
@@ -430,13 +432,9 @@ def empirical_privacy_audit(result: SimulationResult, t: int) -> ChiSquareAudit:
     if not 0 <= t < masks.shape[1]:
         raise IndexError(f"step {t} outside the simulated horizon")
 
-    # Histories and queries as dense codes; strata are numbered in the
-    # lexicographic order of their histories.  Every code below stays under
+    # Histories and queries as dense codes.  Every code below stays under
     # episodes^2 * n, far inside int64 for the episodes simulate allows.
-    stratum = np.zeros(masks.shape[0], dtype=np.int64)
-    for col in masks[:, :t].T:
-        code = _dense_codes(col)
-        stratum = _dense_codes(stratum * (int(code.max()) + 1) + code)
+    stratum = result._history_strata[:, t]
     qt = _dense_codes(masks[:, t])
     n_q, n_x = int(qt.max()) + 1, int(taus[:, t].max()) + 1
     # The observed (stratum, pivot, query) cells in increasing order: the

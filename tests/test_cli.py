@@ -239,7 +239,8 @@ def test_sweep_rejects_out_of_range_inputs(argv, capsys):
     ["sweep", "--kind", "fig3b", "--n", "100000", "--points", "1"],
     ["sweep", "--kind", "fig5", "--max-gap", "100000000"],
     ["bounds", "--pattern", "bernoulli:0.5:100000000000"],
-], ids=["fig3b-n", "fig5-max-gap", "bernoulli-steps"])
+    ["sweep", "--kind", "fig3b", "--points", "10000000000"],
+], ids=["fig3b-n", "fig5-max-gap", "bernoulli-steps", "fig3b-points"])
 def test_oversized_inputs_exit_capacity(argv, model2_path, capsys):
     if argv[0] == "bounds":
         argv = argv + ["--model", model2_path]

@@ -98,14 +98,16 @@ def test_enumeration_leakage_and_episodes_agree(model, flags):
         assert abs(sum(br.prob for br in view.branches) - 1.0) <= 1e-9
         m1 = m2 = 0.0
         for br in view.branches:
-            if br.scheme is not None:
+            if not view.f_on:
                 weights = br.scheme.query_marginal(br.pre_joint)
                 m1 += br.prob * float(weights @ br.scheme.set_sizes)
                 m2 += br.prob * float(weights @ br.scheme.set_sizes ** 2)
                 # a private scheme's query never moves the pivot marginal
                 pivot = br.pre_joint.sum(axis=1)
-                for child in br.children.values():
-                    assert np.abs(child.pre_joint.sum(axis=1) - pivot).max() <= 1e-9
+                for k in br.children:
+                    post = br.pre_joint * br.scheme.w[k]
+                    post /= post.sum()
+                    assert np.abs(post.sum(axis=1) - pivot).max() <= 1e-9
         moments.append((m1, m2 - m1 * m1))
     assert max(conditional_query_mi(model, pattern, horizon)) <= 1e-9
     res = simulate(model, pattern, EPISODES, seed=3)

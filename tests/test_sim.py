@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ def _off_edges(views):
     """(parent, incoming query mask, child) for every edge out of an OFF node
     of a materialized enumeration."""
     return [(node, node.scheme.y_masks[k], child)
-            for view in views for node in view.branches if node.scheme is not None
+            for view in views if not view.f_on for node in view.branches
             for k, child in node.children.items()]
 
 
@@ -73,6 +74,32 @@ def test_enumeration_collapses_after_on_step():
     expected = np.diag(marg1) @ m.p
     assert len(views[2].branches) == 1
     assert np.allclose(views[2].branches[0].pre_joint, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("pattern", ["1001000", "1101001", "100110"])
+def test_on_nodes_reset_the_pivot(pattern):
+    # an ON node holds the diagonal joint of its current request, now the
+    # pivot, and the full download; its diagonals average to pi0 P^t
+    pat = PrivacyPattern.from_string(pattern)
+    rng = np.random.default_rng(15)
+    models = [MarkovModel(n, random_law(rng, n).table, rng.dirichlet(np.ones(n)))
+              for n in (2, 3, 4, 5)]
+    models.append(MarkovModel(3, random_law(rng, 3).table, [0.0, 1.0, 0.0]))
+    for m in models:
+        checked = 0
+        for view in enumerate_steps(m, pat, len(pat) - 1):
+            if not view.f_on:
+                continue
+            marginal = np.zeros(m.n)
+            for node in view.branches:
+                joint = node.pre_joint
+                assert np.all(joint[~np.eye(m.n, dtype=bool)] == 0.0)
+                assert node.scheme.y_masks == ((1 << m.n) - 1,)
+                marginal += node.prob * np.diag(joint)
+            want = m.pi0 @ np.linalg.matrix_power(m.p, view.t)
+            assert np.abs(marginal - want).max() <= 1e-12, (m.n, view.t)
+            checked += 1
+        assert checked == pattern.count("1")
 
 
 def test_enumeration_first_off_step_law_is_transition_matrix():
@@ -238,14 +265,13 @@ def test_algorithm1_matches_closed_form_policy_per_node(pattern):
             for view in views:
                 for node in view.branches:
                     for k, child in node.children.items():
-                        mask = 0b11 if node.scheme is None else node.scheme.y_masks[k]
-                        incoming.setdefault(child, set()).add(mask)
+                        incoming.setdefault(child, set()).add(node.scheme.y_masks[k])
             for view in views[1:]:
+                if view.f_on:
+                    continue
                 gap = view.t - tau_of(pat, view.t)
                 parity = "even" if gap % 2 == 0 else "odd"
                 for node in view.branches:
-                    if node.scheme is None:
-                        continue
                     got = np.array([node.scheme.w[node.scheme.y_masks.index(q)]
                                     if q in node.scheme.y_masks else np.zeros((2, 2))
                                     for q in masks])
@@ -482,6 +508,18 @@ def test_privacy_audit_p_values_match_scipy_stats():
             audit = empirical_privacy_audit(res, t)
             assert audit.dof > 0
             assert audit.p_value == float(stats.chi2.sf(audit.statistic, audit.dof))
+
+
+def test_privacy_audits_linear_in_horizon():
+    # the history strata are coded once for all steps, not again per audit
+    rng = np.random.default_rng(5)
+    m = MarkovModel(3, random_law(rng, 3).table, np.full(3, 1 / 3))
+    pattern = PrivacyPattern((True, *(rng.random(999) < 0.3).tolist()))
+    res = simulate(m, pattern, 20, seed=5)
+    start = time.perf_counter()
+    for t in range(1, len(pattern)):
+        empirical_privacy_audit(res, t)
+    assert time.perf_counter() - start <= 5.0
 
 
 def test_privacy_audit_bounds_checks():
