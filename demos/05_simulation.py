@@ -11,18 +11,20 @@ Run:  python demos/05_simulation.py
 """
 
 from onoffpir import (MarkovModel, PrivacyPattern, bounds_over_horizon,
-                      empirical_privacy_audit, run_episode, simulate)
+                      empirical_privacy_audit, simulate)
 
 model = MarkovModel.two_state(0.2, 0.2)
 pattern = PrivacyPattern.from_string("100000")
 
 print("One traced episode (seed 7):")
-for rec in run_episode(model, pattern, msg_bits=32, seed=7):
-    members = "{" + ",".join(str(i) for i in range(model.n)
-                             if rec.q_mask >> i & 1) + "}"
-    print(f"  t={rec.t} privacy={'ON ' if rec.f_on else 'off'} "
-          f"request={rec.x} query={members:6s} answer={rec.answer_bits:3d} bits "
-          f"decoded={'ok' if rec.decode_ok else 'FAIL'}")
+traced = simulate(model, pattern, 1, seed=7, msg_bits=32)
+steps = zip(pattern.flags, traced.xs[0].tolist(), traced.q_masks[0].tolist(),
+            traced.oks[0].tolist())
+for t, (f_on, x, mask, ok) in enumerate(steps):
+    members = "{" + ",".join(str(i) for i in range(model.n) if mask >> i & 1) + "}"
+    print(f"  t={t} privacy={'ON ' if f_on else 'off'} "
+          f"request={x} query={members:6s} answer={mask.bit_count() * 32:3d} bits "
+          f"decoded={'ok' if ok else 'FAIL'}")
 print()
 
 episodes = 30_000

@@ -13,9 +13,8 @@ from .bounds import (HorizonRow, RateBound, bounds_over_horizon, exact_rate_n2,
 from .lp import IterationLimitError, LpProblem, LpSolution, build_lp, solve
 from .verify import (AuditReport, audit_distribution, conditional_query_mi,
                      markov_privacy_extension_check, mutual_information_bits)
-from .sim import (ChiSquareAudit, ServerState, SimulationResult, TraceRecord,
-                  empirical_privacy_audit, enumerate_steps, run_episode,
-                  simulate)
+from .sim import (ChiSquareAudit, ServerState, SimulationResult,
+                  empirical_privacy_audit, enumerate_steps, simulate)
 
 __all__ = [
     "EPS", "CapacityError", "ConditionalLaw", "MarkovModel", "OrderStats",
@@ -29,8 +28,8 @@ __all__ = [
     "IterationLimitError", "LpProblem", "LpSolution", "build_lp", "solve",
     "AuditReport", "audit_distribution", "conditional_query_mi",
     "markov_privacy_extension_check", "mutual_information_bits",
-    "ChiSquareAudit", "ServerState", "SimulationResult", "TraceRecord",
-    "empirical_privacy_audit", "enumerate_steps", "run_episode", "simulate",
+    "ChiSquareAudit", "ServerState", "SimulationResult",
+    "empirical_privacy_audit", "enumerate_steps", "simulate",
 ]
 
 __version__ = "0.1.0"

@@ -26,10 +26,9 @@ GRID_ROWS = 1 << 20
 
 @dataclass(frozen=True)
 class RateBound:
-    """Expected download per message length (in [1, N]) with its provenance."""
+    """Expected download per message length, in [1, N]."""
 
     inverse_rate: float
-    kind: str
 
     @property
     def rate(self) -> float:
@@ -38,7 +37,7 @@ class RateBound:
 
 def outer_bound_2(law: ConditionalLaw) -> RateBound:
     """History-free converse: summed column maxima of the gap law."""
-    return RateBound(float(law.table.max(axis=0).sum()), "outer2")
+    return RateBound(float(law.table.max(axis=0).sum()))
 
 
 def inner_bound_first_off_step(law: ConditionalLaw) -> RateBound:
@@ -46,7 +45,7 @@ def inner_bound_first_off_step(law: ConditionalLaw) -> RateBound:
     query history is the single deterministic full-set class."""
     stats = order_stats(law)
     levels = np.arange(1, law.n + 1, dtype=float)
-    return RateBound(float(levels @ stats.thetas), "inner")
+    return RateBound(float(levels @ stats.thetas))
 
 
 def exact_rate_n2(alpha: float, beta: float, gap: int) -> RateBound:
@@ -56,14 +55,14 @@ def exact_rate_n2(alpha: float, beta: float, gap: int) -> RateBound:
         raise ValueError("transition probabilities must lie in [0, 1]")
     if gap < 0:
         raise ValueError(f"gap must be >= 0, got {gap}")
-    return RateBound(1.0 + abs(1.0 - alpha - beta) ** gap, "exact_n2")
+    return RateBound(1.0 + abs(1.0 - alpha - beta) ** gap)
 
 
 def restricted_lp_singleton_optimum(stats: OrderStats) -> RateBound:
     """Closed-form optimum when the query is either the single desired source
     or everything: theta_1 + N (1 - theta_1)."""
     th1 = float(stats.thetas[0])
-    return RateBound(th1 + stats.n * (1.0 - th1), "lp_c1")
+    return RateBound(th1 + stats.n * (1.0 - th1))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ error, 3 capacity guard.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import sys
@@ -182,11 +183,9 @@ def _cmd_simulate(args) -> int:
     if args.out is not None:
         _write(_trace_csv(result), args.out)
     summary = result.summary()
-    audits = {}
-    for t in range(1, len(pattern)):
-        audit = empirical_privacy_audit(result, t)
-        audits[str(t)] = json.loads(audit.to_json())
-    summary["privacy_audit"] = audits
+    summary["privacy_audit"] = {
+        str(t): dataclasses.asdict(empirical_privacy_audit(result, t))
+        for t in range(1, len(pattern))}
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     return EXIT_FAIL if result.decode_failures else EXIT_OK
 

@@ -136,10 +136,6 @@ class MarkovModel:
             return MarkovModel.from_json(fh.read())
 
 
-ON = True
-OFF = False
-
-
 @dataclass(frozen=True)
 class PrivacyPattern:
     """Privacy status flags per time step; index 0 is always ON.  A flag is

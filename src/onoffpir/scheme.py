@@ -66,22 +66,24 @@ class QueryDistribution:
 
     def __init__(self, n: int, queries, qidx, xs, us, probs):
         """Raises ValueError unless n >= 1, the arrays are parallel, every
-        index is in range, every count row holds nonnegative counts summing to
-        at most n, and every probability is finite and nonnegative.
-        Structural invariants (x in z, privacy, ...) are left to the audit."""
+        count row holds n nonnegative integers summing to at most n, every
+        index is an integer in range, and every probability is finite and
+        nonnegative.  As in :meth:`from_items`, booleans, strings and
+        fractional values are not integers.  Structural invariants (x in z,
+        privacy, ...) are left to the audit."""
         if n < 1:
             raise ValueError(f"a query distribution needs n >= 1 sources, got {n}")
-        counts = np.array([q.counts for q in queries], dtype=np.int64)
-        self._freeze(n, counts.reshape(len(counts), n), qidx, xs, us, probs)
+        rows = [q.counts for q in queries]
+        counts = whole_numbers(rows or np.zeros((0, n)), "counts", 0, n + 1)
+        if counts.shape != (len(rows), n):
+            raise ValueError(f"count vectors must have length n={n}")
+        self._freeze(n, counts, whole_numbers(qidx, "query indices", 0, len(rows)),
+                     whole_numbers(xs, "x", 0, n), whole_numbers(us, "u", 0, n),
+                     numbers(probs, "probabilities"))
         if not len(self.qidx) == len(self.xs) == len(self.us) == len(self.probs):
             raise ValueError("qidx, xs, us and probs must have equal lengths")
-        if np.any((self.qidx < 0) | (self.qidx >= len(self.counts))):
-            raise ValueError(f"query indices must lie in [0, {len(self.counts)})")
-        for name, arr in (("x", self.xs), ("u", self.us)):
-            if np.any((arr < 0) | (arr >= self.n)):
-                raise ValueError(f"{name} must lie in [0, {self.n})")
-        if np.any(self.counts < 0) or np.any(self.counts.sum(axis=1) > self.n):
-            raise ValueError("counts must be nonnegative and sum to at most n per query")
+        if np.any(self.counts.sum(axis=1) > self.n):
+            raise ValueError("counts must sum to at most n per query")
         if not np.all(np.isfinite(self.probs) & (self.probs >= 0)):
             raise ValueError("probabilities must be finite and nonnegative")
 

@@ -15,8 +15,7 @@ included, runs each step for all episodes at once and is held only as
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -114,16 +113,14 @@ def _inverse_cdf(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
 class BranchView:
     """One belief node: the realized histories that reach the same belief at
     step t, merged.  ``prob`` is their total probability, filled in by the
-    exact enumeration; ``children`` holds the nodes the walk reached from it,
-    by candidate-query index.  An ON node's joint is already reset to the
-    diagonal of its current-request marginal: that request is the pivot."""
+    exact enumeration.  An ON node's joint is already reset to the diagonal
+    of its current-request marginal: that request is the pivot."""
 
     t: int
     pre_joint: np.ndarray          # p(pivot, current | history) before this query
     law: ConditionalLaw | None     # None on ON steps (query carries no choice)
     scheme: StepScheme             # the full download on ON steps
     prob: float = 0.0
-    children: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -189,7 +186,6 @@ class _BeliefGraph:
                 raise CapacityError(f"more than {MAX_BELIEFS} belief nodes "
                                     f"at t={node.t + 1}")
             nxt = layer[key] = self._node(node.t + 1, post)
-        node.children[k] = nxt
         return nxt
 
 
@@ -251,19 +247,6 @@ class ServerState:
         sizes = member.sum(axis=1)
         payload[np.arange(self.n) >= sizes[:, None]] = 0
         return payload, int(sizes.sum()) * self.msg_bits
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One simulated step: flag, hidden request, sent query as a bitmask
-    (bit i for source i), answer size and the bit-exact decode check."""
-
-    t: int
-    f_on: bool
-    x: int
-    q_mask: int
-    answer_bits: int
-    decode_ok: bool
 
 
 @dataclass
@@ -388,20 +371,11 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
                             q_masks, xs, xs[:, taus], oks, int((~oks).sum()))
 
 
-def run_episode(model: MarkovModel, pattern: PrivacyPattern,
-                msg_bits: int = 64, seed: int = 0,
-                policy: str = "algorithm1") -> list:
-    """One seeded episode as a list of :class:`TraceRecord`."""
-    res = simulate(model, pattern, 1, seed=seed, msg_bits=msg_bits, policy=policy)
-    steps = zip(pattern.flags, res.xs[0].tolist(), res.q_masks[0].tolist(),
-                res.oks[0].tolist())
-    return [TraceRecord(t, f_on, x, mask, mask.bit_count() * msg_bits, ok)
-            for t, (f_on, x, mask, ok) in enumerate(steps)]
-
-
 @dataclass(frozen=True)
 class ChiSquareAudit:
-    """Pooled independence test of (pivot, query) within history classes."""
+    """Pooled independence test of (pivot, query) within history classes.
+    The fields are Python scalars, so ``dataclasses.asdict`` gives its JSON
+    object."""
 
     statistic: float
     dof: int
@@ -409,13 +383,6 @@ class ChiSquareAudit:
     samples: int
     strata: int
     unreliable: bool
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "statistic": self.statistic, "dof": self.dof,
-            "p_value": self.p_value, "samples": self.samples,
-            "strata": self.strata, "unreliable": self.unreliable,
-        })
 
 
 def empirical_privacy_audit(result: SimulationResult, t: int) -> ChiSquareAudit:

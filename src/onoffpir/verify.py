@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bounds_over_horizon
-# entropy_bits is not used here; it stays importable from this module
-from .model import (EPS, ConditionalLaw, OrderStats, entropy_bits,
-                    mutual_information_bits)
+from .model import EPS, ConditionalLaw, OrderStats, mutual_information_bits
 from .scheme import QueryDistribution, identity_gaps, project_to_sets
 
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from onoffpir.model import CapacityError
 from onoffpir.sim import (POLICIES, BranchView, SimulationResult, StepView,
-                          TraceRecord, _law_from_joint, _scheme_algorithm1,
-                          _scheme_full, _scheme_naive)
+                          _law_from_joint, _scheme_algorithm1, _scheme_full,
+                          _scheme_naive)
 
 
 class EpisodeServer:
@@ -110,13 +110,9 @@ def reference_enumerate_steps(model, pattern, horizon: int,
 
 
 def reference_simulate(model, pattern, episodes: int, seed: int = 0,
-                       msg_bits: int = 64, policy: str = "algorithm1",
-                       keep_traces: bool = False):
-    """Seeded episodes, one at a time, from the same random streams.
-
-    Returns the :class:`SimulationResult` and, with ``keep_traces``, one
-    list of :class:`TraceRecord` per episode as its ``traces`` attribute
-    (``None`` otherwise)."""
+                       msg_bits: int = 64, policy: str = "algorithm1"):
+    """Seeded episodes, one at a time, from the same random streams, as a
+    :class:`SimulationResult`."""
     n = model.n
     horizon = len(pattern) - 1
     rng_req = np.random.default_rng([seed, 0])
@@ -138,7 +134,6 @@ def reference_simulate(model, pattern, episodes: int, seed: int = 0,
     x_taus = np.zeros((episodes, horizon + 1), dtype=np.int64)
     oks = np.ones((episodes, horizon + 1), dtype=bool)
     decode_failures = 0
-    traces = [] if keep_traces else None
 
     req_u = rng_req.random((episodes, horizon + 1))
     sch_u = rng_req.random((episodes, horizon + 1))
@@ -147,7 +142,6 @@ def reference_simulate(model, pattern, episodes: int, seed: int = 0,
         key = _key(root)
         x = x_tau = -1
         server = EpisodeServer(n, msg_bits, rng_msg)
-        trace = [] if keep_traces else None
         for t in range(horizon + 1):
             f_on = pattern.flags[t]
             cum = pi0_cum if t == 0 else p_cum[x]
@@ -199,13 +193,6 @@ def reference_simulate(model, pattern, episodes: int, seed: int = 0,
             q_masks[ep, t] = mask
             xs[ep, t] = x
             x_taus[ep, t] = x_tau
-            if keep_traces:
-                trace.append(TraceRecord(t, f_on, x, mask,
-                                         len(sel) * msg_bits, ok))
-        if keep_traces:
-            traces.append(trace)
 
-    result = SimulationResult(model, pattern, episodes, seed, msg_bits, policy,
-                              q_masks, xs, x_taus, oks, decode_failures)
-    result.traces = traces
-    return result
+    return SimulationResult(model, pattern, episodes, seed, msg_bits, policy,
+                            q_masks, xs, x_taus, oks, decode_failures)

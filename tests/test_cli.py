@@ -6,11 +6,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import onoffpir.cli as cli_mod
+import onoffpir.lp as lp_mod
+import onoffpir.scheme as scheme_mod
 import onoffpir.sim as sim_mod
 from helpers import WORKED_TABLE, never_the_request, run_fresh_python
 from onoffpir.cli import main
+from onoffpir.lp import LpSolution
 from onoffpir.model import CapacityError, MarkovModel, order_stats, step_law
-from onoffpir.scheme import build_query_distribution
+from onoffpir.scheme import InternalConsistencyError, build_query_distribution
 from onoffpir.sim import POLICIES
 
 
@@ -43,6 +46,18 @@ def test_bounds_json_format(model2_path, capsys):
                  "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload[1]["inner"] == pytest.approx(1.6, abs=1e-9)
+
+
+def test_bounds_with_lp_csv(model3_path, capsys):
+    assert main(["bounds", "--model", model3_path, "--pattern", "1000",
+                 "--with-lp"]) == 0
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    assert header == "t,F,outer2,outer1,inner,lp_opt"
+    assert rows[0].endswith(",3")
+    off = [[float(c) for c in row.split(",")] for row in rows[1:]]
+    assert len(off) == 3 and all(cells[1] == 0 for cells in off)
+    for _t, _f, _outer2, outer1, inner, lp_opt in off:
+        assert outer1 - 1e-6 <= lp_opt <= inner + 1e-6
 
 
 def test_bounds_deterministic_output(model2_path, capsys):
@@ -124,8 +139,9 @@ def test_verify_rejects_out_of_range_entry(model3_path, tmp_path, capsys):
     {"n": 0, "entries": []},
     {"n": 2, "entries": [{"z": [1, 0], "x": 0, "u": 0, "p": 1.0},
                          {"z": [1, 0], "x": 0, "u": 1, "p": 1.0}]},
+    {"n": 3, "entries": [{"z": [0, 1], "x": 1, "u": 0, "p": 1.0}]},
 ], ids=["entry-list", "z-object", "entries-object", "top-list", "n-str",
-        "z-str", "x-str", "u-bool", "p-str", "n-zero", "n-mismatch"])
+        "z-str", "x-str", "u-bool", "p-str", "n-zero", "n-mismatch", "z-short"])
 def test_verify_rejects_wrongly_typed_json(model3_path, tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -167,6 +183,24 @@ def test_lp_expected_value(model3_path, capsys):
                  "--expect", "2.0"]) == 0
     capsys.readouterr()
     assert main(["lp", "--model", model3_path, "--expect", "1.0"]) == 1
+
+
+def test_build_internal_inconsistency_exits_one(model3_path, capsys, monkeypatch):
+    def broken_check(*_args):
+        raise InternalConsistencyError("injected")
+
+    monkeypatch.setattr(scheme_mod, "_check_built", broken_check)
+    assert main(["build", "--model", model3_path]) == 1
+    err = capsys.readouterr()
+    assert err.out == "" and err.err.startswith("internal consistency")
+
+
+def test_lp_non_optimal_status_exits_one(model3_path, capsys, monkeypatch):
+    monkeypatch.setattr(lp_mod, "solve",
+                        lambda _problem: LpSolution("infeasible", None, None, None))
+    assert main(["lp", "--model", model3_path]) == 1
+    err = capsys.readouterr()
+    assert err.out == "" and "LP status: infeasible" in err.err
 
 
 def test_lp_dump(model2_path, model3_path, capsys):

@@ -165,6 +165,11 @@ def test_solve_infeasible_toy():
     assert solve(problem).status == "infeasible"
 
 
+def test_lp_problem_rejects_inconsistent_shapes():
+    with pytest.raises(ValueError, match="inconsistent LP shapes"):
+        LpProblem([1.0], [[1.0, 1.0]], [1.0])
+
+
 def test_solve_unbounded_toy():
     # x1 - x2 free to drift: minimize -x1 with x1 - x2 = 0
     problem = LpProblem([-1.0, 0.0], [[1.0, -1.0]], [0.0])

@@ -22,6 +22,10 @@ def test_markov_model_rejects_bad_rows():
         MarkovModel(1, [[1.0]], [1.0])
     with pytest.raises(ValueError):
         MarkovModel(2, [[1.2, -0.2], [0.0, 1.0]], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        MarkovModel(2, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        MarkovModel(2, [[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5, 0.0])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             MarkovModel(2, [[bad, 0.5], [0.5, 0.5]], [0.5, 0.5])
@@ -90,6 +94,8 @@ def test_pattern_parsing():
         PrivacyPattern.from_string("1x0")
     with pytest.raises(ValueError):
         PrivacyPattern.from_string("")
+    with pytest.raises(ValueError):
+        PrivacyPattern(())
     assert str(PrivacyPattern((True, np.True_, 1, 0, np.False_, np.int64(0)))) == "111000"
     for flags in ("1000", (1, 0.5, None, [], 2), (1, "0"), (True, 2)):
         with pytest.raises(ValueError):
@@ -257,6 +263,8 @@ def test_conditional_law_validation():
         ConditionalLaw(2, [[0.5, 0.4], [0.5, 0.5]])
     with pytest.raises(ValueError):
         ConditionalLaw(2, [[1.5, -0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError):
+        ConditionalLaw(2, [[1, 0, 0]])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             ConditionalLaw(2, [[bad, 0.5], [0.5, 0.5]])

@@ -457,8 +457,16 @@ def test_constructor_accepts_valid_arrays():
     {"probs": [1.0, float("nan"), 1.0]},
     {"probs": [1.0, float("inf"), 1.0]},
     {"probs": [1.0, -0.5, 1.0]},
+    {"qidx": [0, 0.9, 0]},               # fractional, bool and string
+    {"xs": [1, 1.7, 1]},                 # entries are not integers
+    {"us": [0, True, 2]},
+    {"queries": [_QueryCounts((0.5, 1.5, 0))]},
+    {"xs": [1, "1", 1]},
+    {"probs": [1.0, "1.0", 1.0]},
 ], ids=["lengths", "qidx-high", "qidx-negative", "x-range", "u-range",
-        "negative-count", "cardinality", "nan-p", "inf-p", "negative-p"])
+        "negative-count", "cardinality", "nan-p", "inf-p", "negative-p",
+        "qidx-fraction", "x-fraction", "u-bool", "count-fraction", "x-str",
+        "p-str"])
 def test_constructor_rejects_invalid_arrays(changes):
     with pytest.raises(ValueError):
         QueryDistribution(3, **_constructor_args(**changes))

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from onoffpir.model import (ZERO_TOL, CapacityError, ConditionalLaw,
 from onoffpir.scheme import build_query_distribution, policy_n2, project_to_sets
 from onoffpir.sim import (POLICIES, ServerState, _inverse_cdf,
                           _scheme_algorithm1, _scheme_full, _scheme_naive,
-                          empirical_privacy_audit, enumerate_steps,
-                          run_episode, simulate)
+                          empirical_privacy_audit, enumerate_steps, simulate)
 
 
 def two_state():
@@ -22,12 +22,22 @@ def two_state():
 
 # ------------------------------------------------------------------- beliefs
 
-def _off_edges(views):
-    """(parent, incoming query mask, child) for every edge out of an OFF node
-    of a materialized enumeration."""
-    return [(node, node.scheme.y_masks[k], child)
-            for view in views if not view.f_on for node in view.branches
-            for k, child in node.children.items()]
+def _walk(model, pattern, horizon, off_only=True):
+    """The views of an exact enumeration and its edges (parent, incoming
+    query mask, child), recorded from ``_BeliefGraph.child``, the graph's one
+    Bayes step; with ``off_only`` just the edges out of OFF nodes."""
+    edges = []
+    step = sim_mod._BeliefGraph.child
+
+    def child(graph, node, k, layer):
+        nxt = step(graph, node, k, layer)
+        if not (off_only and pattern.flags[node.t]):
+            edges.append((node, node.scheme.y_masks[k], nxt))
+        return nxt
+
+    with mock.patch.object(sim_mod._BeliefGraph, "child", child):
+        views = list(enumerate_steps(model, pattern, horizon))
+    return views, edges
 
 
 def test_belief_initial_is_diagonal():
@@ -41,8 +51,8 @@ def test_belief_update_singleton_preserves_pivot_marginal():
     # observing the published scheme's singleton query tells the server
     # nothing about the pivot: posterior equals the 0.5/0.5 prior
     m = two_state()
-    views = list(enumerate_steps(m, PrivacyPattern.from_string("100"), 2))
-    (node, mask, child), = [e for e in _off_edges(views) if e[1] == 0b01]
+    _views, edges = _walk(m, PrivacyPattern.from_string("100"), 2)
+    (node, mask, child), = [e for e in edges if e[1] == 0b01]
     assert np.allclose(node.scheme.w[node.scheme.y_masks.index(mask)],
                        [[0.25, 0.0], [1.0, 0.0]], atol=1e-12)
     assert np.allclose(child.pre_joint.sum(axis=1), [0.5, 0.5], atol=1e-12)
@@ -56,8 +66,7 @@ def test_belief_update_private_kernels_never_move_marginal():
     for _ in range(25):
         n = int(rng.integers(2, 5))
         m = MarkovModel(n, random_law(rng, n).table, rng.dirichlet(np.ones(n)))
-        views = list(enumerate_steps(m, PrivacyPattern.from_string("100"), 2))
-        edges = _off_edges(views)
+        _views, edges = _walk(m, PrivacyPattern.from_string("100"), 2)
         assert edges
         for _node, _mask, child in edges:
             assert np.allclose(child.pre_joint.sum(axis=1), m.pi0, atol=1e-9)
@@ -260,12 +269,10 @@ def test_algorithm1_matches_closed_form_policy_per_node(pattern):
                         (0.7, 0.6), (0.9, 0.85), (0.55, 0.95)):
         for pi0 in ([0.5, 0.5], [0.2, 0.8]):
             m = MarkovModel.two_state(alpha, beta, pi0)
-            views = list(enumerate_steps(m, pat, len(pat) - 1))
+            views, edges = _walk(m, pat, len(pat) - 1, off_only=False)
             incoming = {}
-            for view in views:
-                for node in view.branches:
-                    for k, child in node.children.items():
-                        incoming.setdefault(child, set()).add(node.scheme.y_masks[k])
+            for _node, mask, child in edges:
+                incoming.setdefault(child, set()).add(mask)
             for view in views[1:]:
                 if view.f_on:
                     continue
@@ -312,17 +319,6 @@ def test_server_state_regenerates_messages_each_step():
             sel = np.flatnonzero(member[e])   # increasing source order
             assert np.array_equal(payload[e, :len(sel)], server.messages[e, sel])
             assert not payload[e, len(sel):].any()
-
-
-def test_run_episode_trace_shape():
-    m = two_state()
-    trace = run_episode(m, PrivacyPattern.from_string("100"), msg_bits=32, seed=5)
-    assert [r.t for r in trace] == [0, 1, 2]
-    assert trace[0].f_on and trace[0].q_mask == 0b11
-    for r in trace:
-        assert r.decode_ok
-        assert r.answer_bits == r.q_mask.bit_count() * 32
-        assert r.q_mask >> r.x & 1
 
 
 def test_simulate_reproducible_and_seed_sensitive():

@@ -6,11 +6,12 @@ import pytest
 
 from helpers import random_law, worked_law
 from onoffpir.bounds import bounds_over_horizon, outer_bound_2
-from onoffpir.model import ConditionalLaw, MarkovModel, PrivacyPattern, order_stats, step_law
+from onoffpir.model import (ConditionalLaw, MarkovModel, PrivacyPattern,
+                            entropy_bits, order_stats, step_law)
 from onoffpir.scheme import QueryDistribution, build_query_distribution
 from onoffpir.sim import POLICIES
 from onoffpir.verify import (audit_distribution, conditional_query_mi,
-                             entropy_bits, extension_mutual_informations,
+                             extension_mutual_informations,
                              markov_privacy_extension_check,
                              mutual_information_bits,
                              mutual_information_kl_bits)
