@@ -41,10 +41,14 @@ def check_number_types(kinds, what: str):
 
 def numbers(values, what: str) -> np.ndarray:
     """``values``, a number or nested lists of numbers, as a float array,
-    after :func:`check_number_types` on every element."""
+    after :func:`check_number_types` on every element.  An int too large
+    for a float raises ValueError too."""
     arr = np.asarray(values, dtype=object)
     check_number_types(set(map(type, arr.ravel().tolist())), what)
-    return arr.astype(float)
+    try:
+        return arr.astype(float)
+    except OverflowError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def whole_numbers(values, what: str, lo: int, hi: int) -> np.ndarray:

@@ -12,6 +12,7 @@ Python-int bitmask, bit i standing for source i.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -71,8 +72,7 @@ class QueryDistribution:
         nonnegative.  As in :meth:`from_items`, booleans, strings and
         fractional values are not integers.  Structural invariants (x in z,
         privacy, ...) are left to the audit."""
-        if n < 1:
-            raise ValueError(f"a query distribution needs n >= 1 sources, got {n}")
+        n = _source_count(n)
         rows = [q.counts for q in queries]
         counts = whole_numbers(rows or np.zeros((0, n)), "counts", 0, n + 1)
         if counts.shape != (len(rows), n):
@@ -161,12 +161,16 @@ class QueryDistribution:
 
     @staticmethod
     def from_json(obj) -> "QueryDistribution":
+        """Read a JSON text (str or bytes) or its parsed dict.  What
+        ``to_json`` and ``onoffpir build`` write is scanned directly; any
+        other text goes through ``json.loads``, with the same checks."""
+        if isinstance(obj, str) and (dist := _scan(obj)) is not None:
+            return dist
         if isinstance(obj, (str, bytes)):
             obj = json.loads(obj)
         try:
             items = [(e["z"], e["x"], e["u"], e["p"]) for e in obj["entries"]]
-            n = int(whole_numbers(obj["n"], "n", 1, 1 << 31))
-            return QueryDistribution.from_items(n, items)
+            return QueryDistribution.from_items(obj["n"], items)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed query distribution: {exc}") from exc
 
@@ -175,14 +179,12 @@ class QueryDistribution:
         """Build from (counts, x, u, prob) tuples, merging duplicates and
         dropping sub-threshold mass, in canonical order.
 
-        Raises ValueError unless n >= 1, each count vector holds n
-        nonnegative integers summing to at most n, x and u are integers in
+        Raises ValueError unless n is an integer >= 1, each count vector holds
+        n nonnegative integers summing to at most n, x and u are integers in
         [0, n), and every probability is finite and nonnegative (booleans and
         strings are not numbers here).  Count vectors are lists, tuples or
         arrays; each count's type is checked, its value once per distinct vector.
         """
-        if n < 1:
-            raise ValueError(f"a query distribution needs n >= 1 sources, got {n}")
         items = list(items)
         zs, xs, us, ps = zip(*items) if items else ((), (), (), ())
         if not all(issubclass(kind, (list, tuple, np.ndarray))
@@ -193,16 +195,69 @@ class QueryDistribution:
         # type check [true, 0] would hide behind an earlier [1, 0].
         index_of: dict = {}
         row_of = [index_of.setdefault(tuple(z), len(index_of)) for z in zs]
-        rows = whole_numbers(list(index_of) or np.zeros((0, n)), "counts", 0, n + 1)
-        if rows.shape != (len(index_of), n):
-            raise ValueError(f"count vectors must have length n={n}")
-        if np.any(rows.sum(axis=1) > n):
-            raise ValueError("multiset cardinality cannot exceed the number of sources")
-        ps = numbers(ps, "p")
-        if not np.all(np.isfinite(ps) & (ps >= 0)):
-            raise ValueError("probabilities must be finite and nonnegative")
-        return _assemble(n, rows, row_of, whole_numbers(xs, "x", 0, n),
-                         whole_numbers(us, "u", 0, n), ps)
+        return _checked_assemble(n, list(index_of), row_of, xs, us, ps)
+
+
+def _source_count(n) -> int:
+    """``n`` as an int; ValueError unless it is one integer in [1, 2**31)."""
+    try:
+        return int(whole_numbers(n, "n", 1, 1 << 31))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"a query distribution needs n >= 1 sources: {exc}") from None
+
+
+def _checked_assemble(n, rows: list, row_of, xs, us, ps) -> QueryDistribution:
+    """:func:`_assemble` after the readers' checks: ``n`` an integer >= 1,
+    each distinct count row in ``rows`` n nonnegative integers summing to at
+    most n, every p finite and nonnegative, and x and u integers in [0, n)."""
+    n = _source_count(n)
+    counts = whole_numbers(rows or np.zeros((0, n)), "counts", 0, n + 1)
+    if counts.shape != (len(rows), n):
+        raise ValueError(f"count vectors must have length n={n}")
+    if np.any(counts.sum(axis=1) > n):
+        raise ValueError("multiset cardinality cannot exceed the number of sources")
+    ps = numbers(ps, "p")
+    if not np.all(np.isfinite(ps) & (ps >= 0)):
+        raise ValueError("probabilities must be finite and nonnegative")
+    return _assemble(n, counts, row_of, whole_numbers(xs, "x", 0, n),
+                     whole_numbers(us, "u", 0, n), ps)
+
+
+# The text to_json writes, in the JSON grammar: integers and numbers with
+# ASCII digits only, every entry followed by ", " or the end of the list.  A
+# count row's text holds digits, commas and spaces only, so that findall does
+# not rescan the rest of the text from each entry after an unclosed row.
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_NUM = _INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_HEAD = re.compile(rf'\{{"n": ({_INT}), "entries": \[')
+_ENTRY = re.compile(rf'\{{"z": (\[[0-9, ]*\]), "x": ({_INT}), "u": ({_INT}), '
+                    rf'"p": ({_NUM})\}}(?:, |\Z)')
+_TAIL = re.compile(rf'\](?:, "expected_[a-z_]+": {_NUM})*\}}[ \t\n\r]*')
+
+
+def _scan(text: str) -> QueryDistribution | None:
+    """``text`` read as ``to_json`` writes it, or None when it has any other
+    shape.  Each entry has 30 fixed characters (28 the last), so the entries
+    tile the list when these and their groups add up to its length.  Count
+    rows are parsed once per distinct text; ``float`` is json's own call for
+    a number, and exact on an integer (-0 aside, which merging drops)."""
+    head = _HEAD.match(text)
+    end = text.rfind("]")
+    if head is None or not _TAIL.fullmatch(text, end):
+        return None
+    start = head.end()
+    found = _ENTRY.findall(text, start, end)
+    if sum(map(len, chain.from_iterable(found))) + 30 * len(found) - 2 != end - start:
+        return None
+    zs, xs, us, ps = zip(*found)
+    index_of: dict = {}
+    row_of = [index_of.setdefault(z, len(index_of)) for z in zs]
+    try:
+        rows = [json.loads(z) for z in index_of]
+    except ValueError:
+        return None
+    return _checked_assemble(int(head[1]), rows, row_of, list(map(int, xs)),
+                             list(map(int, us)), list(map(float, ps)))
 
 
 def _assemble(n: int, rows, row_of, xs, us, ps) -> QueryDistribution:

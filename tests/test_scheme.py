@@ -430,6 +430,31 @@ def test_readers_require_a_source(n):
         QueryDistribution.from_json({"n": n, "entries": []})
 
 
+def _read_all(n):
+    """One distribution over the count row (0, 1, 1) through each reader."""
+    items = [((0, 1, 1), x, u, 1.0) for x, u in ((1, 0), (2, 1), (1, 2))]
+    entries = [{"z": list(z), "x": x, "u": u, "p": p} for z, x, u, p in items]
+    return [lambda: QueryDistribution(n, **_constructor_args()),
+            lambda: QueryDistribution.from_items(n, items),
+            lambda: QueryDistribution.from_json({"n": n, "entries": entries})]
+
+
+@pytest.mark.parametrize("n", ["3", True, 2.5, [3]])
+def test_readers_require_an_integer_n(n):
+    for read in _read_all(n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            read()
+
+
+@pytest.mark.parametrize("n", [3.0, np.int64(3), np.float64(3.0)])
+def test_readers_accept_an_integral_n(n):
+    for read, want in zip(_read_all(n), _read_all(3)):
+        dist = read()
+        assert type(dist.n) is int and dist.entry_tuples() == want().entry_tuples()
+    wire = '{"n": 3.0, "entries": [{"z": [0, 1, 1], "x": 1, "u": 0, "p": 1.0}]}'
+    assert QueryDistribution.from_json(wire).n == 3
+
+
 def _constructor_args(**changes):
     """Arguments of a valid one-query, three-entry distribution, with some
     replaced."""

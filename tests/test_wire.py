@@ -3,7 +3,10 @@
 back, the same inputs rejected, identical trace CSV bytes, and identical
 chi-square audits (statistic and p-value within 1e-12 relative)."""
 
+import json
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -11,9 +14,9 @@ import pytest
 import reference_wire as ref
 import test_scheme
 from helpers import random_law, worked_law
-from onoffpir.cli import CSV_CHUNK, _trace_csv
+from onoffpir.cli import CSV_CHUNK, _trace_csv, main
 from onoffpir.model import ConditionalLaw, MarkovModel, PrivacyPattern
-from onoffpir.scheme import (QueryDistribution, build_query_distribution,
+from onoffpir.scheme import (QueryDistribution, _scan, build_query_distribution,
                              project_to_sets)
 from onoffpir.sim import POLICIES, SimulationResult, empirical_privacy_audit, simulate
 
@@ -43,6 +46,118 @@ def test_from_json_matches_reference():
         got, want = QueryDistribution.from_json(wire), ref.from_json(wire)
         assert got.entry_tuples() == want.entry_tuples() == dist.entry_tuples()
         assert got.to_json() == wire
+
+
+@pytest.fixture(scope="module")
+def built_texts(tmp_path_factory):
+    """``onoffpir build`` files, the ``expected_...`` members spliced in."""
+    tmp = tmp_path_factory.mktemp("built")
+    texts = []
+    for n in (3, 6):
+        model = tmp / f"m{n}.json"
+        model.write_text(_chain(n).to_json())
+        for gap in ("1", "3"):
+            out = tmp / f"d{n}-{gap}.json"
+            assert main(["build", "--model", str(model), "--gap", gap,
+                         "--out", str(out)]) == 0
+            texts.append(out.read_text())
+    return texts
+
+
+def _dict_route(text):
+    return QueryDistribution.from_json(json.loads(text))
+
+
+def test_scanned_text_matches_dict_route(built_texts):
+    for text in [dist.to_json() for dist in SCHEMES] + built_texts:
+        got, want = QueryDistribution.from_json(text), _dict_route(text)
+        for name in ("counts", "qidx", "xs", "us", "probs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_canonical_text_is_never_parsed_whole(built_texts, monkeypatch):
+    seen = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, **kw: seen.append(s) or loads(s, **kw))
+    for text in [dist.to_json() for dist in SCHEMES] + built_texts:
+        seen.clear()
+        QueryDistribution.from_json(text)
+        assert seen and all(len(arg) < len(text) for arg in seen)
+
+
+def _first(pattern, new):
+    return lambda text: re.sub(pattern, new, text, count=1)
+
+
+def _tail(members):
+    return lambda text: text.rstrip()[:-1] + members + "}"
+
+
+def _reordered(text):
+    obj = json.loads(text)
+    return json.dumps({"entries": [dict(reversed(e.items())) for e in obj["entries"]],
+                       "n": obj["n"]})
+
+
+_P, _X, _Z = r'"p": [^}]*', r'"x": (\d+)', r'"z": \[[^\]]*\]'
+MUTATIONS = {
+    "indent": lambda text: json.dumps(json.loads(text), indent=1),
+    "compact": lambda text: json.dumps(json.loads(text), separators=(",", ":")),
+    "reordered": _reordered,
+    "n-override": _tail(', "n": 7'),
+    "entries-override": _tail(', "entries": []'),
+    "newline": lambda text: text + "\n",
+    "spaces": lambda text: text + "  \t\r\n ",
+    "trailing-nbsp": lambda text: text + "\u00a0",
+    "leading-space": lambda text: " " + text,
+    "bytes": str.encode,
+    "p-int": _first(_P, '"p": 1'),
+    "p-minus-zero": _first(_P, '"p": -0'),
+    "p-exponent": _first(_P, '"p": 1E-5'),
+    "p-huge-int": _first(_P, '"p": 1' + "0" * 400),
+    "p-nan": _first(_P, '"p": NaN'),
+    "p-infinity": _first(_P, '"p": Infinity'),
+    "p-unicode-digit": _first(_P, '"p": 1\u0660'),
+    "p-unicode-fraction": _first(_P, '"p": 0.\u0665'),
+    "x-float": _first(_X, r'"x": \1.0'),
+    "x-leading-zero": _first(_X, r'"x": 0\1'),
+    "x-out-of-range": lambda text: _first(_X, f'"x": {json.loads(text)["n"]}')(text),
+    "x-huge-int": _first(_X, '"x": 1' + "0" * 400),
+    "z-double-comma": _first(_Z, '"z": [1,,0]'),
+    "z-empty-item": _first(r'"z": \[(\d+), ', r'"z": [\1,, '),
+    "z-unterminated": _first(_Z, '"z": [1, 0'),
+    "z-too-long": _first(r'"z": \[', '"z": [0, '),
+    "z-float": _first(r'"z": \[(\d+)', r'"z": [\1.0'),
+    "separator-moved": lambda text: _first(r'"entries": \[', '"entries": [, ')(
+        _first(r'\}, \{', '}{')(text)),
+    "entries-empty": _first(r'\[\{.*\}\]', "[]"),
+}
+
+
+def _outcome(read, text):
+    try:
+        return read(text).entry_tuples()
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_mutated_text_reads_as_dict_route(mutation, built_texts):
+    for text in [SCHEMES[0].to_json(), SCHEMES[-1].to_json()] + built_texts[:2]:
+        mutated = MUTATIONS[mutation](text)
+        assert mutated != text
+        assert (_outcome(QueryDistribution.from_json, mutated)
+                == _outcome(_dict_route, mutated))
+
+
+def test_scan_stays_linear_on_unclosed_rows():
+    # 30,000 entry starts whose count rows never close: a row pattern that
+    # ran on to the final "]" made findall take seconds here.
+    text = '{"n": 3, "entries": [' + '{"z": [' * 30000 + '0]}'
+    start = time.perf_counter()
+    assert _scan(text) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_from_items_merges_like_reference():
