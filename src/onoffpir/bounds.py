@@ -43,9 +43,12 @@ def outer_bound_2(law: ConditionalLaw) -> RateBound:
 def inner_bound_first_off_step(law: ConditionalLaw) -> RateBound:
     """Achievable cost of the built scheme on the first OFF step, where the
     query history is the single deterministic full-set class."""
-    stats = order_stats(law)
-    levels = np.arange(1, law.n + 1, dtype=float)
-    return RateBound(float(levels @ stats.thetas))
+    return RateBound(_inner_cost(order_stats(law)))
+
+
+def _inner_cost(stats: OrderStats) -> float:
+    """The built scheme's expected multiset size, sum_i i * theta_i."""
+    return float(np.arange(1, stats.n + 1, dtype=float) @ stats.thetas)
 
 
 def exact_rate_n2(alpha: float, beta: float, gap: int) -> RateBound:
@@ -110,7 +113,7 @@ def bounds_over_horizon(model: MarkovModel, pattern: PrivacyPattern,
         outer1 = inner = lp_opt = mi = 0.0
         for br in view.branches:
             outer1 += br.prob * outer_bound_2(br.law).inverse_rate
-            inner += br.prob * inner_bound_first_off_step(br.law).inverse_rate
+            inner += br.prob * _inner_cost(br.stats)
             mi += br.prob * mutual_information_bits(
                 np.einsum("ux,kux->uk", br.pre_joint, br.scheme.w))
             if with_lp:

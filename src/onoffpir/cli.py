@@ -18,8 +18,8 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import lp as _lp
-from .model import (CapacityError, MarkovModel, PrivacyPattern, order_stats,
-                    step_law, whole_numbers)
+from .model import (CapacityError, MarkovModel, PrivacyPattern, load_json,
+                    order_stats, step_law, whole_numbers)
 from .scheme import (InternalConsistencyError, QueryDistribution,
                      build_query_distribution)
 from .sim import POLICIES, empirical_privacy_audit, simulate
@@ -156,7 +156,7 @@ def _trace_csv(result) -> str:
 def _cmd_simulate(args) -> int:
     if args.config is not None:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            cfg = load_json(fh.read())
         if not (isinstance(cfg, dict) and isinstance(cfg.get("pattern"), str)
                 and isinstance(cfg.get("model"), (dict, str))):
             raise ValueError("a simulate config is a JSON object with a string "

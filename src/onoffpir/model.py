@@ -59,6 +59,15 @@ def whole_numbers(values, what: str, lo: int, hi: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def load_json(text):
+    """``json.loads(text)``, with nesting too deep for the parser's
+    recursion a ValueError like any other malformed text."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON text nested too deeply") from None
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -124,7 +133,7 @@ class MarkovModel:
     def from_json(obj) -> "MarkovModel":
         """Parse ``{"n": int, "p": [[...]], "pi0": [...]}`` (dict or JSON text)."""
         if isinstance(obj, (str, bytes)):
-            obj = json.loads(obj)
+            obj = load_json(obj)
         try:
             return MarkovModel(int(whole_numbers(obj["n"], "n", 0, 1 << 31)),
                                numbers(obj["p"], "p"), numbers(obj["pi0"], "pi0"))
@@ -264,14 +273,15 @@ def order_stats(law: ConditionalLaw) -> OrderStats:
     t = law.table
     # argsort per column; stable sort keeps the smaller pivot index first on ties
     orderings = np.argsort(t, axis=0, kind="stable").T  # orderings[x, i] = u
-    sorted_cols = np.take_along_axis(t.T, orderings, axis=1)  # [x, i] = p(x | u^(x,i+1))
+    sorted_cols = t[orderings, np.arange(n)[:, None]]  # [x, i] = p(x | u^(x,i+1))
     lambdas = sorted_cols.sum(axis=0)
     clipped = np.minimum(1.0, lambdas)
-    thetas = np.diff(clipped, prepend=0.0)
+    thetas = clipped.copy()
+    thetas[1:] -= clipped[:-1]   # the increments, the first from 0
     thetas = np.clip(thetas, 0.0, None)
     # lambdas is nondecreasing with lambda_1 <= 1, so the threshold exists;
     # the small slack absorbs float noise on laws given as short decimals.
-    sigma = int(np.max(np.nonzero(lambdas <= 1.0 + 1e-12)[0])) + 1
+    sigma = int(np.flatnonzero(lambdas <= 1.0 + 1e-12)[-1]) + 1
 
     if sigma == n:
         # Only possible when every column is constant (all level sums equal 1):

@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (EPS, ZERO_TOL, ConditionalLaw, OrderStats,
-                    check_number_types, numbers, order_stats, whole_numbers)
+                    check_number_types, load_json, numbers, order_stats,
+                    whole_numbers)
 
 
 class InternalConsistencyError(AssertionError):
@@ -167,7 +168,7 @@ class QueryDistribution:
         if isinstance(obj, str) and (dist := _scan(obj)) is not None:
             return dist
         if isinstance(obj, (str, bytes)):
-            obj = json.loads(obj)
+            obj = load_json(obj)
         try:
             items = [(e["z"], e["x"], e["u"], e["p"]) for e in obj["entries"]]
             return QueryDistribution.from_items(obj["n"], items)
@@ -262,33 +263,56 @@ def _scan(text: str) -> QueryDistribution | None:
 
 def _assemble(n: int, rows, row_of, xs, us, ps) -> QueryDistribution:
     """Intern count vectors, merge duplicate (z, x, u) triples, drop dust,
-    and order canonically.
+    and order canonically: :func:`_assemble_laws` for one law."""
+    return _assemble_laws(n, None, rows, row_of, xs, us, ps)[0]
 
-    ``rows`` holds raw count vectors, repeats allowed; entry ``e`` has count
-    vector ``rows[row_of[e]]``.  The distinct vectors are ranked by
-    (cardinality, count vector) in one ``lexsort``, so the merge key below
-    sorts entries straight into canonical order.
+
+def _assemble_laws(n: int, row_law, rows, row_of, xs, us, ps):
+    """:func:`_assemble` for several laws at once: one distribution with
+    each law's part, as it alone gives it, after the last law's, and the law
+    of each count row.
+
+    Entry ``e`` has count vector ``rows[row_of[e]]`` (repeats allowed) of
+    law ``row_law[row_of[e]]`` (0 when ``row_law`` is None); ``row_of``,
+    ``xs``, ``us`` and ``ps`` broadcast together, entries in C order.  One
+    ``lexsort`` ranks the distinct (law, vector) pairs by law, cardinality
+    and vector, so the merge key sorts entries straight into canonical order
+    law by law, and every cell is summed in entry order.
     """
     rows = np.asarray(rows, dtype=np.int64)
     rows = rows.reshape(len(rows), n)
-    order = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))
+    keys = [rows.T[::-1], rows.sum(axis=1)]
+    if row_law is not None:
+        keys.append(row_law)
+    order = np.lexsort(np.vstack(keys))
     ranked = rows[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    if row_law is not None:
+        new[1:] |= row_law[order[1:]] != row_law[order[:-1]]
     rank = np.empty(len(rows), dtype=np.int64)
     rank[order] = np.cumsum(new) - 1
     distinct = ranked[new]
+    del ranked   # a batch of laws is large
 
-    key = (rank[np.asarray(row_of, dtype=np.int64)] * n
-           + np.asarray(xs, dtype=np.int64)) * n + np.asarray(us, dtype=np.int64)
+    key = rank[np.asarray(row_of, dtype=np.int64)] * n + np.asarray(xs, dtype=np.int64)
+    key *= n
+    key += np.asarray(us, dtype=np.int64)
     uniq, inverse = np.unique(key, return_inverse=True)
-    sums = np.bincount(inverse, weights=np.asarray(ps, dtype=float),
-                       minlength=len(uniq))
+    sums = np.bincount(inverse.ravel(), minlength=len(uniq), weights=np.broadcast_to(
+        np.asarray(ps, dtype=float), key.shape).ravel())
     keep = sums > ZERO_TOL
     uniq, sums = uniq[keep], sums[keep]
-    present, qidx = np.unique(uniq // (n * n), return_inverse=True)
-    return QueryDistribution._of_counts(n, distinct[present], qidx,
-                                        (uniq // n) % n, uniq % n, sums)
+    # uniq is sorted, so its distinct ranks start where the rank changes
+    ranks = uniq // (n * n)
+    first = np.ones(len(ranks), dtype=bool)
+    first[1:] = ranks[1:] != ranks[:-1]
+    present = ranks[first]
+    qidx = np.cumsum(first) - 1
+    xs, us = uniq // n, uniq % n
+    xs %= n
+    return (QueryDistribution._of_counts(n, distinct[present], qidx, xs, us, sums),
+            None if row_law is None else row_law[order][new][present])
 
 
 def project_to_sets(dist: QueryDistribution) -> QueryDistribution:
@@ -366,48 +390,31 @@ def build_query_distribution(law: ConditionalLaw,
     cardinality law equals the theta increments, so the expected multiset
     cardinality meets the inner bound with equality.
     """
-    if stats is None:
-        stats = order_stats(law)
-    n = law.n
-    table = law.table
-    # sorted_likes[x][i] = p(x | u^(x, i+1)); the lanes run on Python floats,
-    # which round exactly as numpy's float64 scalars do.
-    sorted_likes = np.take_along_axis(table.T, stats.orderings, axis=1).tolist()
-    q_mat = np.maximum(table - stats.deltas[None, :], 0.0).tolist()
-    orderings, deltas = stats.orderings.tolist(), stats.deltas.tolist()
-    row_ptr = [0] * n
+    return build_batch([law], [order_stats(law) if stats is None else stats])[0]
 
+
+def build_batch(laws: list, stats: list):
+    """:func:`build_query_distribution` of laws over one n, given their
+    order statistics: the lane loop per law, then one expansion and one
+    assembly for all.  Returns ``(whole, row_cut, entry_cut)``: law j's
+    count rows are ``row_cut[j]:row_cut[j + 1]`` of ``whole`` and its entries
+    ``entry_cut[j]:entry_cut[j + 1]``; :func:`law_part` cuts out the
+    self-checked distribution that law's build alone gives."""
+    n = laws[0].n
     # Per merge round its request and weight; per lane entry its round,
     # pivot and column.  Every other pivot of a round asks for the request.
-    round_x: list = []
-    round_nu: list = []
-    lane_round: list = []
-    lane_pivot: list = []
-    lane_col: list = []
-    for card in range(1, min(stats.sigma + 1, n) + 1):
-        for x in range(n):
-            prev = sorted_likes[x][card - 2] if card >= 2 else 0.0
-            target = min(deltas[x], sorted_likes[x][card - 1]) - prev
-            if target <= ZERO_TOL:
-                continue
-            lane_us = orderings[x][:card - 1]
-            if card == 1:
-                rounds = [((), target)]
-            else:
-                lanes = [_lane_take(q_mat, row_ptr, u, target) for u in lane_us]
-                if any(not lane for lane in lanes):
-                    continue  # target vanished to float dust inside the lanes
-                rounds = _merge_lanes(lanes)
-            for zeta, nu in rounds:
-                lane_round.extend([len(round_x)] * len(zeta))
-                lane_pivot.extend(lane_us)
-                lane_col.extend(zeta)
-                round_x.append(x)
-                round_nu.append(nu)
+    round_x, round_nu, lane_round, lane_pivot, lane_col = [], [], [], [], []
+    law_rounds = []
+    for law, law_stats in zip(laws, stats, strict=True):
+        if law.n != n:
+            raise ValueError(f"a batch of laws over n={n} holds one over n={law.n}")
+        _take_rounds(law, law_stats, round_x, round_nu, lane_round, lane_pivot,
+                     lane_col)
+        law_rounds.append(len(round_x))
 
-    # Expand each round to its n entries, one per pivot u, in one pass.  The
-    # entries of a round differ in u, so _assemble still sums every merge key
-    # over the rounds in round order.
+    # Expand each round to its n entries in one pass: row r of xs holds
+    # round r's requests, pivot u's in column u.  The entries of a round
+    # differ in u, so _assemble sums every merge key in round order.
     n_rounds = len(round_x)
     round_x = np.asarray(round_x, dtype=np.int64)
     lane_round = np.asarray(lane_round, dtype=np.int64)
@@ -417,10 +424,57 @@ def build_query_distribution(law: ConditionalLaw,
                          minlength=n_rounds * n).reshape(n_rounds, n)
     xs = np.repeat(round_x, n).reshape(n_rounds, n)
     xs[lane_round, np.asarray(lane_pivot, dtype=np.int64)] = lane_col
-    dist = _assemble(n, counts, np.repeat(np.arange(n_rounds), n), xs.ravel(),
-                     np.tile(np.arange(n), n_rounds), np.repeat(round_nu, n))
-    _check_built(dist, law, stats)
-    return dist
+    round_law = np.repeat(np.arange(len(laws)), np.diff(law_rounds, prepend=0))
+    whole, law_of_row = _assemble_laws(n, round_law, counts, np.arange(n_rounds)[:, None],
+                                       xs, np.arange(n), np.asarray(round_nu)[:, None])
+    row_cut = np.searchsorted(law_of_row, np.arange(len(laws) + 1))
+    entry_cut = np.searchsorted(whole.qidx, row_cut)
+    for j, (law, law_stats) in enumerate(zip(laws, stats)):
+        _check_built(law_part(whole, row_cut, entry_cut, j), law, law_stats)
+    return whole, row_cut, entry_cut
+
+
+def law_part(whole: QueryDistribution, row_cut, entry_cut, j: int) -> QueryDistribution:
+    """Law j's distribution in a :func:`build_batch` result."""
+    r0, e0, e1 = row_cut[j], entry_cut[j], entry_cut[j + 1]
+    qidx = whole.qidx[e0:e1]
+    return QueryDistribution._of_counts(whole.n, whole.counts[r0:row_cut[j + 1]],
+                                        qidx - r0 if r0 else qidx, whole.xs[e0:e1],
+                                        whole.us[e0:e1], whole.probs[e0:e1])
+
+
+def _take_rounds(law: ConditionalLaw, stats: OrderStats, round_x: list,
+                 round_nu: list, lane_round: list, lane_pivot: list, lane_col: list):
+    """Algorithm 1's lane loop for one law: append its merge rounds to the
+    lists, numbering them on from the rounds already there."""
+    n = law.n
+    table = law.table
+    # sorted_likes[x][i] = p(x | u^(x, i+1)); the lanes run on Python floats,
+    # which round exactly as numpy's float64 scalars do.
+    sorted_likes = table[stats.orderings, np.arange(n)[:, None]].tolist()
+    q_mat = np.maximum(table - stats.deltas[None, :], 0.0).tolist()
+    orderings, deltas = stats.orderings.tolist(), stats.deltas.tolist()
+    row_ptr = [0] * n
+    for card in range(1, min(stats.sigma + 1, n) + 1):
+        for x in range(n):
+            prev = sorted_likes[x][card - 2] if card >= 2 else 0.0
+            target = min(deltas[x], sorted_likes[x][card - 1]) - prev
+            if target <= ZERO_TOL:
+                continue
+            lane_us = orderings[x][:card - 1]
+            if card == 1:
+                merged = [((), target)]
+            else:
+                lanes = [_lane_take(q_mat, row_ptr, u, target) for u in lane_us]
+                if any(not lane for lane in lanes):
+                    continue  # target vanished to float dust inside the lanes
+                merged = _merge_lanes(lanes)
+            for zeta, nu in merged:
+                lane_round.extend([len(round_x)] * len(zeta))
+                lane_pivot.extend(lane_us)
+                lane_col.extend(zeta)
+                round_x.append(x)
+                round_nu.append(nu)
 
 
 def identity_gaps(dist: QueryDistribution, law: ConditionalLaw, thetas):

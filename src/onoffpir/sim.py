@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .model import (ZERO_TOL, CapacityError, ConditionalLaw, MarkovModel,
-                    PrivacyPattern)
-from .scheme import build_query_distribution
+                    OrderStats, PrivacyPattern, order_stats)
+from .scheme import build_batch
 
 POLICIES = ("algorithm1", "naive", "full_download")
 # Most bytes one step's messages may take in ``simulate`` (all episodes).
@@ -76,20 +76,34 @@ class StepScheme:
 
 
 def _scheme_algorithm1(law: ConditionalLaw) -> StepScheme:
-    """Algorithm 1's scheme: each multiset entry summed into its (support, u,
-    x) cell in entry order, as the set projection sums it, over p(x | u)."""
-    dist = build_query_distribution(law)
-    n = law.n
-    # object dtype keeps the masks exact Python ints beyond 63 sources
-    supports = (dist.counts > 0) @ (1 << np.arange(n, dtype=object))
-    masks, k = np.unique(supports, return_inverse=True)
-    w = np.bincount((k[dist.qidx] * n + dist.us) * n + dist.xs, dist.probs,
-                    len(masks) * n * n).reshape(len(masks), n, n)
+    """Algorithm 1's scheme of one law: :func:`_algorithm1_batch` of one."""
+    return _algorithm1_batch([law], [order_stats(law)])[0]
+
+
+def _algorithm1_batch(laws: list, stats: list) -> list:
+    """Algorithm 1's schemes of laws over one n, built together: each
+    multiset entry summed into its (support, u, x) cell in entry order, as
+    the set projection sums it, over p(x | u)."""
+    if not laws:
+        return []
+    dist, row_cut, _entry_cut = build_batch(laws, stats)
+    n = dist.n
+    # Each count row's law and support mask as one key, law * 2^n + mask, in
+    # object dtype so that masks beyond 63 sources stay exact Python ints.
+    supports = (np.repeat(np.arange(len(laws), dtype=object), np.diff(row_cut))
+                * (1 << n) + (dist.counts > 0) @ (1 << np.arange(n, dtype=object)))
+    keys, k = np.unique(supports, return_inverse=True)
+    cells, probs = (k[dist.qidx] * n + dist.us) * n + dist.xs, dist.probs
+    del dist, supports, k   # the layer's entries go before its tables come
+    w = np.bincount(cells, probs, len(keys) * n * n).reshape(len(keys), n, n)
+    cut = np.searchsorted((keys >> n).astype(np.int64), np.arange(len(laws) + 1)).tolist()
     with np.errstate(invalid="ignore", divide="ignore"):
-        w /= law.table
+        for law, a, b in zip(laws, cut[:-1], cut[1:]):
+            w[a:b] /= law.table
     w[~np.isfinite(w)] = 0.0
     np.clip(w, 0.0, 1.0, out=w)
-    return StepScheme(tuple(masks.tolist()), w)
+    masks = (keys & ((1 << n) - 1)).tolist()
+    return [StepScheme(tuple(masks[a:b]), w[a:b]) for a, b in zip(cut[:-1], cut[1:])]
 
 
 def _scheme_naive(n: int) -> StepScheme:
@@ -119,6 +133,7 @@ class BranchView:
     t: int
     pre_joint: np.ndarray          # p(pivot, current | history) before this query
     law: ConditionalLaw | None     # None on ON steps (query carries no choice)
+    stats: OrderStats | None       # order_stats(law); None on ON steps
     scheme: StepScheme             # the full download on ON steps
     prob: float = 0.0
 
@@ -135,11 +150,13 @@ class _BeliefGraph:
 
     A node is one step's belief, the posterior joint rounded to 1e-12, so
     histories reaching the same belief share it.  The graph keeps no node:
-    its walker holds the current layer and a dict of the next one keyed on
-    the rounded belief, so a layer is freed once the walk has left it.
-    Algorithm 1's schemes are memoized by law; the other policies send one
-    fixed scheme.  Only ``_node`` reads the pattern: an ON node holds the
-    pivot-reset joint and the full download, so every edge is one Bayes step.
+    its walker holds the current layer and interns the next one's beliefs in
+    a dict keyed on the rounded belief, then makes their nodes in one call,
+    so a layer is freed once the walk has left it.  Algorithm 1's schemes
+    are memoized by law, first come in node order, each layer's new laws
+    built in one batch; the other policies send one fixed scheme.  Only
+    ``layer`` reads the pattern: an ON node holds the pivot-reset joint and
+    the full download, so every edge is one Bayes step.
     """
 
     def __init__(self, model: MarkovModel, pattern: PrivacyPattern, policy: str):
@@ -152,41 +169,46 @@ class _BeliefGraph:
                        self._full if policy == "full_download" else None)
         self._schemes: dict = {}   # law.key() -> algorithm 1's scheme
 
-    def _scheme(self, law: ConditionalLaw) -> StepScheme:
+    def _schemes_of(self, laws: list, stats: list) -> list:
         if self._fixed is not None:
-            return self._fixed
-        key = law.key()
-        if key not in self._schemes:
-            self._schemes[key] = _scheme_algorithm1(law)
-        return self._schemes[key]
+            return [self._fixed] * len(laws)
+        keys = [law.key() for law in laws]
+        new: dict = {}   # key -> index of its first law, for keys not memoized
+        for i, key in enumerate(keys):
+            if key not in self._schemes:
+                new.setdefault(key, i)
+        built = _algorithm1_batch([laws[i] for i in new.values()],
+                                  [stats[i] for i in new.values()])
+        self._schemes.update(zip(new, built))
+        return [self._schemes[key] for key in keys]
 
-    def _node(self, t: int, joint: np.ndarray) -> BranchView:
-        pre = joint if t == 0 else joint @ self.model.p
+    def layer(self, t: int, pres: list) -> list:
+        """Step t's nodes, one per belief in ``pres``, each the joint of the
+        pivot and step t's request before step t's query, in order."""
         if self.pattern.flags[t]:
-            return BranchView(t, np.diag(pre.sum(axis=0)), None, self._full)
-        law = _law_from_joint(pre)
-        return BranchView(t, pre, law, self._scheme(law))
+            return [BranchView(t, np.diag(pre.sum(axis=0)), None, None, self._full)
+                    for pre in pres]
+        laws = [_law_from_joint(pre) for pre in pres]
+        stats = [order_stats(law) for law in laws]
+        return [BranchView(t, pre, law, law_stats, scheme) for pre, law, law_stats, scheme
+                in zip(pres, laws, stats, self._schemes_of(laws, stats))]
 
-    def root(self) -> BranchView:
-        """A new step-0 node: the prior belief, diag(pi0)."""
-        return self._node(0, np.diag(self.model.pi0))
-
-    def child(self, node: BranchView, k: int, layer: dict) -> BranchView:
-        """The node reached after ``node``'s k-th candidate query (the Bayes
-        step), shared through ``layer``, the next step's nodes keyed on the
-        rounded belief; at an ON node the one candidate, the full set, keeps
-        the reset joint.  Raises :class:`CapacityError` instead of making the
-        node that would put more than ``MAX_BELIEFS`` nodes in ``layer``."""
+    def child(self, node: BranchView, k: int, beliefs: dict) -> int:
+        """The next layer's index of the belief after ``node``'s k-th
+        candidate query (the Bayes step; at an ON node the full set keeps
+        the reset joint), interned in ``beliefs`` as (index, pre-query
+        joint) on the rounded belief.  Raises :class:`CapacityError` instead
+        of interning more than ``MAX_BELIEFS`` beliefs."""
         post = node.pre_joint * node.scheme.w[k]
         post /= post.sum()
         key = np.round(post, 12).tobytes()
-        nxt = layer.get(key)
-        if nxt is None:
-            if len(layer) >= MAX_BELIEFS:
+        got = beliefs.get(key)
+        if got is None:
+            if len(beliefs) >= MAX_BELIEFS:
                 raise CapacityError(f"more than {MAX_BELIEFS} belief nodes "
                                     f"at t={node.t + 1}")
-            nxt = layer[key] = self._node(node.t + 1, post)
-        return nxt
+            got = beliefs[key] = (len(beliefs), post @ self.model.p)
+        return got[0]
 
 
 def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
@@ -197,24 +219,31 @@ def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
     belief nodes reached at t, each with the total probability of the
     histories merged into it; query outcomes of probability at most
     ``ZERO_TOL`` are dropped.  Raises :class:`CapacityError` when a step would
-    hold more than ``MAX_BELIEFS`` nodes, before it makes the node past the
-    cap (Monte Carlo simulation is the fallback at that size).
+    hold more than ``MAX_BELIEFS`` nodes, as the belief past the cap is
+    interned, before any node of that step is made (Monte Carlo simulation
+    is the fallback at that size).
     """
     if not 0 <= horizon < len(pattern):
         raise ValueError(f"horizon {horizon} outside the pattern's steps 0..{len(pattern) - 1}")
     graph = _BeliefGraph(model, pattern, policy)
-    layer = [graph.root()]
+    layer = graph.layer(0, [np.diag(model.pi0)])
     layer[0].prob = 1.0
     for t in range(horizon + 1):
         yield StepView(t, pattern.flags[t], layer)
         if t == horizon:
             return
-        nxt: dict = {}   # rounded belief -> node of the next layer
+        beliefs: dict = {}   # rounded belief -> (index, pre-query joint) at t + 1
+        probs: list = []
         for node in layer:
             for k, weight in enumerate(node.scheme.query_marginal(node.pre_joint)):
                 if weight > ZERO_TOL:
-                    graph.child(node, k, nxt).prob += node.prob * weight
-        layer = list(nxt.values())
+                    i = graph.child(node, k, beliefs)
+                    if i == len(probs):
+                        probs.append(0.0)
+                    probs[i] += node.prob * weight
+        layer = graph.layer(t + 1, [pre for _i, pre in beliefs.values()])
+        for node, prob in zip(layer, probs):
+            node.prob = prob
 
 
 class ServerState:
@@ -339,13 +368,12 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
     oks = np.empty(q_masks.shape, dtype=bool)
     taus = pattern.taus
     rows = np.arange(episodes)
-    layer = [graph.root()]
+    layer = graph.layer(0, [np.diag(model.pi0)])
     at = np.zeros(episodes, dtype=np.intp)   # layer index of each episode's node
     for t in range(horizon + 1):
         x = xs[:, t] = _inverse_cdf(np.cumsum(model.pi0) if t == 0 else p_cum[x],
                                     req_u[:, t])
-        nxt: dict = {}    # rounded belief -> node of the next layer
-        slot: dict = {}   # node of the next layer -> its index there
+        beliefs: dict = {}   # rounded belief -> (index, pre-query joint) at t + 1
         at_next = np.empty_like(at)
         for i, node in enumerate(layer):
             group = np.flatnonzero(at == i)
@@ -354,9 +382,10 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
             q_masks[group, t] = np.array(node.scheme.y_masks)[ks]
             if t < horizon:
                 for k in np.unique(ks):
-                    child = graph.child(node, int(k), nxt)
-                    at_next[group[ks == k]] = slot.setdefault(child, len(slot))
-        layer, at = list(slot), at_next
+                    at_next[group[ks == k]] = graph.child(node, int(k), beliefs)
+        if t < horizon:
+            layer = graph.layer(t + 1, [pre for _i, pre in beliefs.values()])
+            at = at_next
 
         # fresh messages, answers, and a bit-exact decode from x's slot
         mask = q_masks[:, t]

@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import onoffpir.bounds as bounds_mod
 import onoffpir.sim as sim_mod
-from helpers import random_law, worked_law
+from helpers import random_law, workload_table, worked_law
 from onoffpir.bounds import (bounds_over_horizon, exact_rate_n2, grid_csv,
                              horizon_csv, inner_bound_first_off_step,
                              outer_bound_2, restricted_lp_singleton_optimum,
@@ -200,6 +202,17 @@ def test_horizon_rows_hold_python_floats():
     for row in rows:
         for name in ("outer2", "outer1", "inner", "lp_opt", "mi"):
             assert type(getattr(row, name)) is float, (row.t, name)
+
+
+def test_horizon_values_pinned_bit_for_bit():
+    # the benchmark's 6-state chain along 10000: 26, 118 and 367 beliefs at
+    # t = 2, 3, 4; the digest was taken when each law's scheme was built alone
+    chain = MarkovModel(6, workload_table(11, 6), np.full(6, 1 / 6))
+    rows = bounds_over_horizon(chain, PrivacyPattern.from_string("10000"), 4)
+    values = [(r.t, r.f_on, r.outer2.hex(), r.outer1.hex(), r.inner.hex(), r.mi.hex())
+              for r in rows]
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+        "baf98188812ab7acdbe3167b26e558790dd46312bcde37cb4695004774c8ae51")
 
 
 def test_horizon_capacity_guard(monkeypatch):

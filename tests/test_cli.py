@@ -337,6 +337,30 @@ def test_simulate_config_must_be_an_object(model2_path, tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+# Nesting deeper than json's parser recurses: a RecursionError inside
+# json.loads, which each reader turns into ValueError (exit 2).
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv,name,text", [
+    (["verify", "--model", "MODEL", "--dist", "FILE"], "deep.json",
+     '{"n": 3, "entries": [' + DEEP + ']}'),
+    (["build", "--model", "FILE"], "deep_model.json",
+     '{"n": 3, "p": ' + DEEP + ', "pi0": [1, 0, 0]}'),
+    (["simulate", "--config", "FILE"], "deep_cfg.json",
+     '{"model": "MODEL", "pattern": "10", "seed": ' + DEEP + '}'),
+], ids=["verify-dist", "model", "simulate-config"])
+def test_deeply_nested_json_exits_config(model3_path, tmp_path, capsys, argv,
+                                         name, text):
+    path = tmp_path / name
+    path.write_text(text.replace("MODEL", model3_path))
+    argv = [model3_path if a == "MODEL" else str(path) if a == "FILE" else a
+            for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr()
+    assert err.out == "" and "nested too deeply" in err.err
+
+
 def test_simulate_undecodable_queries_exit_one(model3_path, monkeypatch, capsys):
     monkeypatch.setattr(sim_mod, "_scheme_naive", never_the_request)
     code = main(["simulate", "--model", model3_path, "--pattern", "1000",

@@ -71,6 +71,15 @@ def test_model_json_rejects_non_numbers(change):
         MarkovModel.from_json({**good, **change})
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "p": ' + "[" * 100_000 + "]" * 100_000 + ', "pi0": [1, 0]}',
+    b'{"n": 2, "p": [[1, 0], [0, 1]], "pi0": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+], ids=["str", "bytes"])
+def test_model_json_too_deep_is_value_error(text):
+    with pytest.raises(ValueError, match="nested too deeply"):
+        MarkovModel.from_json(text)
+
+
 @pytest.mark.parametrize("obj", [{"p": [[1.0]], "pi0": [1.0]}, {"n": 2}, {}])
 def test_model_json_missing_key_is_value_error(obj):
     with pytest.raises(ValueError, match="malformed"):

@@ -5,12 +5,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import onoffpir.scheme as scheme_mod
 import onoffpir.sim as sim_mod
+import reference_builder
 from helpers import never_the_request, random_law, worked_law
 from onoffpir.bounds import bounds_over_horizon
 from onoffpir.model import (ZERO_TOL, CapacityError, ConditionalLaw,
-                            MarkovModel, PrivacyPattern, tau_of)
-from onoffpir.scheme import build_query_distribution, policy_n2, project_to_sets
+                            MarkovModel, PrivacyPattern, order_stats, tau_of)
+from onoffpir.scheme import (build_batch, build_query_distribution, law_part,
+                             policy_n2, project_to_sets)
 from onoffpir.sim import (POLICIES, ServerState, _inverse_cdf,
                           _scheme_algorithm1, _scheme_full, _scheme_naive,
                           empirical_privacy_audit, enumerate_steps, simulate)
@@ -25,19 +28,21 @@ def two_state():
 def _walk(model, pattern, horizon, off_only=True):
     """The views of an exact enumeration and its edges (parent, incoming
     query mask, child), recorded from ``_BeliefGraph.child``, the graph's one
-    Bayes step; with ``off_only`` just the edges out of OFF nodes."""
+    Bayes step, which gives the child's index in the next layer; with
+    ``off_only`` just the edges out of OFF nodes."""
     edges = []
     step = sim_mod._BeliefGraph.child
 
-    def child(graph, node, k, layer):
-        nxt = step(graph, node, k, layer)
+    def child(graph, node, k, beliefs):
+        i = step(graph, node, k, beliefs)
         if not (off_only and pattern.flags[node.t]):
-            edges.append((node, node.scheme.y_masks[k], nxt))
-        return nxt
+            edges.append((node, node.scheme.y_masks[k], i))
+        return i
 
     with mock.patch.object(sim_mod._BeliefGraph, "child", child):
         views = list(enumerate_steps(model, pattern, horizon))
-    return views, edges
+    return views, [(node, mask, views[node.t + 1].branches[i])
+                   for node, mask, i in edges]
 
 
 def test_belief_initial_is_diagonal():
@@ -133,24 +138,26 @@ def test_enumeration_capacity_guard(monkeypatch):
 
 
 def test_belief_cap_checked_before_each_new_node(monkeypatch):
-    """The cap covers Monte Carlo too, and the enumeration makes no node of
-    a step past it (the rest of that step is never built)."""
+    """The cap covers Monte Carlo too, and fires as the belief past it is
+    interned: the enumeration makes no node of that step."""
     m = MarkovModel(3, worked_law().table, np.full(3, 1 / 3))
     pattern = PrivacyPattern.from_string("10000")
     monkeypatch.setattr(sim_mod, "MAX_BELIEFS", 2)
     with pytest.raises(CapacityError):
         simulate(m, pattern, 200, seed=1)
     made = []   # the step of every node made
-    make = sim_mod._BeliefGraph._node
+    make = sim_mod._BeliefGraph.layer
 
-    def counted(graph, t, joint):
-        made.append(t)
-        return make(graph, t, joint)
-    monkeypatch.setattr(sim_mod._BeliefGraph, "_node", counted)
-    with pytest.raises(CapacityError):
+    def counted(graph, t, joints):
+        nodes = make(graph, t, joints)
+        made.extend(node.t for node in nodes)
+        return nodes
+    monkeypatch.setattr(sim_mod._BeliefGraph, "layer", counted)
+    with pytest.raises(CapacityError, match=r"at t=(\d+)$") as err:
         list(enumerate_steps(m, pattern, 4))
-    assert made.count(made[-1]) == 2
-    assert max(made.count(t) for t in made) == 2
+    capped = int(err.value.args[0].rsplit("=", 1)[1])
+    assert made and capped not in made
+    assert max(made.count(t) for t in made) <= 2
 
 
 def test_enumeration_query_masks_exact_beyond_63_sources():
@@ -173,10 +180,10 @@ def _sampling_table(tables: dict):
     return masks, w, cum, sizes
 
 
-def _projected_table(law):
+def _projected_table(law, build=build_query_distribution):
     """Algorithm 1's sampling table by way of the set projection: scatter
     the projected entries into w and divide by p(x | u)."""
-    dist = project_to_sets(build_query_distribution(law))
+    dist = project_to_sets(build(law))
     n = law.n
     masks = dist.counts @ (1 << np.arange(n, dtype=object))
     w = np.zeros((len(masks), n, n))
@@ -224,6 +231,99 @@ def test_scheme_table_matches_set_projection_bytes():
         _assert_same_table(_scheme_algorithm1(law), _projected_table(law))
 
 
+# Near-tied likelihoods (ties jittered by ~1e-11): one lane's target is a
+# few 1e-12, and the auxiliary row it reads holds only sub-1e-12 cells, so
+# the lane comes back empty and the target vanishes to float dust.
+DUST_LANES = [
+    [0.25000000000027434, 0.16666666666557045, 0.16666666666654312,
+     0.2500000000006997, 0.08333333333346063, 0.0833333333334517],
+    [0.11111111111162263, 0.22222222222215515, 0.11111111111084475,
+     0.2222222222218061, 0.22222222222261973, 0.1111111111109516],
+    [0.15384615384588401, 0.1538461538464509, 0.0769230769230732,
+     0.2307692307685875, 0.23076923076971034, 0.15384615384629413],
+    [0.3333333333328678, 0.22222222222249255, 0.11111111111141912,
+     0.11111111111121881, 0.11111111111114406, 0.11111111111085765],
+    [0.23076923076852984, 0.1538461538468002, 0.23076923076884737,
+     0.07692307692296856, 0.23076923076962, 0.07692307692323391],
+    [0.08333333333326846, 0.1666666666667221, 0.2500000000000624,
+     0.08333333333319289, 0.24999999999977562, 0.16666666666697844]]
+
+
+def _layer_laws(rng, n):
+    """One batch over n sources: the edge cases, a law whose columns are
+    constant (sigma = n), and a law equal to the first on ``law.key()`` but
+    not in its bytes; at n = 6 also the vanishing-lane law.  Last come two
+    permutation laws, whose one count row, all ones, is the same."""
+    laws = _edge_case_laws(rng, n)
+    laws.append(ConditionalLaw(n, np.tile(random_law(rng, n).table[0], (n, 1))))
+    twin = laws[0].table.copy()
+    twin[:, :2] += [1e-15, -1e-15]
+    laws.append(ConditionalLaw(n, twin))
+    assert laws[-1].key() == laws[0].key() and np.any(twin != laws[0].table)
+    if n == 6:
+        laws.append(ConditionalLaw(n, DUST_LANES))
+    order = rng.permutation(len(laws))
+    return [laws[i] for i in order] + [ConditionalLaw(n, np.eye(n)),
+                                       ConditionalLaw(n, np.eye(n)[::-1])]
+
+
+def test_layer_batch_matches_per_law_builds(monkeypatch):
+    """A batch of laws gives each law the distribution and the scheme it
+    gets alone, and that the loop-form builder gives, bit for bit."""
+    vanished = []
+    take = scheme_mod._lane_take
+
+    def counted(*args):
+        lane = take(*args)
+        vanished.append(not lane)
+        return lane
+    monkeypatch.setattr(scheme_mod, "_lane_take", counted)
+    rng = np.random.default_rng(29)
+    for n in range(2, 9):
+        laws = _layer_laws(rng, n)
+        stats = [order_stats(law) for law in laws]
+        assert any(st.sigma == n for st in stats)
+        cuts = build_batch(laws, stats)
+        schemes = sim_mod._algorithm1_batch(laws, stats)
+        assert len(schemes) == len(laws)
+        for j, (law, scheme) in enumerate(zip(laws, schemes)):
+            got = law_part(*cuts, j)
+            want = reference_builder.build_query_distribution(law)
+            for name in ("counts", "qidx", "xs", "us", "probs"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.shape, a.dtype) == (b.shape, b.dtype), (n, j, name)
+                assert a.tobytes() == b.tobytes(), (n, j, name)
+            alone = _scheme_algorithm1(law)
+            assert scheme.y_masks == alone.y_masks
+            assert scheme.w.dtype == alone.w.dtype and scheme.w.shape == alone.w.shape
+            assert scheme.w.tobytes() == alone.w.tobytes(), (n, j)
+            _assert_same_table(scheme, _projected_table(
+                law, reference_builder.build_query_distribution))
+    assert any(vanished)
+
+
+def test_layer_memo_is_first_come_in_node_order():
+    """Laws equal on ``law.key()`` share the scheme of the first in node
+    order, built once, the later ones' own bytes unread."""
+    first = random_law(np.random.default_rng(31), 4)
+    twin = ConditionalLaw(4, first.table + [[1e-15, -1e-15, 0, 0]] * 4)
+    assert twin.key() == first.key()
+    assert _scheme_algorithm1(twin).w.tobytes() != _scheme_algorithm1(first).w.tobytes()
+    m = MarkovModel(4, first.table, np.full(4, 0.25))
+    graph = sim_mod._BeliefGraph(m, PrivacyPattern.from_string("10"), "algorithm1")
+    for laws in ([first, twin], [twin, first]):
+        graph._schemes.clear()
+        got = graph._schemes_of(laws, [order_stats(law) for law in laws])
+        assert got[0] is got[1] and len(graph._schemes) == 1
+        assert got[0].w.tobytes() == _scheme_algorithm1(laws[0]).w.tobytes()
+
+
+def test_batch_laws_share_one_size():
+    laws = [random_law(np.random.default_rng(2), n) for n in (3, 4)]
+    with pytest.raises(ValueError, match="n=3 holds one over n=4"):
+        build_batch(laws, [order_stats(law) for law in laws])
+
+
 @pytest.mark.parametrize("n", [2, 5, 70])
 def test_fixed_policy_tables_match_dict_construction(n):
     naive = {}
@@ -239,11 +339,17 @@ def test_only_sampling_builds_cumulative_sums(monkeypatch):
     """The exact enumeration reads ``w`` alone; ``cum`` is made for the
     schemes ``simulate`` samples from."""
     built = []
-    for name in ("_scheme_algorithm1", "_scheme_naive", "_scheme_full"):
+    for name in ("_scheme_naive", "_scheme_full"):
         def recorded(arg, make=getattr(sim_mod, name)):
             built.append(make(arg))
             return built[-1]
         monkeypatch.setattr(sim_mod, name, recorded)
+
+    def recorded_batch(laws, stats, make=sim_mod._algorithm1_batch):
+        schemes = make(laws, stats)
+        built.extend(schemes)
+        return schemes
+    monkeypatch.setattr(sim_mod, "_algorithm1_batch", recorded_batch)
     m = MarkovModel(3, worked_law().table, np.full(3, 1 / 3))
     pattern = PrivacyPattern.from_string("10010")
     for policy in POLICIES:

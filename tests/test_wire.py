@@ -190,6 +190,17 @@ def test_both_reject_malformed_entries(entry):
             from_items(3, items)
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 3, "entries": [' + "[" * 100_000 + "]" * 100_000 + "]}",
+    '{"n": 3, "entries": [{"z": [1, 0, 0], "x": 0, "u": 0, "p": '
+    + "[" * 100_000 + "]" * 100_000 + "}]}",
+], ids=["entries", "p"])
+def test_from_json_too_deep_is_value_error(text):
+    for obj in (text, text.encode()):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            QueryDistribution.from_json(obj)
+
+
 def test_integral_floats_merge_with_ints():
     items = [((1, 0, 0), 0, 0, 0.5), ((1.0, 0, 0), 0, 0, 0.5)]
     got = QueryDistribution.from_items(3, items).entry_tuples()
