@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import sys
 
@@ -30,6 +29,9 @@ EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_CAPACITY = 0, 1, 2, 3
 PATTERN_STEPS = 1 << 20
 # Episodes per block of the ``simulate --out`` trace CSV.
 CSV_CHUNK = 1024
+# 10^1..10^18: a nonnegative int64 v has one decimal digit more than the
+# number of these powers at most v.
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def _write(text: str, out: str | None):
@@ -44,8 +46,10 @@ def _load_pattern(spec: str, seed: int) -> PrivacyPattern:
     """A '1'/'0' string, or 'bernoulli:p:T' for a random pattern with the
     step-0 flag forced ON."""
     if spec.startswith("bernoulli:"):
-        _, p, t = spec.split(":")
-        p, t = float(p), int(t)
+        fields = spec.split(":")
+        if len(fields) != 3:
+            raise ValueError(f"pattern {spec!r}: expected the form bernoulli:p:T")
+        p, t = float(fields[1]), int(fields[2])
         if not (0.0 <= p <= 1.0 and t >= 0):
             raise ValueError(f"pattern {spec!r}: need p in [0, 1] and T >= 0")
         if t > PATTERN_STEPS:
@@ -133,24 +137,49 @@ def _cmd_lp(args) -> int:
     return EXIT_OK
 
 
+def _csv_rows(cells: np.ndarray) -> str:
+    """The rows of ``cells``, a C-contiguous array of nonnegative int64, as
+    CSV text in decimal, made in numpy: every cell's width, then its offset,
+    then its digits right to left, one pass per digit position.  ``cells``
+    is overwritten."""
+    cols = cells.shape[-1]
+    rem = cells.reshape(-1)
+    digits = np.searchsorted(_POWERS_OF_TEN, rem, side="right")
+    digits += 1
+    passes = int(digits.max())
+    pos = np.cumsum(digits + 1)   # each cell ends in "," or "\n"
+    del digits
+    text = np.full(pos[-1], ord(","), dtype=np.uint8)
+    text[pos[cols - 1::cols] - 1] = ord("\n")
+    pos -= 2      # each cell's last digit
+    for _ in range(passes):
+        quot = rem // 10
+        rem -= quot * 10   # rem % 10, a little faster on int64
+        rem += ord("0")
+        text[pos] = rem
+        live = quot > 0    # the cells with a digit left
+        pos, rem = pos[live] - 1, quot[live]
+    return text.tobytes().decode("ascii")
+
+
 def _trace_csv(result) -> str:
-    """One row per (episode, step), formatted by column in blocks of
-    ``CSV_CHUNK`` episodes so that the temporary columns stay small."""
-    out = io.StringIO()
-    out.write("episode,t,F,x,q,len_bits,decode_ok\n")
+    """One row per (episode, step), formatted in blocks of ``CSV_CHUNK``
+    episodes so that the temporary arrays stay small."""
     steps = result.q_masks.shape[1]
-    flags = [int(f) for f in result.pattern.flags[:steps]]
-    bits = result.cardinalities() * result.msg_bits
+    blocks = ["episode,t,F,x,q,len_bits,decode_ok\n"]
     for lo in range(0, result.episodes, CSV_CHUNK):
         block = slice(lo, min(lo + CSV_CHUNK, result.episodes))
-        k = block.stop - lo
-        cols = (np.repeat(np.arange(lo, block.stop), steps),
-                np.tile(np.arange(steps), k), np.tile(flags, k),
-                result.xs[block], result.q_masks[block], bits[block],
-                result.oks[block].astype(np.int64))
-        lines = zip(*[map(str, col.ravel().tolist()) for col in cols])
-        out.write("\n".join(map(",".join, lines)) + "\n")
-    return out.getvalue()
+        cells = np.empty((block.stop - lo, steps, 7), dtype=np.int64)
+        cells[..., 0] = np.arange(lo, block.stop)[:, None]
+        cells[..., 1] = np.arange(steps)
+        cells[..., 2] = result.pattern.flags[:steps]
+        cells[..., 3] = result.xs[block]
+        cells[..., 4] = result.q_masks[block]
+        cells[..., 5] = np.bitwise_count(result.q_masks[block])   # set sizes
+        cells[..., 5] *= result.msg_bits
+        cells[..., 6] = result.oks[block]
+        blocks.append(_csv_rows(cells))
+    return "".join(blocks)
 
 
 def _cmd_simulate(args) -> int:

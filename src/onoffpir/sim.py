@@ -133,9 +133,13 @@ class BranchView:
     t: int
     pre_joint: np.ndarray          # p(pivot, current | history) before this query
     law: ConditionalLaw | None     # None on ON steps (query carries no choice)
-    stats: OrderStats | None       # order_stats(law); None on ON steps
     scheme: StepScheme             # the full download on ON steps
     prob: float = 0.0
+
+    @cached_property
+    def stats(self) -> OrderStats | None:
+        """``order_stats(law)``, made on first read; None on ON steps."""
+        return None if self.law is None else order_stats(self.law)
 
 
 @dataclass
@@ -169,16 +173,18 @@ class _BeliefGraph:
                        self._full if policy == "full_download" else None)
         self._schemes: dict = {}   # law.key() -> algorithm 1's scheme
 
-    def _schemes_of(self, laws: list, stats: list) -> list:
+    def _schemes_of(self, nodes: list) -> list:
+        """The schemes of OFF ``nodes``, in order; only the first node of a
+        law new to the memo has its ``stats`` read."""
         if self._fixed is not None:
-            return [self._fixed] * len(laws)
-        keys = [law.key() for law in laws]
-        new: dict = {}   # key -> index of its first law, for keys not memoized
-        for i, key in enumerate(keys):
+            return [self._fixed] * len(nodes)
+        keys = [node.law.key() for node in nodes]
+        new: dict = {}   # key -> its first node, for keys not memoized
+        for key, node in zip(keys, nodes):
             if key not in self._schemes:
-                new.setdefault(key, i)
-        built = _algorithm1_batch([laws[i] for i in new.values()],
-                                  [stats[i] for i in new.values()])
+                new.setdefault(key, node)
+        built = _algorithm1_batch([node.law for node in new.values()],
+                                  [node.stats for node in new.values()])
         self._schemes.update(zip(new, built))
         return [self._schemes[key] for key in keys]
 
@@ -186,12 +192,12 @@ class _BeliefGraph:
         """Step t's nodes, one per belief in ``pres``, each the joint of the
         pivot and step t's request before step t's query, in order."""
         if self.pattern.flags[t]:
-            return [BranchView(t, np.diag(pre.sum(axis=0)), None, None, self._full)
+            return [BranchView(t, np.diag(pre.sum(axis=0)), None, self._full)
                     for pre in pres]
-        laws = [_law_from_joint(pre) for pre in pres]
-        stats = [order_stats(law) for law in laws]
-        return [BranchView(t, pre, law, law_stats, scheme) for pre, law, law_stats, scheme
-                in zip(pres, laws, stats, self._schemes_of(laws, stats))]
+        nodes = [BranchView(t, pre, _law_from_joint(pre), None) for pre in pres]
+        for node, scheme in zip(nodes, self._schemes_of(nodes)):
+            node.scheme = scheme
+        return nodes
 
     def child(self, node: BranchView, k: int, beliefs: dict) -> int:
         """The next layer's index of the belief after ``node``'s k-th

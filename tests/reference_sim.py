@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from onoffpir.model import CapacityError, order_stats
+from onoffpir.model import CapacityError
 from onoffpir.sim import (POLICIES, BranchView, SimulationResult, StepView,
                           _law_from_joint, _scheme_algorithm1, _scheme_full,
                           _scheme_naive)
@@ -85,11 +85,10 @@ def reference_enumerate_steps(model, pattern, horizon: int,
         for prob, joint in branches:
             pre = joint if t == 0 else joint @ model.p
             if f_on:
-                views.append(BranchView(t, pre, None, None, None, prob))
+                views.append(BranchView(t, pre, None, None, prob))
             else:
                 law = _law_from_joint(pre)
-                views.append(BranchView(t, pre, law, order_stats(law),
-                                        scheme_for(law), prob))
+                views.append(BranchView(t, pre, law, scheme_for(law), prob))
         yield StepView(t, f_on, views)
 
         children = []

@@ -291,6 +291,14 @@ def test_bernoulli_pattern_step_cap():
     assert len(cli_mod._load_pattern(f"bernoulli:0.5:{steps}", 0)) == steps + 1
 
 
+@pytest.mark.parametrize("spec", ["bernoulli:0.5", "bernoulli:0.5:3:4"])
+def test_malformed_bernoulli_pattern_names_the_form(spec, model2_path, capsys):
+    assert main(["simulate", "--model", model2_path, "--pattern", spec]) == 2
+    err = capsys.readouterr()
+    assert err.out == "" and err.err == (f"configuration error: pattern {spec!r}: "
+                                         "expected the form bernoulli:p:T\n")
+
+
 def test_simulate_summary_and_trace(model2_path, tmp_path, capsys):
     trace_path = str(tmp_path / "trace.csv")
     assert main(["simulate", "--model", model2_path, "--pattern", "10",

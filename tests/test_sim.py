@@ -313,9 +313,33 @@ def test_layer_memo_is_first_come_in_node_order():
     graph = sim_mod._BeliefGraph(m, PrivacyPattern.from_string("10"), "algorithm1")
     for laws in ([first, twin], [twin, first]):
         graph._schemes.clear()
-        got = graph._schemes_of(laws, [order_stats(law) for law in laws])
+        got = graph._schemes_of([sim_mod.BranchView(1, None, law, None) for law in laws])
         assert got[0] is got[1] and len(graph._schemes) == 1
         assert got[0].w.tobytes() == _scheme_algorithm1(laws[0]).w.tobytes()
+
+
+def test_order_stats_made_for_laws_new_to_the_memo_only(monkeypatch):
+    """A simulation makes one ``order_stats`` per law built, and hands that
+    object to the build; the exact bounds read one per OFF belief."""
+    made, handed = [], []
+    monkeypatch.setattr(sim_mod, "order_stats",
+                        lambda law, make=order_stats: made.append(make(law)) or made[-1])
+
+    def recorded_batch(laws, stats, make=sim_mod._algorithm1_batch):
+        handed.extend(stats)
+        return make(laws, stats)
+    monkeypatch.setattr(sim_mod, "_algorithm1_batch", recorded_batch)
+    m = MarkovModel(3, worked_law().table, np.full(3, 1 / 3))
+    pattern = PrivacyPattern.from_string("1000100")
+    simulate(m, pattern, 2000, seed=11)
+    assert handed and all(a is b for a, b in zip(made, handed, strict=True))
+    built = len(made)
+    made.clear()
+    bounds_over_horizon(m, pattern, len(pattern) - 1)
+    beliefs = len(made)
+    off = sum(len(view.branches) for view in enumerate_steps(m, pattern, len(pattern) - 1)
+              if not view.f_on)
+    assert beliefs == off > built
 
 
 def test_batch_laws_share_one_size():

@@ -228,6 +228,32 @@ def test_trace_csv_blocks_match_reference(episodes, pattern):
     assert _trace_csv(res) == ref.trace_csv(res)
 
 
+# Each mask's popcount c times the repunit (10^k - 1) / 9 gives a len_bits of
+# 10^k - 1 at c = 9 and of k + 1 digits at c = 10, up to 19 digits at k = 18.
+REPUNITS = [(10 ** k - 1) // 9 for k in range(1, 19)]
+EDGE_MASKS = ([0, 2 ** 63 - 1, (1 << 9) - 1, (1 << 10) - 1]
+              + [10 ** k + d for k in range(1, 19) for d in (-1, 0)])
+
+
+@pytest.mark.parametrize("episodes", [9, 10, 11, 100, 1001, CSV_CHUNK - 1, CSV_CHUNK + 1])
+def test_trace_csv_digit_widths_match_reference(episodes):
+    """Every column crosses its digit boundaries: episode and t by count, x
+    in [0, 63), q at each 10^k - 1 and 10^k up to 2^63 - 1, len_bits up to
+    19 digits, and random widths mixed inside each block."""
+    n, steps = 63, 11
+    model = MarkovModel.symmetric(n, 0.5)
+    rng = np.random.default_rng([episodes, 5])
+    size = (episodes, steps)
+    q = rng.integers(0, 2 ** 63, size, dtype=np.int64) >> rng.integers(0, 63, size)
+    q.flat[:len(EDGE_MASKS)] = EDGE_MASKS
+    xs = rng.integers(0, n, size)
+    pattern = PrivacyPattern((True,) + tuple(rng.random(steps - 1) < 0.5))
+    for msg_bits in [1] + REPUNITS:
+        res = SimulationResult(model, pattern, episodes, 0, msg_bits, "algorithm1", q, xs,
+                               xs[:, pattern.taus], rng.random(size) < 0.9, 0)
+        assert _trace_csv(res) == ref.trace_csv(res), msg_bits
+
+
 def _same_audit(got, want):
     assert (got.dof, got.strata, got.samples, got.unreliable) == \
         (want.dof, want.strata, want.samples, want.unreliable)
