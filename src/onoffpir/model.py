@@ -212,19 +212,40 @@ class ConditionalLaw:
 
     def __post_init__(self):
         table = _readonly(self.table)
-        if table.shape != (self.n, self.n):
-            raise ValueError(f"law table must be {self.n}x{self.n}, got {table.shape}")
-        if not np.isfinite(table).all():
-            raise ValueError("law entries must be finite")
-        if np.any(table < -1e-12):
-            raise ValueError("law entries must be nonnegative")
-        if np.max(np.abs(table.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("each law row must sum to 1")
+        _check_tables(self.n, table[None])
         object.__setattr__(self, "table", table)
+
+    @classmethod
+    def stack(cls, tables: np.ndarray) -> list:
+        """The laws of an (L, n, n) stack of tables, checked once as a
+        whole; each law's table is a read-only view of the stack."""
+        tables = _readonly(tables)
+        n = tables.shape[-1]
+        _check_tables(n, tables)
+        laws = []
+        for table in tables:
+            law = cls.__new__(cls)
+            object.__setattr__(law, "n", n)
+            object.__setattr__(law, "table", table)
+            laws.append(law)
+        return laws
 
     def key(self) -> bytes:
         """Stable hash key, insensitive to sub-tolerance float noise."""
         return np.round(self.table, 12).tobytes()
+
+
+def _check_tables(n: int, tables: np.ndarray):
+    """Raise ValueError unless ``tables`` is a stack of n x n laws: finite,
+    nonnegative up to 1e-12, each row summing to 1 within 1e-12."""
+    if tables.shape[1:] != (n, n):
+        raise ValueError(f"law table must be {n}x{n}, got {tables.shape[1:]}")
+    if not np.isfinite(tables).all():
+        raise ValueError("law entries must be finite")
+    if np.any(tables < -1e-12):
+        raise ValueError("law entries must be nonnegative")
+    if np.abs(tables.sum(axis=-1) - 1.0).max(initial=0.0) > 1e-12:
+        raise ValueError("each law row must sum to 1")
 
 
 def step_law(model: MarkovModel, k: int) -> ConditionalLaw:
@@ -268,39 +289,50 @@ class OrderStats:
 
 def order_stats(law: ConditionalLaw) -> OrderStats:
     """Sort each column of the law and derive the level sums, their clipped
-    increments, the threshold level, and the greedy budget vector."""
-    n = law.n
-    t = law.table
-    # argsort per column; stable sort keeps the smaller pivot index first on ties
-    orderings = np.argsort(t, axis=0, kind="stable").T  # orderings[x, i] = u
-    sorted_cols = t[orderings, np.arange(n)[:, None]]  # [x, i] = p(x | u^(x,i+1))
-    lambdas = sorted_cols.sum(axis=0)
+    increments, the threshold level, and the greedy budget vector:
+    :func:`stacked_order_stats` of one."""
+    return stacked_order_stats(law.table[None])[0]
+
+
+def stacked_order_stats(tables: np.ndarray) -> list:
+    """:func:`order_stats` of each law table in an (L, n, n) stack, sorted,
+    summed and clipped in one pass; only each law's budget break point is
+    found on its own.  Each result's arrays are read-only views."""
+    n = tables.shape[-1]
+    # argsort per column; stable sort keeps the smaller pivot index first on
+    # ties.  ranks[l, i, x] = u^(x, i+1) and levels[l, i, x] = p(x | u^(x, i+1)).
+    ranks = np.argsort(tables, axis=1, kind="stable")
+    levels = np.ascontiguousarray(np.take_along_axis(tables, ranks, axis=1))
+    lambdas = levels.sum(axis=2)
     clipped = np.minimum(1.0, lambdas)
     thetas = clipped.copy()
-    thetas[1:] -= clipped[:-1]   # the increments, the first from 0
+    thetas[:, 1:] -= clipped[:, :-1]   # the increments, the first from 0
     thetas = np.clip(thetas, 0.0, None)
     # lambdas is nondecreasing with lambda_1 <= 1, so the threshold exists;
     # the small slack absorbs float noise on laws given as short decimals.
-    sigma = int(np.flatnonzero(lambdas <= 1.0 + 1e-12)[-1]) + 1
+    sigmas = n - np.argmax((lambdas <= 1.0 + 1e-12)[:, ::-1], axis=1)
 
-    if sigma == n:
-        # Only possible when every column is constant (all level sums equal 1):
-        # the budget is forced to the top level and already sums to 1.
-        deltas = sorted_cols[:, n - 1].copy()
-    else:
-        a = sorted_cols[:, sigma - 1]  # p(j | u^(j, sigma))
-        b = sorted_cols[:, sigma]      # p(j | u^(j, sigma+1))
-        room = 1.0 - a.sum()
-        deltas = a.copy()
-        acc = 0.0
-        for j in range(n):
-            acc += b[j] - a[j]
-            if acc <= room:
-                deltas[j] = b[j]
-            else:
-                deltas[j] = 1.0 - b[:j].sum() - a[j + 1:].sum()
-                break
-    return OrderStats(n, orderings, lambdas, thetas, sigma, deltas)
+    # Source j's budget is p(j | u^(j, sigma+1)) while the room level sigma
+    # leaves lasts, in source order; the source where it runs out takes what
+    # is left, and the sources after it keep p(j | u^(j, sigma)).  sigma = n
+    # only when every column is constant (all level sums equal 1): the
+    # budget is forced to the top level and already sums to 1.
+    each = np.arange(len(tables))
+    a = levels[each, sigmas - 1]
+    b = levels[each, np.minimum(sigmas, n - 1)]
+    moved = np.cumsum(b - a, axis=1) <= (1.0 - a.sum(axis=1))[:, None]
+    moved[sigmas == n] = True
+    deltas = np.where(moved, b, a)
+    # b >= a, so each row of moved is True up to its break point only
+    for law in np.flatnonzero(~moved.all(axis=1)).tolist():
+        j = int(np.argmin(moved[law]))
+        deltas[law, j] = 1.0 - b[law, :j].sum() - a[law, j + 1:].sum()
+
+    orderings = ranks.transpose(0, 2, 1)   # orderings[l, x, i] = u^(x, i+1)
+    for arr in (orderings, lambdas, thetas, deltas):
+        arr.setflags(write=False)
+    return [OrderStats(n, *fields) for fields in
+            zip(orderings, lambdas, thetas, sigmas.tolist(), deltas)]
 
 
 def entropy_bits(p: np.ndarray) -> float:

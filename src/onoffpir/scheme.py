@@ -111,11 +111,6 @@ class QueryDistribution:
         """The distinct queries, each a ``.counts`` tuple (row of ``counts``)."""
         return tuple(_QueryCounts(tuple(row)) for row in self.counts.tolist())
 
-    @cached_property
-    def cardinalities(self) -> np.ndarray:
-        """Per-entry multiset cardinality |z|."""
-        return self.counts.sum(axis=1)[self.qidx]
-
     def query_law(self) -> np.ndarray:
         """p(z) per distinct query, the pivot u uniform over the n sources."""
         return np.bincount(self.qidx, weights=self.probs * (1.0 / self.n),
@@ -428,10 +423,8 @@ def build_batch(laws: list, stats: list):
     whole, law_of_row = _assemble_laws(n, round_law, counts, np.arange(n_rounds)[:, None],
                                        xs, np.arange(n), np.asarray(round_nu)[:, None])
     row_cut = np.searchsorted(law_of_row, np.arange(len(laws) + 1))
-    entry_cut = np.searchsorted(whole.qidx, row_cut)
-    for j, (law, law_stats) in enumerate(zip(laws, stats)):
-        _check_built(law_part(whole, row_cut, entry_cut, j), law, law_stats)
-    return whole, row_cut, entry_cut
+    _check_built(whole, row_cut, laws, stats)
+    return whole, row_cut, np.searchsorted(whole.qidx, row_cut)
 
 
 def law_part(whole: QueryDistribution, row_cut, entry_cut, j: int) -> QueryDistribution:
@@ -477,38 +470,78 @@ def _take_rounds(law: ConditionalLaw, stats: OrderStats, round_x: list,
                 round_nu.append(nu)
 
 
-def identity_gaps(dist: QueryDistribution, law: ConditionalLaw, thetas):
-    """How far ``dist``'s stored arrays are from the identities that ``law``
-    and its theta increments fix, all zero for an exact scheme: the count of
-    nonpositive or undecodable (x not in z) entries, then per (u, x) cell
-    |sum_z p(z, x | u) - law[u, x]|, per query max_u p(z | u) - min_u p(z | u),
-    and per level i = 1..n |P(|Z| = i) - theta_i|.  Raises ValueError when
-    ``dist`` and ``law`` differ in size."""
-    if dist.n != law.n:
-        raise ValueError(f"distribution over n={dist.n} sources audited "
-                         f"against a law over n={law.n}")
+class IdentityGaps(NamedTuple):
+    """Per-law gaps of a batch of distributions from the identities their
+    laws fix, all zero for exact schemes: law j's count of nonpositive or
+    undecodable (x not in z) entries, per pivot |sum p(z, x | u) - 1|, per
+    (u, x) cell |sum_z p(z, x | u) - law[u, x]|, and per level i = 1..n
+    |P(|Z| = i) - theta_i|; and per count row, max_u p(z | u) - min_u p(z | u)."""
+
+    violations: np.ndarray   # (L,)
+    totals: np.ndarray       # (L, n)
+    marginal: np.ndarray     # (L, n, n)
+    spread: np.ndarray       # (Q,), law j's rows row_cut[j]:row_cut[j + 1]
+    cardinality: np.ndarray  # (L, n)
+
+
+def identity_gaps(dist: QueryDistribution, row_cut, tables, thetas) -> IdentityGaps:
+    """How far the stored arrays of ``dist`` are from the identities that
+    each law's table ``tables[j]`` and theta increments ``thetas[j]`` fix,
+    where law j owns the count rows ``row_cut[j]:row_cut[j + 1]`` and their
+    entries.  Every cell is summed in entry order, as for that law alone.
+    Raises ValueError when ``dist`` and the laws differ in size."""
     n = dist.n
-    violations = (int(np.count_nonzero(dist.probs <= 0))
-                  + int(np.count_nonzero(dist.counts[dist.qidx, dist.xs] <= 0)))
-    cond = dist.query_conditionals()
-    card_law = np.bincount(dist.cardinalities, weights=dist.probs / n,
-                           minlength=n + 1)[1:]
-    return (violations, np.abs(dist.law_marginal() - law.table),
-            cond.max(axis=1) - cond.min(axis=1), np.abs(card_law - thetas))
+    if np.shape(tables)[-1] != n:
+        raise ValueError(f"distribution over n={n} sources audited "
+                         f"against a law over n={np.shape(tables)[-1]}")
+    n_laws = len(tables)
+    row_law = np.repeat(np.arange(n_laws), np.diff(row_cut))
+    qidx, probs = dist.qidx, dist.probs
+    # One entry-length key at a time, each freed before the next is made:
+    # (query, x), then (query, u), then (law, u) and (law, u, x), then
+    # (law, |z|).
+    key = qidx * n
+    key += dist.xs
+    undecodable = dist.counts.ravel()[key] <= 0
+    violations = (np.bincount(row_law[qidx[probs <= 0]], minlength=n_laws)
+                  + np.bincount(row_law[qidx[undecodable]], minlength=n_laws))
+    del undecodable
+    key -= dist.xs
+    key += dist.us
+    cond = np.bincount(key, probs, len(dist.counts) * n).reshape(-1, n)
+    spread = cond.max(axis=1) - cond.min(axis=1)
+    del cond, key
+    key = (row_law * n)[qidx]
+    key += dist.us
+    totals = np.bincount(key, probs, n_laws * n).reshape(n_laws, n)
+    key *= n
+    key += dist.xs
+    marginal = np.bincount(key, probs, n_laws * n * n).reshape(n_laws, n, n)
+    del key
+    key = (row_law * (n + 1) + dist.counts.sum(axis=1))[qidx]
+    card_law = np.bincount(key, probs / n, n_laws * (n + 1)).reshape(n_laws, n + 1)
+    return IdentityGaps(violations, np.abs(totals - 1.0), np.abs(marginal - tables),
+                        spread, np.abs(card_law[:, 1:] - thetas))
 
 
-def _check_built(dist: QueryDistribution, law: ConditionalLaw, stats: OrderStats):
-    """Cheap structural self-check; failures are builder bugs by construction."""
-    violations, marginal, spread, cardinality = identity_gaps(dist, law, stats.thetas)
-    if violations:
+def _check_built(dist: QueryDistribution, row_cut, laws: list, stats: list):
+    """Cheap structural self-check of a batch, each law against its own
+    table and thetas in one pass; failures are builder bugs by construction."""
+    gaps = identity_gaps(dist, row_cut, np.stack([law.table for law in laws]),
+                         np.stack([law_stats.thetas for law_stats in stats]))
+    if gaps.violations.any():
+        j = int(np.argmax(gaps.violations))
         raise InternalConsistencyError(
-            f"{violations} nonpositive or undecodable entries stored")
-    totals = np.bincount(dist.us, weights=dist.probs, minlength=dist.n)
-    for what, gap in (("per-pivot totals", np.abs(totals - 1.0)),
-                      ("marginal", marginal), ("privacy", spread),
-                      ("cardinality law", cardinality)):
-        if gap.max(initial=0.0) > EPS:
-            raise InternalConsistencyError(f"{what} gap {gap.max()!r} above {EPS}")
+            f"{gaps.violations[j]} nonpositive or undecodable entries stored in law {j}")
+    privacy = np.zeros(len(laws))
+    np.maximum.at(privacy, np.repeat(np.arange(len(laws)), np.diff(row_cut)), gaps.spread)
+    for what, gap in (("per-pivot totals", gaps.totals.max(axis=1)),
+                      ("marginal", gaps.marginal.max(axis=(1, 2))),
+                      ("privacy", privacy),
+                      ("cardinality law", gaps.cardinality.max(axis=1))):
+        if np.any(gap > EPS):
+            j = int(np.argmax(gap > EPS))
+            raise InternalConsistencyError(f"{what} gap {gap[j]!r} above {EPS} in law {j}")
 
 
 _EVEN, _ODD = "even", "odd"

@@ -21,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .model import (ZERO_TOL, CapacityError, ConditionalLaw, MarkovModel,
-                    OrderStats, PrivacyPattern, order_stats)
+                    OrderStats, PrivacyPattern, order_stats,
+                    stacked_order_stats)
 from .scheme import build_batch
 
 POLICIES = ("algorithm1", "naive", "full_download")
@@ -33,21 +34,22 @@ TRAJECTORY_BYTES = 1 << 30
 MAX_BELIEFS = 10 ** 7
 
 
-def _law_from_joint(pre_joint: np.ndarray) -> ConditionalLaw:
-    """Row-normalize p(pivot, current) into p(current | pivot).
+def _law_from_joint(pre_joints: np.ndarray) -> np.ndarray:
+    """Row-normalize each p(pivot, current) of an (L, n, n) stack into the
+    table of p(current | pivot), in one pass.
 
     Pivot values carrying no mass get the unconditional current-request
     marginal: any row works there (the pivot never takes that value), and the
     marginal keeps the law well formed without distorting the scheme.
     """
-    row_mass = pre_joint.sum(axis=1, keepdims=True)
-    marginal = pre_joint.sum(axis=0)
+    row_mass = pre_joints.sum(axis=2, keepdims=True)
+    marginal = pre_joints.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
-        table = np.where(row_mass > ZERO_TOL, pre_joint / row_mass,
-                         marginal / marginal.sum())
-    table = np.clip(table, 0.0, None)
-    table /= table.sum(axis=1, keepdims=True)
-    return ConditionalLaw(pre_joint.shape[0], table)
+        tables = np.where(row_mass > ZERO_TOL, pre_joints / row_mass,
+                          marginal / marginal.sum(axis=2, keepdims=True))
+    tables = np.clip(tables, 0.0, None)
+    tables /= tables.sum(axis=2, keepdims=True)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -128,18 +130,15 @@ class BranchView:
     """One belief node: the realized histories that reach the same belief at
     step t, merged.  ``prob`` is their total probability, filled in by the
     exact enumeration.  An ON node's joint is already reset to the diagonal
-    of its current-request marginal: that request is the pivot."""
+    of its current-request marginal: that request is the pivot.  ``stats``
+    is made with the node, in one pass over its layer."""
 
     t: int
     pre_joint: np.ndarray          # p(pivot, current | history) before this query
     law: ConditionalLaw | None     # None on ON steps (query carries no choice)
+    stats: OrderStats | None       # order_stats(law); None on ON steps
     scheme: StepScheme             # the full download on ON steps
     prob: float = 0.0
-
-    @cached_property
-    def stats(self) -> OrderStats | None:
-        """``order_stats(law)``, made on first read; None on ON steps."""
-        return None if self.law is None else order_stats(self.law)
 
 
 @dataclass
@@ -174,8 +173,8 @@ class _BeliefGraph:
         self._schemes: dict = {}   # law.key() -> algorithm 1's scheme
 
     def _schemes_of(self, nodes: list) -> list:
-        """The schemes of OFF ``nodes``, in order; only the first node of a
-        law new to the memo has its ``stats`` read."""
+        """The schemes of OFF ``nodes``, in order; a law new to the memo is
+        built from its first node's ``law`` and ``stats``."""
         if self._fixed is not None:
             return [self._fixed] * len(nodes)
         keys = [node.law.key() for node in nodes]
@@ -190,31 +189,42 @@ class _BeliefGraph:
 
     def layer(self, t: int, pres: list) -> list:
         """Step t's nodes, one per belief in ``pres``, each the joint of the
-        pivot and step t's request before step t's query, in order."""
+        pivot and step t's request before step t's query, in order.  An OFF
+        layer's laws and order statistics are made in one pass each."""
         if self.pattern.flags[t]:
-            return [BranchView(t, np.diag(pre.sum(axis=0)), None, self._full)
+            return [BranchView(t, np.diag(pre.sum(axis=0)), None, None, self._full)
                     for pre in pres]
-        nodes = [BranchView(t, pre, _law_from_joint(pre), None) for pre in pres]
+        tables = _law_from_joint(np.stack(pres))
+        laws = ConditionalLaw.stack(tables)
+        stats = stacked_order_stats(tables)
+        nodes = [BranchView(t, pre, law, law_stats, None)
+                 for pre, law, law_stats in zip(pres, laws, stats)]
         for node, scheme in zip(nodes, self._schemes_of(nodes)):
             node.scheme = scheme
         return nodes
 
-    def child(self, node: BranchView, k: int, beliefs: dict) -> int:
-        """The next layer's index of the belief after ``node``'s k-th
-        candidate query (the Bayes step; at an ON node the full set keeps
-        the reset joint), interned in ``beliefs`` as (index, pre-query
-        joint) on the rounded belief.  Raises :class:`CapacityError` instead
-        of interning more than ``MAX_BELIEFS`` beliefs."""
-        post = node.pre_joint * node.scheme.w[k]
-        post /= post.sum()
-        key = np.round(post, 12).tobytes()
-        got = beliefs.get(key)
-        if got is None:
-            if len(beliefs) >= MAX_BELIEFS:
-                raise CapacityError(f"more than {MAX_BELIEFS} belief nodes "
-                                    f"at t={node.t + 1}")
-            got = beliefs[key] = (len(beliefs), post @ self.model.p)
-        return got[0]
+    def children(self, node: BranchView, ks, beliefs: dict) -> list:
+        """The next layer's indices of the beliefs after ``node``'s
+        candidate queries ``ks``, in order (the Bayes step; at an ON node the
+        full set keeps the reset joint), each interned in ``beliefs`` as
+        (index, pre-query joint) on the rounded belief.  Raises
+        :class:`CapacityError` instead of interning more than
+        ``MAX_BELIEFS`` beliefs."""
+        posts = node.pre_joint * node.scheme.w[ks]
+        flat = posts.reshape(len(posts), self.model.n ** 2)
+        flat /= flat.sum(axis=1, keepdims=True)
+        out = []
+        for pre, rounded in zip(posts @ self.model.p, np.round(flat, 12)):
+            key = rounded.tobytes()
+            got = beliefs.get(key)
+            if got is None:
+                if len(beliefs) >= MAX_BELIEFS:
+                    raise CapacityError(f"more than {MAX_BELIEFS} belief nodes "
+                                        f"at t={node.t + 1}")
+                # a copy: a view would keep every row of the stack alive
+                got = beliefs[key] = (len(beliefs), pre.copy())
+            out.append(got[0])
+        return out
 
 
 def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
@@ -241,12 +251,12 @@ def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
         beliefs: dict = {}   # rounded belief -> (index, pre-query joint) at t + 1
         probs: list = []
         for node in layer:
-            for k, weight in enumerate(node.scheme.query_marginal(node.pre_joint)):
-                if weight > ZERO_TOL:
-                    i = graph.child(node, k, beliefs)
-                    if i == len(probs):
-                        probs.append(0.0)
-                    probs[i] += node.prob * weight
+            weights = node.scheme.query_marginal(node.pre_joint)
+            ks = np.flatnonzero(weights > ZERO_TOL)
+            for i, weight in zip(graph.children(node, ks, beliefs), weights[ks]):
+                if i == len(probs):
+                    probs.append(0.0)
+                probs[i] += node.prob * weight
         layer = graph.layer(t + 1, [pre for _i, pre in beliefs.values()])
         for node, prob in zip(layer, probs):
             node.prob = prob
@@ -277,11 +287,15 @@ class ServerState:
         """Episode e's answer to the query ``member[e]`` (a length-n bool
         row): its requested messages in increasing source order, zero
         past its set size, and the total length in bits of all answers."""
-        order = np.argsort(~member, axis=1, kind="stable")
-        payload = np.take_along_axis(self.messages, order[:, :, None], axis=1)
-        sizes = member.sum(axis=1)
-        payload[np.arange(self.n) >= sizes[:, None]] = 0
-        return payload, int(sizes.sum()) * self.msg_bits
+        # requested source s goes to slot cumsum(member)[s] - 1; the others
+        # all land in a spare slot n, cut off after one scatter
+        slot = np.cumsum(member, axis=1)
+        size = slot[:, -1].sum()
+        slot -= 1
+        slot[~member] = self.n
+        payload = np.zeros((len(member), self.n + 1, self.messages.shape[2]), np.uint8)
+        payload[np.arange(len(member))[:, None], slot] = self.messages
+        return payload[:, :self.n], int(size) * self.msg_bits
 
 
 @dataclass
@@ -387,8 +401,8 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
                               sch_u[group, t])
             q_masks[group, t] = np.array(node.scheme.y_masks)[ks]
             if t < horizon:
-                for k in np.unique(ks):
-                    at_next[group[ks == k]] = graph.child(node, int(k), beliefs)
+                kept, which = np.unique(ks, return_inverse=True)
+                at_next[group] = np.array(graph.children(node, kept, beliefs))[which]
         if t < horizon:
             layer = graph.layer(t + 1, [pre for _i, pre in beliefs.values()])
             at = at_next

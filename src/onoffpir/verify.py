@@ -68,7 +68,11 @@ def audit_distribution(dist: QueryDistribution, law: ConditionalLaw,
     where it is exact.  The mutual-information summary takes the pivot
     uniform.  Raises ValueError when ``dist`` and ``law`` differ in size.
     """
-    violations, marginal, spread_z, cardinality = identity_gaps(dist, law, stats.thetas)
+    gaps = identity_gaps(dist, [0, len(dist.counts)], law.table[None],
+                         stats.thetas[None])
+    violations, marginal, cardinality = (int(gaps.violations[0]), gaps.marginal[0],
+                                         gaps.cardinality[0])
+    spread_z = gaps.spread
     set_view = project_to_sets(dist)
     set_cond = set_view.query_conditionals()
     spread_y = set_cond.max(axis=1) - set_cond.min(axis=1)

@@ -132,5 +132,5 @@ def build_query_distribution(law: ConditionalLaw,
                 out_p.extend([nu] * m)
 
     dist = _assemble(n, rows, row_of, out_x, out_u, out_p)
-    _check_built(dist, law, stats)
+    _check_built(dist, [0, len(dist.counts)], [law], [stats])
     return dist

@@ -15,8 +15,8 @@ import numpy as np
 
 from onoffpir.model import CapacityError
 from onoffpir.sim import (POLICIES, BranchView, SimulationResult, StepView,
-                          _law_from_joint, _scheme_algorithm1, _scheme_full,
-                          _scheme_naive)
+                          _scheme_algorithm1, _scheme_full, _scheme_naive)
+from reference_model import law_from_joint, order_stats
 
 
 class EpisodeServer:
@@ -85,10 +85,11 @@ def reference_enumerate_steps(model, pattern, horizon: int,
         for prob, joint in branches:
             pre = joint if t == 0 else joint @ model.p
             if f_on:
-                views.append(BranchView(t, pre, None, None, prob))
+                views.append(BranchView(t, pre, None, None, None, prob))
             else:
-                law = _law_from_joint(pre)
-                views.append(BranchView(t, pre, law, scheme_for(law), prob))
+                law = law_from_joint(pre)
+                views.append(BranchView(t, pre, law, order_stats(law),
+                                        scheme_for(law), prob))
         yield StepView(t, f_on, views)
 
         children = []
@@ -155,7 +156,7 @@ def reference_simulate(model, pattern, episodes: int, seed: int = 0,
                 if f_on:
                     step = (pre, None)
                 else:
-                    step = (pre, scheme_for(_law_from_joint(pre)))
+                    step = (pre, scheme_for(law_from_joint(pre)))
                 steps[(key, t)] = step
             pre, scheme = step
             if f_on:

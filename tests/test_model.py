@@ -277,3 +277,29 @@ def test_conditional_law_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             ConditionalLaw(2, [[bad, 0.5], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("bad", [
+    [[0.5, 0.4], [0.5, 0.5]],          # a row off 1
+    [[1.5, -0.5], [0.5, 0.5]],         # a negative entry
+    [[np.nan, 0.5], [0.5, 0.5]],
+    [[np.inf, 0.5], [0.5, 0.5]],
+])
+def test_law_stack_checks_as_each_law_does(bad):
+    """A bad table anywhere in a stack raises the ValueError, text and
+    all, that ``ConditionalLaw`` raises for it alone."""
+    with pytest.raises(ValueError) as alone:
+        ConditionalLaw(2, bad)
+    good = np.full((2, 2), 0.5)
+    with pytest.raises(ValueError) as stacked:
+        ConditionalLaw.stack(np.array([good, bad, good]))
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_law_stack_views_one_read_only_stack():
+    tables = np.stack([worked_law().table, np.eye(3)])
+    laws = ConditionalLaw.stack(tables)
+    assert [law.n for law in laws] == [3, 3]
+    assert all(np.shares_memory(law.table, tables) for law in laws)
+    assert not tables.flags.writeable and not laws[1].table.flags.writeable
+    assert laws[0].key() == worked_law().key()

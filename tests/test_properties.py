@@ -1,19 +1,21 @@
 """Property tests on laws with ties, exact zeros, near-zero (1e-13) mass,
 and on permutation and identity chains: the builder, its set projection and
 the wire format, and at three sources the builder's cost against the LP
-optimum; and, on such chains with point-mass starts, the exact
-enumeration, its beliefs, its leakage and the Monte Carlo episodes against
-it."""
+optimum; on stacks of such laws and of joints with zero-mass pivot rows,
+the stacked laws and order statistics against their loop forms; and, on
+such chains with point-mass starts, the exact enumeration, its beliefs, its
+leakage and the Monte Carlo episodes against it."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import reference_model
 from onoffpir.bounds import inner_bound_first_off_step
 from onoffpir.lp import build_lp, solve
 from onoffpir.model import (ZERO_TOL, ConditionalLaw, MarkovModel, PrivacyPattern,
-                            order_stats)
+                            order_stats, stacked_order_stats)
 from onoffpir.scheme import QueryDistribution, build_query_distribution, project_to_sets
-from onoffpir.sim import enumerate_steps, simulate
+from onoffpir.sim import _law_from_joint, enumerate_steps, simulate
 from onoffpir.verify import audit_distribution, conditional_query_mi
 
 # Small integers make ties; 0.0 and 1e-13 make exact zeros and near-zero mass.
@@ -63,6 +65,70 @@ def test_builder_meets_lp_optimum_at_three_sources(law):
     # only, and at N >= 4 it sits above the optimum on most random laws
     opt = solve(build_lp(law)).optimum
     assert abs(inner_bound_first_off_step(law).inverse_rate - opt) <= 1e-9
+
+
+# n >= 9: numpy sums more than 8 terms pairwise, fewer one by one.
+STACK_SIZES = st.sampled_from((2, 3, 4, 6, 9, 11))
+
+
+@st.composite
+def joint_stacks(draw):
+    """One to four joints p(pivot, current) over one n, each cell an exact
+    zero, 1e-15 dust, a small integer (ties) or uniform, and some pivot rows
+    of zero mass, each joint normalized."""
+    n, size = draw(STACK_SIZES), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = rng.integers(0, 4, (size, n, n))
+    joints = np.select([kinds == 0, kinds == 1, kinds == 2],
+                       [0.0, 1e-15, rng.integers(1, 4, kinds.shape).astype(float)],
+                       rng.random(kinds.shape))
+    for joint in joints:
+        joint[rng.random(n) < draw(st.sampled_from((0.0, 0.3, 0.7)))] = 0.0
+        if not joint.any():
+            joint[tuple(rng.integers(0, n, 2))] = 1.0
+        joint /= joint.sum()
+    return joints
+
+
+@st.composite
+def law_stacks(draw):
+    """One to four laws of :func:`laws` over one n."""
+    n = draw(STACK_SIZES)
+    return [draw(laws(st.just(n))) for _ in range(draw(st.integers(1, 4)))]
+
+
+def _same_bytes(got, want):
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def _assert_stats_match_loop_form(got, law):
+    want = reference_model.order_stats(law)
+    for name in ("orderings", "lambdas", "thetas", "deltas"):
+        assert _same_bytes(getattr(got, name), getattr(want, name)), name
+    assert got.n == want.n and got.sigma == want.sigma and type(got.sigma) is int
+
+
+@settings(max_examples=150, deadline=None)
+@given(joint_stacks())
+def test_stacked_laws_and_order_stats_match_loop_forms(joints):
+    tables = _law_from_joint(joints)
+    laws_made = ConditionalLaw.stack(tables)
+    for joint, law, law_stats in zip(joints, laws_made, stacked_order_stats(tables),
+                                     strict=True):
+        want = reference_model.law_from_joint(joint)
+        assert law.n == want.n and _same_bytes(law.table, want.table)
+        assert not law.table.flags.writeable
+        _assert_stats_match_loop_form(law_stats, want)
+        _assert_stats_match_loop_form(order_stats(want), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(law_stacks())
+def test_stacked_order_stats_of_laws_match_loop_form(stack):
+    made = stacked_order_stats(np.stack([law.table for law in stack]))
+    for law, law_stats in zip(stack, made, strict=True):
+        _assert_stats_match_loop_form(law_stats, law)
+        _assert_stats_match_loop_form(order_stats(law), law)
 
 
 @st.composite

@@ -9,8 +9,9 @@ import reference_builder
 from helpers import random_law, worked_law, workload_table
 from onoffpir.model import ConditionalLaw, MarkovModel, order_stats, step_law
 from onoffpir.scheme import (InternalConsistencyError, QueryDistribution,
-                             _check_built, _QueryCounts, build_query_distribution,
-                             policy_n2, policy_n2_table, project_to_sets)
+                             _check_built, _QueryCounts, build_batch,
+                             build_query_distribution, law_part, policy_n2,
+                             policy_n2_table, project_to_sets)
 from onoffpir.sim import PrivacyPattern, enumerate_steps
 
 
@@ -71,21 +72,22 @@ def test_builder_worked_example_table():
         assert abs(got[key] - val) < 1e-12, key
 
 
-@pytest.mark.parametrize("identity,message", [
+IDENTITIES = [
     ("nonpositive", "nonpositive or undecodable"),
     ("x-outside-z", "nonpositive or undecodable"),
     ("pivot-mass-moved", "privacy"),
     ("marginal", "marginal"),
     ("thetas", "cardinality law"),
-])
-def test_builder_self_check_catches_each_identity(identity, message):
-    law = worked_law()
-    stats = order_stats(law)
-    dist = build_query_distribution(law, stats)
-    entry = {(z, x, u): e for e, (z, x, u, _p) in enumerate(dist.entry_tuples())}
-    probs, xs = dist.probs.copy(), dist.xs.copy()
+]
+
+
+def _tamper(identity, whole, first, part, law, stats):
+    """``whole`` with the worked law's part, ``part``, starting at entry
+    ``first``, or that law or its stats, broken in one identity."""
+    entry = {(z, x, u): first + e for e, (z, x, u, _p) in enumerate(part.entry_tuples())}
+    probs, xs = whole.probs.copy(), whole.xs.copy()
     if identity == "nonpositive":
-        probs[0] = 0.0
+        probs[first] = 0.0
     elif identity == "x-outside-z":
         xs[entry[((1, 0, 1), 0, 1)]] = 1
     elif identity == "pivot-mass-moved":
@@ -96,10 +98,35 @@ def test_builder_self_check_catches_each_identity(identity, message):
         law = ConditionalLaw(3, law.table + [[0.01, -0.01, 0], [0, 0, 0], [0, 0, 0]])
     else:
         stats = order_stats(ConditionalLaw(3, np.eye(3)))
-    tampered = QueryDistribution._of_counts(3, dist.counts, dist.qidx, xs,
-                                            dist.us, probs)
+    tampered = QueryDistribution._of_counts(3, whole.counts, whole.qidx, xs,
+                                            whole.us, probs)
+    return tampered, law, stats
+
+
+@pytest.mark.parametrize("identity,message", IDENTITIES)
+def test_builder_self_check_catches_each_identity(identity, message):
+    law = worked_law()
+    stats = order_stats(law)
+    dist = build_query_distribution(law, stats)
+    tampered, law, stats = _tamper(identity, dist, 0, dist, law, stats)
     with pytest.raises(InternalConsistencyError, match=message):
-        _check_built(tampered, law, stats)
+        _check_built(tampered, [0, len(tampered.counts)], [law], [stats])
+
+
+@pytest.mark.parametrize("identity,message", IDENTITIES)
+def test_batch_self_check_catches_each_identity_in_one_law(identity, message):
+    """The batch's one self-check pass still holds each law to its own
+    table and thetas: law 1 of three, broken alone, fails it by name."""
+    rng = np.random.default_rng(5)
+    laws = [random_law(rng, 3), worked_law(), random_law(rng, 3, ties=True)]
+    stats = [order_stats(law) for law in laws]
+    whole, row_cut, entry_cut = build_batch(laws, stats)
+    _check_built(whole, row_cut, laws, stats)
+    tampered, laws[1], stats[1] = _tamper(identity, whole, entry_cut[1],
+                                          law_part(whole, row_cut, entry_cut, 1),
+                                          laws[1], stats[1])
+    with pytest.raises(InternalConsistencyError, match=f"{message} .* in law 1$"):
+        _check_built(tampered, row_cut, laws, stats)
 
 
 def test_builder_worked_example_rates():

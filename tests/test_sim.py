@@ -8,6 +8,8 @@ import pytest
 import onoffpir.scheme as scheme_mod
 import onoffpir.sim as sim_mod
 import reference_builder
+import reference_model
+from reference_sim import EpisodeServer
 from helpers import never_the_request, random_law, worked_law
 from onoffpir.bounds import bounds_over_horizon
 from onoffpir.model import (ZERO_TOL, CapacityError, ConditionalLaw,
@@ -27,19 +29,19 @@ def two_state():
 
 def _walk(model, pattern, horizon, off_only=True):
     """The views of an exact enumeration and its edges (parent, incoming
-    query mask, child), recorded from ``_BeliefGraph.child``, the graph's one
-    Bayes step, which gives the child's index in the next layer; with
+    query mask, child), recorded from ``_BeliefGraph.children``, the graph's
+    one Bayes step, which gives each child's index in the next layer; with
     ``off_only`` just the edges out of OFF nodes."""
     edges = []
-    step = sim_mod._BeliefGraph.child
+    step = sim_mod._BeliefGraph.children
 
-    def child(graph, node, k, beliefs):
-        i = step(graph, node, k, beliefs)
+    def children(graph, node, ks, beliefs):
+        got = step(graph, node, ks, beliefs)
         if not (off_only and pattern.flags[node.t]):
-            edges.append((node, node.scheme.y_masks[k], i))
-        return i
+            edges.extend((node, node.scheme.y_masks[k], i) for k, i in zip(ks, got))
+        return got
 
-    with mock.patch.object(sim_mod._BeliefGraph, "child", child):
+    with mock.patch.object(sim_mod._BeliefGraph, "children", children):
         views = list(enumerate_steps(model, pattern, horizon))
     return views, [(node, mask, views[node.t + 1].branches[i])
                    for node, mask, i in edges]
@@ -313,33 +315,99 @@ def test_layer_memo_is_first_come_in_node_order():
     graph = sim_mod._BeliefGraph(m, PrivacyPattern.from_string("10"), "algorithm1")
     for laws in ([first, twin], [twin, first]):
         graph._schemes.clear()
-        got = graph._schemes_of([sim_mod.BranchView(1, None, law, None) for law in laws])
+        got = graph._schemes_of([sim_mod.BranchView(1, None, law, order_stats(law), None)
+                                 for law in laws])
         assert got[0] is got[1] and len(graph._schemes) == 1
         assert got[0].w.tobytes() == _scheme_algorithm1(laws[0]).w.tobytes()
 
 
-def test_order_stats_made_for_laws_new_to_the_memo_only(monkeypatch):
-    """A simulation makes one ``order_stats`` per law built, and hands that
-    object to the build; the exact bounds read one per OFF belief."""
-    made, handed = [], []
-    monkeypatch.setattr(sim_mod, "order_stats",
-                        lambda law, make=order_stats: made.append(make(law)) or made[-1])
+def test_order_stats_one_stacked_pass_per_off_layer(monkeypatch):
+    """Each OFF layer makes its nodes' order statistics in one stacked pass,
+    never through ``order_stats``; every node's ``stats`` equals
+    ``order_stats(node.law)`` bit for bit, and a law new to the memo is
+    built from its first node's own ``stats`` object."""
+    passes, handed = [], []
+
+    def stacked(tables, make=sim_mod.stacked_order_stats):
+        passes.append(make(tables))
+        return passes[-1]
 
     def recorded_batch(laws, stats, make=sim_mod._algorithm1_batch):
         handed.extend(stats)
         return make(laws, stats)
+
+    def no_single_law(law):
+        raise AssertionError("the walk made order_stats of one law")
+    monkeypatch.setattr(sim_mod, "stacked_order_stats", stacked)
     monkeypatch.setattr(sim_mod, "_algorithm1_batch", recorded_batch)
+    monkeypatch.setattr(sim_mod, "order_stats", no_single_law)
     m = MarkovModel(3, worked_law().table, np.full(3, 1 / 3))
     pattern = PrivacyPattern.from_string("1000100")
+    views = list(enumerate_steps(m, pattern, len(pattern) - 1))
+    off = [view for view in views if not view.f_on]
+    assert [len(made) for made in passes] == [len(view.branches) for view in off]
+    for view, made in zip(off, passes):
+        for node, node_stats in zip(view.branches, made, strict=True):
+            assert node.stats is node_stats
+            want = order_stats(node.law)
+            for name in ("orderings", "lambdas", "thetas", "deltas"):
+                a, b = getattr(node.stats, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert node.stats.sigma == want.sigma
+    assert all(node.stats is None for view in views if view.f_on for node in view.branches)
+    owned = {id(node.stats) for view in off for node in view.branches}
+    assert handed and all(id(stats) in owned for stats in handed)
+    assert len(handed) < sum(len(view.branches) for view in off)   # memo hits
+    passes.clear()
     simulate(m, pattern, 2000, seed=11)
-    assert handed and all(a is b for a, b in zip(made, handed, strict=True))
-    built = len(made)
-    made.clear()
-    bounds_over_horizon(m, pattern, len(pattern) - 1)
-    beliefs = len(made)
-    off = sum(len(view.branches) for view in enumerate_steps(m, pattern, len(pattern) - 1)
-              if not view.f_on)
-    assert beliefs == off > built
+    assert len(passes) == sum(not f for f in pattern.flags)
+
+
+def test_children_match_one_bayes_step_per_query():
+    """A node's kept posteriors, made at once, are interned in query order
+    with the bytes of one Bayes step per query, repeats of a belief
+    sharing its index."""
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 5, 9):
+        m = MarkovModel(n, random_law(rng, n, ties=n > 3).table, rng.dirichlet(np.ones(n)))
+        views = list(enumerate_steps(m, PrivacyPattern.from_string("1000"), 2))
+        graph = sim_mod._BeliefGraph(m, PrivacyPattern.from_string("1000"), "algorithm1")
+        for node in views[1].branches + views[2].branches:
+            weights = node.scheme.query_marginal(node.pre_joint)
+            ks = np.flatnonzero(weights > ZERO_TOL)
+            ks = np.concatenate([ks, ks[:1]])    # a repeated query
+            beliefs: dict = {"seen": (0, None)}
+            got = graph.children(node, ks, beliefs)
+            want: dict = {"seen": (0, None)}
+            want_index = []
+            for k in ks:
+                post = node.pre_joint * node.scheme.w[k]
+                post /= post.sum()
+                key = np.round(post, 12).tobytes()
+                want.setdefault(key, (len(want), post @ m.p))
+                want_index.append(want[key][0])
+            assert got == want_index
+            assert list(beliefs) == list(want)
+            for key, (i, pre) in want.items():
+                assert beliefs[key][0] == i
+                if pre is not None:
+                    assert beliefs[key][1].tobytes() == pre.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bad_joint_in_a_layer_raises_as_its_law_alone(bad):
+    """A non-finite joint inside an OFF layer's stack raises the ValueError,
+    text and all, that its law alone raises."""
+    m = MarkovModel(3, worked_law().table, np.full(3, 1 / 3))
+    graph = sim_mod._BeliefGraph(m, PrivacyPattern.from_string("10"), "algorithm1")
+    good = np.diag(m.pi0) @ m.p
+    broken = good.copy()
+    broken[1, 2] = bad
+    with pytest.raises(ValueError) as alone:
+        reference_model.law_from_joint(broken)
+    with pytest.raises(ValueError) as stacked:
+        graph.layer(1, [good, broken, good])
+    assert str(stacked.value) == str(alone.value) == "law entries must be finite"
 
 
 def test_batch_laws_share_one_size():
@@ -449,6 +517,30 @@ def test_server_state_regenerates_messages_each_step():
             sel = np.flatnonzero(member[e])   # increasing source order
             assert np.array_equal(payload[e, :len(sel)], server.messages[e, sel])
             assert not payload[e, len(sel):].any()
+
+
+@pytest.mark.parametrize("msg_bits", [1, 13, 64, 100])
+def test_server_answers_match_per_episode_server(msg_bits):
+    """Every episode's answer, read as the concatenation of its slots,
+    is the per-episode server's, for empty, full and drawn queries."""
+    episodes, n = 40, 5
+    server = ServerState(n, msg_bits, np.random.default_rng(msg_bits))
+    server.advance(episodes)
+    member = np.random.default_rng(1).random((episodes, n)) < 0.5
+    member[0], member[1] = False, True
+    payload, bits = server.answer(member)
+    assert payload.shape == server.messages.shape and payload.dtype == np.uint8
+    ref = EpisodeServer(n, msg_bits, None)
+    want_bits = 0
+    for e in range(episodes):
+        ref.messages = [int.from_bytes(m.tobytes(), "big") for m in server.messages[e]]
+        want, size = ref.answer(tuple(np.flatnonzero(member[e]).tolist()))
+        got = sum(int.from_bytes(slot.tobytes(), "big") << (pos * msg_bits)
+                  for pos, slot in enumerate(payload[e]))
+        assert got == want, e
+        assert not payload[e, int(member[e].sum()):].any()
+        want_bits += size
+    assert bits == want_bits
 
 
 def test_simulate_reproducible_and_seed_sensitive():
