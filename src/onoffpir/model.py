@@ -59,6 +59,15 @@ def whole_numbers(values, what: str, lo: int, hi: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def source_count(n, lo: int = 1) -> int:
+    """``n`` as an int; ValueError unless :func:`whole_numbers` finds it one
+    integer in [lo, 2**31)."""
+    try:
+        return int(whole_numbers(n, "n", lo, 1 << 31))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"need n >= {lo} sources: {exc}") from None
+
+
 def load_json(text):
     """``json.loads(text)``, with nesting too deep for the parser's
     recursion a ValueError like any other malformed text."""
@@ -88,8 +97,7 @@ class MarkovModel:
     pi0: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need at least two sources, got n={self.n}")
+        object.__setattr__(self, "n", source_count(self.n, 2))
         p = _readonly(self.p)
         pi0 = _readonly(self.pi0)
         if p.shape != (self.n, self.n):
@@ -135,8 +143,8 @@ class MarkovModel:
         if isinstance(obj, (str, bytes)):
             obj = load_json(obj)
         try:
-            return MarkovModel(int(whole_numbers(obj["n"], "n", 0, 1 << 31)),
-                               numbers(obj["p"], "p"), numbers(obj["pi0"], "pi0"))
+            return MarkovModel(obj["n"], numbers(obj["p"], "p"),
+                               numbers(obj["pi0"], "pi0"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed Markov model: {exc}") from exc
 
@@ -211,6 +219,7 @@ class ConditionalLaw:
     table: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", source_count(self.n))
         table = _readonly(self.table)
         _check_tables(self.n, table[None])
         object.__setattr__(self, "table", table)

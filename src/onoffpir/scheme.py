@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import (EPS, ZERO_TOL, ConditionalLaw, OrderStats,
                     check_number_types, load_json, numbers, order_stats,
-                    whole_numbers)
+                    source_count, whole_numbers)
 
 
 class InternalConsistencyError(AssertionError):
@@ -67,26 +67,15 @@ class QueryDistribution:
     probs: np.ndarray
 
     def __init__(self, n: int, queries, qidx, xs, us, probs):
-        """Raises ValueError unless n >= 1, the arrays are parallel, every
-        count row holds n nonnegative integers summing to at most n, every
-        index is an integer in range, and every probability is finite and
-        nonnegative.  As in :meth:`from_items`, booleans, strings and
-        fractional values are not integers.  Structural invariants (x in z,
-        privacy, ...) are left to the audit."""
-        n = _source_count(n)
-        rows = [q.counts for q in queries]
-        counts = whole_numbers(rows or np.zeros((0, n)), "counts", 0, n + 1)
-        if counts.shape != (len(rows), n):
-            raise ValueError(f"count vectors must have length n={n}")
-        self._freeze(n, counts, whole_numbers(qidx, "query indices", 0, len(rows)),
-                     whole_numbers(xs, "x", 0, n), whole_numbers(us, "u", 0, n),
-                     numbers(probs, "probabilities"))
-        if not len(self.qidx) == len(self.xs) == len(self.us) == len(self.probs):
+        """Raises ValueError unless the arrays are parallel, every query
+        index is an integer in range, and the rest passes the checks of
+        :meth:`from_items`.  Structural invariants (x in z, privacy, ...)
+        are left to the audit."""
+        n, counts, xs, us, probs = _checked(n, [q.counts for q in queries], xs, us, probs)
+        qidx = whole_numbers(qidx, "query indices", 0, len(counts))
+        if not len(qidx) == len(xs) == len(us) == len(probs):
             raise ValueError("qidx, xs, us and probs must have equal lengths")
-        if np.any(self.counts.sum(axis=1) > self.n):
-            raise ValueError("counts must sum to at most n per query")
-        if not np.all(np.isfinite(self.probs) & (self.probs >= 0)):
-            raise ValueError("probabilities must be finite and nonnegative")
+        self._freeze(n, counts, qidx, xs, us, probs)
 
     @classmethod
     def _of_counts(cls, n: int, counts, qidx, xs, us, probs) -> "QueryDistribution":
@@ -121,16 +110,6 @@ class QueryDistribution:
 
     def expected_set_cardinality(self) -> float:
         return float(self.query_law() @ (self.counts > 0).sum(axis=1, dtype=float))
-
-    @property
-    def is_set_view(self) -> bool:
-        return bool(np.all(self.counts <= 1))
-
-    def law_marginal(self) -> np.ndarray:
-        """table[u, x] = sum_z p(z, x | u); equals the input law when valid."""
-        flat = np.bincount(self.us * self.n + self.xs, weights=self.probs,
-                           minlength=self.n * self.n)
-        return flat.reshape(self.n, self.n)
 
     def query_conditionals(self) -> np.ndarray:
         """table[qid, u] = p(z | u); rows are constant for a private scheme."""
@@ -191,22 +170,14 @@ class QueryDistribution:
         # type check [true, 0] would hide behind an earlier [1, 0].
         index_of: dict = {}
         row_of = [index_of.setdefault(tuple(z), len(index_of)) for z in zs]
-        return _checked_assemble(n, list(index_of), row_of, xs, us, ps)
+        n, counts, xs, us, ps = _checked(n, list(index_of), xs, us, ps)
+        return _assemble(n, np.zeros(len(counts), np.int64), counts, row_of, xs, us, ps)[0]
 
 
-def _source_count(n) -> int:
-    """``n`` as an int; ValueError unless it is one integer in [1, 2**31)."""
-    try:
-        return int(whole_numbers(n, "n", 1, 1 << 31))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"a query distribution needs n >= 1 sources: {exc}") from None
-
-
-def _checked_assemble(n, rows: list, row_of, xs, us, ps) -> QueryDistribution:
-    """:func:`_assemble` after the readers' checks: ``n`` an integer >= 1,
-    each distinct count row in ``rows`` n nonnegative integers summing to at
-    most n, every p finite and nonnegative, and x and u integers in [0, n)."""
-    n = _source_count(n)
+def _checked(n, rows: list, xs, us, ps):
+    """The readers' checks of :meth:`QueryDistribution.from_items`, with
+    ``rows`` the distinct count rows: ``(n, counts, xs, us, ps)``, n an int."""
+    n = source_count(n)
     counts = whole_numbers(rows or np.zeros((0, n)), "counts", 0, n + 1)
     if counts.shape != (len(rows), n):
         raise ValueError(f"count vectors must have length n={n}")
@@ -215,8 +186,7 @@ def _checked_assemble(n, rows: list, row_of, xs, us, ps) -> QueryDistribution:
     ps = numbers(ps, "p")
     if not np.all(np.isfinite(ps) & (ps >= 0)):
         raise ValueError("probabilities must be finite and nonnegative")
-    return _assemble(n, counts, row_of, whole_numbers(xs, "x", 0, n),
-                     whole_numbers(us, "u", 0, n), ps)
+    return n, counts, whole_numbers(xs, "x", 0, n), whole_numbers(us, "u", 0, n), ps
 
 
 # The text to_json writes, in the JSON grammar: integers and numbers with
@@ -252,23 +222,19 @@ def _scan(text: str) -> QueryDistribution | None:
         rows = [json.loads(z) for z in index_of]
     except ValueError:
         return None
-    return _checked_assemble(int(head[1]), rows, row_of, list(map(int, xs)),
-                             list(map(int, us)), list(map(float, ps)))
+    n, counts, xs, us, ps = _checked(int(head[1]), rows, list(map(int, xs)),
+                                     list(map(int, us)), list(map(float, ps)))
+    return _assemble(n, np.zeros(len(counts), np.int64), counts, row_of, xs, us, ps)[0]
 
 
-def _assemble(n: int, rows, row_of, xs, us, ps) -> QueryDistribution:
+def _assemble(n: int, row_law, rows, row_of, xs, us, ps):
     """Intern count vectors, merge duplicate (z, x, u) triples, drop dust,
-    and order canonically: :func:`_assemble_laws` for one law."""
-    return _assemble_laws(n, None, rows, row_of, xs, us, ps)[0]
-
-
-def _assemble_laws(n: int, row_law, rows, row_of, xs, us, ps):
-    """:func:`_assemble` for several laws at once: one distribution with
-    each law's part, as it alone gives it, after the last law's, and the law
-    of each count row.
+    and order canonically, law by law: one distribution with each law's
+    part, as it alone gives it, after the last law's, and the law of each
+    of its count rows.
 
     Entry ``e`` has count vector ``rows[row_of[e]]`` (repeats allowed) of
-    law ``row_law[row_of[e]]`` (0 when ``row_law`` is None); ``row_of``,
+    law ``row_law[row_of[e]]`` (int64, all 0 for one law); ``row_of``,
     ``xs``, ``us`` and ``ps`` broadcast together, entries in C order.  One
     ``lexsort`` ranks the distinct (law, vector) pairs by law, cardinality
     and vector, so the merge key sorts entries straight into canonical order
@@ -276,15 +242,11 @@ def _assemble_laws(n: int, row_law, rows, row_of, xs, us, ps):
     """
     rows = np.asarray(rows, dtype=np.int64)
     rows = rows.reshape(len(rows), n)
-    keys = [rows.T[::-1], rows.sum(axis=1)]
-    if row_law is not None:
-        keys.append(row_law)
-    order = np.lexsort(np.vstack(keys))
+    order = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1), row_law]))
     ranked = rows[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    if row_law is not None:
-        new[1:] |= row_law[order[1:]] != row_law[order[:-1]]
+    new[1:] |= row_law[order[1:]] != row_law[order[:-1]]
     rank = np.empty(len(rows), dtype=np.int64)
     rank[order] = np.cumsum(new) - 1
     distinct = ranked[new]
@@ -307,13 +269,13 @@ def _assemble_laws(n: int, row_law, rows, row_of, xs, us, ps):
     xs, us = uniq // n, uniq % n
     xs %= n
     return (QueryDistribution._of_counts(n, distinct[present], qidx, xs, us, sums),
-            None if row_law is None else row_law[order][new][present])
+            row_law[order][new][present])
 
 
 def project_to_sets(dist: QueryDistribution) -> QueryDistribution:
     """Merge multisets with equal support; the wire-level view of a scheme."""
-    return _assemble(dist.n, dist.counts > 0, dist.qidx, dist.xs, dist.us,
-                     dist.probs)
+    return _assemble(dist.n, np.zeros(len(dist.counts), np.int64), dist.counts > 0,
+                     dist.qidx, dist.xs, dist.us, dist.probs)[0]
 
 
 def _lane_take(q_mat: list, row_ptr: list, u: int, amount: float):
@@ -391,10 +353,10 @@ def build_query_distribution(law: ConditionalLaw,
 def build_batch(laws: list, stats: list):
     """:func:`build_query_distribution` of laws over one n, given their
     order statistics: the lane loop per law, then one expansion and one
-    assembly for all.  Returns ``(whole, row_cut, entry_cut)``: law j's
-    count rows are ``row_cut[j]:row_cut[j + 1]`` of ``whole`` and its entries
-    ``entry_cut[j]:entry_cut[j + 1]``; :func:`law_part` cuts out the
-    self-checked distribution that law's build alone gives."""
+    assembly for all.  Returns ``(whole, row_law)``: count row q of
+    ``whole`` and its entries are law ``row_law[q]``'s, the laws in order,
+    and each law's part is the self-checked distribution its build alone
+    gives."""
     n = laws[0].n
     # Per merge round its request and weight; per lane entry its round,
     # pivot and column.  Every other pivot of a round asks for the request.
@@ -420,20 +382,10 @@ def build_batch(laws: list, stats: list):
     xs = np.repeat(round_x, n).reshape(n_rounds, n)
     xs[lane_round, np.asarray(lane_pivot, dtype=np.int64)] = lane_col
     round_law = np.repeat(np.arange(len(laws)), np.diff(law_rounds, prepend=0))
-    whole, law_of_row = _assemble_laws(n, round_law, counts, np.arange(n_rounds)[:, None],
-                                       xs, np.arange(n), np.asarray(round_nu)[:, None])
-    row_cut = np.searchsorted(law_of_row, np.arange(len(laws) + 1))
-    _check_built(whole, row_cut, laws, stats)
-    return whole, row_cut, np.searchsorted(whole.qidx, row_cut)
-
-
-def law_part(whole: QueryDistribution, row_cut, entry_cut, j: int) -> QueryDistribution:
-    """Law j's distribution in a :func:`build_batch` result."""
-    r0, e0, e1 = row_cut[j], entry_cut[j], entry_cut[j + 1]
-    qidx = whole.qidx[e0:e1]
-    return QueryDistribution._of_counts(whole.n, whole.counts[r0:row_cut[j + 1]],
-                                        qidx - r0 if r0 else qidx, whole.xs[e0:e1],
-                                        whole.us[e0:e1], whole.probs[e0:e1])
+    whole, row_law = _assemble(n, round_law, counts, np.arange(n_rounds)[:, None],
+                               xs, np.arange(n), np.asarray(round_nu)[:, None])
+    _check_built(whole, row_law, laws, stats)
+    return whole, row_law
 
 
 def _take_rounds(law: ConditionalLaw, stats: OrderStats, round_x: list,
@@ -480,22 +432,21 @@ class IdentityGaps(NamedTuple):
     violations: np.ndarray   # (L,)
     totals: np.ndarray       # (L, n)
     marginal: np.ndarray     # (L, n, n)
-    spread: np.ndarray       # (Q,), law j's rows row_cut[j]:row_cut[j + 1]
+    spread: np.ndarray       # (Q,), per count row
     cardinality: np.ndarray  # (L, n)
 
 
-def identity_gaps(dist: QueryDistribution, row_cut, tables, thetas) -> IdentityGaps:
+def identity_gaps(dist: QueryDistribution, row_law, tables, thetas) -> IdentityGaps:
     """How far the stored arrays of ``dist`` are from the identities that
     each law's table ``tables[j]`` and theta increments ``thetas[j]`` fix,
-    where law j owns the count rows ``row_cut[j]:row_cut[j + 1]`` and their
-    entries.  Every cell is summed in entry order, as for that law alone.
-    Raises ValueError when ``dist`` and the laws differ in size."""
+    where law ``row_law[q]`` owns count row q and its entries.  Every cell
+    is summed in entry order, as for that law alone.  Raises ValueError
+    when ``dist`` and the laws differ in size."""
     n = dist.n
     if np.shape(tables)[-1] != n:
         raise ValueError(f"distribution over n={n} sources audited "
                          f"against a law over n={np.shape(tables)[-1]}")
     n_laws = len(tables)
-    row_law = np.repeat(np.arange(n_laws), np.diff(row_cut))
     qidx, probs = dist.qidx, dist.probs
     # One entry-length key at a time, each freed before the next is made:
     # (query, x), then (query, u), then (law, u) and (law, u, x), then
@@ -524,17 +475,17 @@ def identity_gaps(dist: QueryDistribution, row_cut, tables, thetas) -> IdentityG
                         spread, np.abs(card_law[:, 1:] - thetas))
 
 
-def _check_built(dist: QueryDistribution, row_cut, laws: list, stats: list):
+def _check_built(dist: QueryDistribution, row_law, laws: list, stats: list):
     """Cheap structural self-check of a batch, each law against its own
     table and thetas in one pass; failures are builder bugs by construction."""
-    gaps = identity_gaps(dist, row_cut, np.stack([law.table for law in laws]),
+    gaps = identity_gaps(dist, row_law, np.stack([law.table for law in laws]),
                          np.stack([law_stats.thetas for law_stats in stats]))
     if gaps.violations.any():
         j = int(np.argmax(gaps.violations))
         raise InternalConsistencyError(
             f"{gaps.violations[j]} nonpositive or undecodable entries stored in law {j}")
     privacy = np.zeros(len(laws))
-    np.maximum.at(privacy, np.repeat(np.arange(len(laws)), np.diff(row_cut)), gaps.spread)
+    np.maximum.at(privacy, row_law, gaps.spread)
     for what, gap in (("per-pivot totals", gaps.totals.max(axis=1)),
                       ("marginal", gaps.marginal.max(axis=(1, 2))),
                       ("privacy", privacy),
@@ -564,6 +515,7 @@ def policy_n2(alpha: float, beta: float, x_tau: int, x_t: int,
         raise ValueError(f"previous query cardinality must be 1 or 2, got {prev_card}")
     if parity not in (_EVEN, _ODD):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    x_tau, x_t = whole_numbers([x_tau, x_t], "the requests x_tau and x_t", 0, 2).tolist()
     w1 = 1.0   # p({x_t}); the rest goes to {0, 1}
     s = alpha + beta
     if prev_card == 2 and s != 1.0:

@@ -21,8 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import (ZERO_TOL, CapacityError, ConditionalLaw, MarkovModel,
-                    OrderStats, PrivacyPattern, order_stats,
-                    stacked_order_stats)
+                    OrderStats, PrivacyPattern, stacked_order_stats)
 from .scheme import build_batch
 
 POLICIES = ("algorithm1", "naive", "full_download")
@@ -77,26 +76,21 @@ class StepScheme:
         return np.einsum("ux,kux->k", pre_joint, self.w)
 
 
-def _scheme_algorithm1(law: ConditionalLaw) -> StepScheme:
-    """Algorithm 1's scheme of one law: :func:`_algorithm1_batch` of one."""
-    return _algorithm1_batch([law], [order_stats(law)])[0]
-
-
 def _algorithm1_batch(laws: list, stats: list) -> list:
     """Algorithm 1's schemes of laws over one n, built together: each
     multiset entry summed into its (support, u, x) cell in entry order, as
     the set projection sums it, over p(x | u)."""
     if not laws:
         return []
-    dist, row_cut, _entry_cut = build_batch(laws, stats)
+    dist, row_law = build_batch(laws, stats)
     n = dist.n
     # Each count row's law and support mask as one key, law * 2^n + mask, in
     # object dtype so that masks beyond 63 sources stay exact Python ints.
-    supports = (np.repeat(np.arange(len(laws), dtype=object), np.diff(row_cut))
-                * (1 << n) + (dist.counts > 0) @ (1 << np.arange(n, dtype=object)))
+    supports = (row_law.astype(object) * (1 << n)
+                + (dist.counts > 0) @ (1 << np.arange(n, dtype=object)))
     keys, k = np.unique(supports, return_inverse=True)
     cells, probs = (k[dist.qidx] * n + dist.us) * n + dist.xs, dist.probs
-    del dist, supports, k   # the layer's entries go before its tables come
+    del dist, row_law, supports, k   # the layer's entries go before its tables come
     w = np.bincount(cells, probs, len(keys) * n * n).reshape(len(keys), n, n)
     cut = np.searchsorted((keys >> n).astype(np.int64), np.arange(len(laws) + 1)).tolist()
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -269,6 +263,8 @@ class ServerState:
     increasing source order."""
 
     def __init__(self, n: int, msg_bits: int, rng):
+        if msg_bits < 1:
+            raise ValueError(f"msg_bits must be at least 1, got {msg_bits}")
         self.n = n
         self.msg_bits = msg_bits
         self._rng = rng

@@ -19,17 +19,6 @@ from .model import EPS, ConditionalLaw, OrderStats, mutual_information_bits
 from .scheme import QueryDistribution, identity_gaps, project_to_sets
 
 
-def mutual_information_kl_bits(joint: np.ndarray) -> float:
-    """I(U; Y) as KL(joint || product of marginals); agrees with the direct
-    definition and serves as its cross-check."""
-    joint = np.asarray(joint, dtype=float)
-    pu = joint.sum(axis=1, keepdims=True)
-    py = joint.sum(axis=0, keepdims=True)
-    mask = joint > 0
-    ratio = joint[mask] / (pu @ py)[mask]
-    return float((joint[mask] * np.log2(ratio)).sum())
-
-
 @dataclass(frozen=True)
 class AuditReport:
     """Worst-case gaps of the five scheme identities plus a leakage summary.
@@ -68,7 +57,7 @@ def audit_distribution(dist: QueryDistribution, law: ConditionalLaw,
     where it is exact.  The mutual-information summary takes the pivot
     uniform.  Raises ValueError when ``dist`` and ``law`` differ in size.
     """
-    gaps = identity_gaps(dist, [0, len(dist.counts)], law.table[None],
+    gaps = identity_gaps(dist, np.zeros(len(dist.counts), np.int64), law.table[None],
                          stats.thetas[None])
     violations, marginal, cardinality = (int(gaps.violations[0]), gaps.marginal[0],
                                          gaps.cardinality[0])

@@ -1,5 +1,8 @@
 """Shared fixtures-in-spirit: the worked three-source law, random laws, the
-benchmark's random tables, a broken policy scheme and a fresh interpreter."""
+benchmark's random tables, a broken policy scheme and a fresh interpreter;
+and the readings of a scheme only the tests take: its set-view flag, its
+law marginal, one law's part of a batch build, Algorithm 1's scheme of one
+law, and mutual information as a KL divergence."""
 
 import os
 import subprocess
@@ -7,8 +10,9 @@ import sys
 
 import numpy as np
 
-from onoffpir.model import ConditionalLaw
-from onoffpir.sim import StepScheme
+from onoffpir.model import ConditionalLaw, order_stats
+from onoffpir.scheme import QueryDistribution
+from onoffpir.sim import StepScheme, _algorithm1_batch
 
 # Three-source transition matrix of the worked example; every golden value in
 # the tests below is derived from it.
@@ -57,3 +61,40 @@ def run_fresh_python(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120).stdout
+
+
+def is_set_view(dist: QueryDistribution) -> bool:
+    return bool(np.all(dist.counts <= 1))
+
+
+def law_marginal(dist: QueryDistribution) -> np.ndarray:
+    """table[u, x] = sum_z p(z, x | u); equals the input law when valid."""
+    flat = np.bincount(dist.us * dist.n + dist.xs, weights=dist.probs,
+                       minlength=dist.n * dist.n)
+    return flat.reshape(dist.n, dist.n)
+
+
+def law_part(whole: QueryDistribution, row_law, j: int) -> QueryDistribution:
+    """Law j's distribution in a ``build_batch`` result ``(whole, row_law)``:
+    its count rows and their entries, each a contiguous run."""
+    r0, r1 = np.searchsorted(row_law, [j, j + 1])
+    e0, e1 = np.searchsorted(whole.qidx, [r0, r1])
+    return QueryDistribution._of_counts(whole.n, whole.counts[r0:r1],
+                                        whole.qidx[e0:e1] - r0, whole.xs[e0:e1],
+                                        whole.us[e0:e1], whole.probs[e0:e1])
+
+
+def scheme_algorithm1(law: ConditionalLaw) -> StepScheme:
+    """Algorithm 1's scheme of one law: ``sim._algorithm1_batch`` of one."""
+    return _algorithm1_batch([law], [order_stats(law)])[0]
+
+
+def mutual_information_kl_bits(joint: np.ndarray) -> float:
+    """I(U; Y) as KL(joint || product of marginals); agrees with the direct
+    definition and serves as its cross-check."""
+    joint = np.asarray(joint, dtype=float)
+    pu = joint.sum(axis=1, keepdims=True)
+    py = joint.sum(axis=0, keepdims=True)
+    mask = joint > 0
+    ratio = joint[mask] / (pu @ py)[mask]
+    return float((joint[mask] * np.log2(ratio)).sum())

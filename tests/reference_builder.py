@@ -131,6 +131,6 @@ def build_query_distribution(law: ConditionalLaw,
                 out_u.extend(others)
                 out_p.extend([nu] * m)
 
-    dist = _assemble(n, rows, row_of, out_x, out_u, out_p)
-    _check_built(dist, [0, len(dist.counts)], [law], [stats])
+    dist = _assemble(n, np.zeros(len(rows), np.int64), rows, row_of, out_x, out_u, out_p)[0]
+    _check_built(dist, np.zeros(len(dist.counts), np.int64), [law], [stats])
     return dist

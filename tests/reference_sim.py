@@ -15,7 +15,8 @@ import numpy as np
 
 from onoffpir.model import CapacityError
 from onoffpir.sim import (POLICIES, BranchView, SimulationResult, StepView,
-                          _scheme_algorithm1, _scheme_full, _scheme_naive)
+                          _scheme_full, _scheme_naive)
+from helpers import scheme_algorithm1
 from reference_model import law_from_joint, order_stats
 
 
@@ -63,7 +64,7 @@ def scheme_lookup(n: int, policy: str):
 
     def lookup(law):
         if law.key() not in memo:
-            memo[law.key()] = _scheme_algorithm1(law)
+            memo[law.key()] = scheme_algorithm1(law)
         return memo[law.key()]
     return lookup
 

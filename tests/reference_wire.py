@@ -82,8 +82,8 @@ def from_items(n: int, items) -> "QueryDistribution":
     ps = numbers(ps, "p")
     if not np.all(np.isfinite(ps) & (ps >= 0)):
         raise ValueError("probabilities must be finite and nonnegative")
-    return _assemble(n, zs, np.arange(len(items)), whole_numbers(xs, "x", 0, n),
-                     whole_numbers(us, "u", 0, n), ps)
+    return _assemble(n, np.zeros(len(zs), np.int64), zs, np.arange(len(items)),
+                     whole_numbers(xs, "x", 0, n), whole_numbers(us, "u", 0, n), ps)[0]
 
 
 def trace_csv(result) -> str:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_bounds_capacity_exit_code(model3_path, capsys, monkeypatch):
 def test_build_verify_round_trip(model3_path, tmp_path, capsys):
     dist_path = str(tmp_path / "dist.json")
     assert main(["build", "--model", model3_path, "--out", dist_path]) == 0
-    payload = json.loads(open(dist_path).read())
+    payload = json.loads(Path(dist_path).read_text())
     assert payload["expected_set_cardinality"] <= 1.6 + 1e-9
     assert payload["expected_multiset_cardinality"] == pytest.approx(1.6, abs=1e-9)
 
@@ -102,7 +103,7 @@ def test_build_output_pinned(model3_path, capsys):
 def test_verify_rejects_tampered_distribution(model3_path, tmp_path, capsys):
     dist_path = str(tmp_path / "dist.json")
     main(["build", "--model", model3_path, "--out", dist_path])
-    payload = json.loads(open(dist_path).read())
+    payload = json.loads(Path(dist_path).read_text())
     payload["entries"][0]["p"] += 0.05
     (tmp_path / "bad.json").write_text(json.dumps(payload))
     code = main(["verify", "--dist", str(tmp_path / "bad.json"),
@@ -113,7 +114,7 @@ def test_verify_rejects_tampered_distribution(model3_path, tmp_path, capsys):
 def test_verify_rejects_out_of_range_entry(model3_path, tmp_path, capsys):
     dist_path = str(tmp_path / "dist.json")
     main(["build", "--model", model3_path, "--out", dist_path])
-    payload = json.loads(open(dist_path).read())
+    payload = json.loads(Path(dist_path).read_text())
     entry = next(e for e in payload["entries"]
                  if e["z"] == [0, 1, 0] and e["x"] == 1)
     # x = n + 1 on (0,0,1) used to alias onto x = 1 of the next interned
@@ -307,7 +308,7 @@ def test_simulate_summary_and_trace(model2_path, tmp_path, capsys):
     assert summary["decode_failures"] == 0
     assert summary["mean_query_size"][0] == 2.0
     assert "1" in summary["privacy_audit"]
-    lines = open(trace_path).read().strip().splitlines()
+    lines = Path(trace_path).read_text().strip().splitlines()
     assert lines[0] == "episode,t,F,x,q,len_bits,decode_ok"
     assert len(lines) == 1 + 400 * 2
 

@@ -33,6 +33,21 @@ def test_markov_model_rejects_bad_rows():
             MarkovModel(2, [[0.5, 0.5], [0.5, 0.5]], [bad, 0.5])
 
 
+@pytest.mark.parametrize("n", ["2", True, 2.5, [2]])
+def test_model_and_law_require_an_integer_n(n):
+    with pytest.raises(ValueError, match="n >= 2"):
+        MarkovModel(n, np.full((2, 2), 0.5), [0.5, 0.5])
+    with pytest.raises(ValueError, match="n >= 1"):
+        ConditionalLaw(n, np.full((2, 2), 0.5))
+
+
+def test_model_and_law_store_an_integral_n_as_int():
+    for n in (2.0, np.int64(2), np.float64(2.0)):
+        for made in (MarkovModel(n, np.full((2, 2), 0.5), [0.5, 0.5]),
+                     ConditionalLaw(n, np.full((2, 2), 0.5))):
+            assert type(made.n) is int and made.n == 2
+
+
 def test_symmetric_model_needs_two_sources():
     with pytest.raises(ValueError, match="two sources"):
         MarkovModel.symmetric(1, 0.5)

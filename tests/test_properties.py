@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import reference_model
+from helpers import is_set_view
 from onoffpir.bounds import inner_bound_first_off_step
 from onoffpir.lp import build_lp, solve
 from onoffpir.model import (ZERO_TOL, ConditionalLaw, MarkovModel, PrivacyPattern,
@@ -48,7 +49,7 @@ def test_built_scheme_audits_and_round_trips(law):
     dist = build_query_distribution(law, stats)
     assert audit_distribution(dist, law, stats).passed
     sets = project_to_sets(dist)
-    assert sets.is_set_view
+    assert is_set_view(sets)
     assert project_to_sets(sets).to_json() == sets.to_json()
     for d in (dist, sets):
         wire = d.to_json()

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import reference_builder
-from helpers import random_law, worked_law, workload_table
+from helpers import (is_set_view, law_marginal, law_part, random_law, worked_law,
+                     workload_table)
 from onoffpir.model import ConditionalLaw, MarkovModel, order_stats, step_law
 from onoffpir.scheme import (InternalConsistencyError, QueryDistribution,
                              _check_built, _QueryCounts, build_batch,
-                             build_query_distribution, law_part, policy_n2,
+                             build_query_distribution, policy_n2,
                              policy_n2_table, project_to_sets)
 from onoffpir.sim import PrivacyPattern, enumerate_steps
 
@@ -110,7 +111,7 @@ def test_builder_self_check_catches_each_identity(identity, message):
     dist = build_query_distribution(law, stats)
     tampered, law, stats = _tamper(identity, dist, 0, dist, law, stats)
     with pytest.raises(InternalConsistencyError, match=message):
-        _check_built(tampered, [0, len(tampered.counts)], [law], [stats])
+        _check_built(tampered, np.zeros(len(tampered.counts), np.int64), [law], [stats])
 
 
 @pytest.mark.parametrize("identity,message", IDENTITIES)
@@ -120,13 +121,14 @@ def test_batch_self_check_catches_each_identity_in_one_law(identity, message):
     rng = np.random.default_rng(5)
     laws = [random_law(rng, 3), worked_law(), random_law(rng, 3, ties=True)]
     stats = [order_stats(law) for law in laws]
-    whole, row_cut, entry_cut = build_batch(laws, stats)
-    _check_built(whole, row_cut, laws, stats)
-    tampered, laws[1], stats[1] = _tamper(identity, whole, entry_cut[1],
-                                          law_part(whole, row_cut, entry_cut, 1),
+    whole, row_law = build_batch(laws, stats)
+    _check_built(whole, row_law, laws, stats)
+    tampered, laws[1], stats[1] = _tamper(identity, whole,
+                                          int(np.argmax(row_law[whole.qidx] == 1)),
+                                          law_part(whole, row_law, 1),
                                           laws[1], stats[1])
     with pytest.raises(InternalConsistencyError, match=f"{message} .* in law 1$"):
-        _check_built(tampered, row_cut, laws, stats)
+        _check_built(tampered, row_law, laws, stats)
 
 
 def test_builder_worked_example_rates():
@@ -269,7 +271,7 @@ def test_project_merges_equal_supports():
 def test_project_leaves_plain_sets_alone():
     law = worked_law()
     dist = build_query_distribution(law)
-    if dist.is_set_view:
+    if is_set_view(dist):
         assert project_to_sets(dist).entry_tuples() == dist.entry_tuples()
 
 
@@ -281,12 +283,12 @@ def test_project_preserves_invariants_and_shrinks_cost():
         stats = order_stats(law)
         dist = build_query_distribution(law, stats)
         sets = project_to_sets(dist)
-        assert sets.is_set_view
+        assert is_set_view(sets)
         assert sets.expected_set_cardinality() <= dist.expected_multiset_cardinality() + 1e-12
         n_ = sets.n
         per_u = np.bincount(sets.us, weights=sets.probs, minlength=n_)
         assert np.allclose(per_u, 1.0, atol=1e-9)
-        assert np.max(np.abs(sets.law_marginal() - law.table)) < 1e-9
+        assert np.max(np.abs(law_marginal(sets) - law.table)) < 1e-9
         cond = sets.query_conditionals()
         assert np.max(cond.max(axis=1) - cond.min(axis=1)) < 1e-9
 
@@ -337,6 +339,14 @@ def test_policy_rows_are_distributions():
                 for x_t in (0, 1):
                     vals = policy_n2(a, b, x_tau, x_t, 2, parity)
                     assert np.all(vals >= -1e-12) and abs(vals.sum() - 1) < 1e-12
+
+
+def test_policy_requests_are_0_or_1():
+    for x_tau, x_t in [(0, 2), (-1, 0), (True, 0), (0, 0.5), ("0", 1)]:
+        with pytest.raises(ValueError, match="x_tau and x_t"):
+            policy_n2(0.2, 0.3, x_tau, x_t, 1)
+    want = policy_n2(0.2, 0.3, 1, 0, 2)
+    assert policy_n2(0.2, 0.3, 1.0, np.int64(0), 2).tolist() == want.tolist()
 
 
 def test_policy_validates_arguments():

@@ -10,15 +10,16 @@ import onoffpir.sim as sim_mod
 import reference_builder
 import reference_model
 from reference_sim import EpisodeServer
-from helpers import never_the_request, random_law, worked_law
+from helpers import (law_part, never_the_request, random_law, scheme_algorithm1,
+                     worked_law)
 from onoffpir.bounds import bounds_over_horizon
 from onoffpir.model import (ZERO_TOL, CapacityError, ConditionalLaw,
                             MarkovModel, PrivacyPattern, order_stats, tau_of)
-from onoffpir.scheme import (build_batch, build_query_distribution, law_part,
-                             policy_n2, project_to_sets)
-from onoffpir.sim import (POLICIES, ServerState, _inverse_cdf,
-                          _scheme_algorithm1, _scheme_full, _scheme_naive,
-                          empirical_privacy_audit, enumerate_steps, simulate)
+from onoffpir.scheme import (build_batch, build_query_distribution, policy_n2,
+                             project_to_sets)
+from onoffpir.sim import (POLICIES, ServerState, _inverse_cdf, _scheme_full,
+                          _scheme_naive, empirical_privacy_audit, enumerate_steps,
+                          simulate)
 
 
 def two_state():
@@ -230,7 +231,7 @@ def test_scheme_table_matches_set_projection_bytes():
                  for node in view.branches if node.law is not None]
     assert len(laws) > 160
     for law in laws:
-        _assert_same_table(_scheme_algorithm1(law), _projected_table(law))
+        _assert_same_table(scheme_algorithm1(law), _projected_table(law))
 
 
 # Near-tied likelihoods (ties jittered by ~1e-11): one lane's target is a
@@ -295,7 +296,7 @@ def test_layer_batch_matches_per_law_builds(monkeypatch):
                 a, b = getattr(got, name), getattr(want, name)
                 assert (a.shape, a.dtype) == (b.shape, b.dtype), (n, j, name)
                 assert a.tobytes() == b.tobytes(), (n, j, name)
-            alone = _scheme_algorithm1(law)
+            alone = scheme_algorithm1(law)
             assert scheme.y_masks == alone.y_masks
             assert scheme.w.dtype == alone.w.dtype and scheme.w.shape == alone.w.shape
             assert scheme.w.tobytes() == alone.w.tobytes(), (n, j)
@@ -310,7 +311,7 @@ def test_layer_memo_is_first_come_in_node_order():
     first = random_law(np.random.default_rng(31), 4)
     twin = ConditionalLaw(4, first.table + [[1e-15, -1e-15, 0, 0]] * 4)
     assert twin.key() == first.key()
-    assert _scheme_algorithm1(twin).w.tobytes() != _scheme_algorithm1(first).w.tobytes()
+    assert scheme_algorithm1(twin).w.tobytes() != scheme_algorithm1(first).w.tobytes()
     m = MarkovModel(4, first.table, np.full(4, 0.25))
     graph = sim_mod._BeliefGraph(m, PrivacyPattern.from_string("10"), "algorithm1")
     for laws in ([first, twin], [twin, first]):
@@ -318,7 +319,7 @@ def test_layer_memo_is_first_come_in_node_order():
         got = graph._schemes_of([sim_mod.BranchView(1, None, law, order_stats(law), None)
                                  for law in laws])
         assert got[0] is got[1] and len(graph._schemes) == 1
-        assert got[0].w.tobytes() == _scheme_algorithm1(laws[0]).w.tobytes()
+        assert got[0].w.tobytes() == scheme_algorithm1(laws[0]).w.tobytes()
 
 
 def test_order_stats_one_stacked_pass_per_off_layer(monkeypatch):
@@ -340,7 +341,7 @@ def test_order_stats_one_stacked_pass_per_off_layer(monkeypatch):
         raise AssertionError("the walk made order_stats of one law")
     monkeypatch.setattr(sim_mod, "stacked_order_stats", stacked)
     monkeypatch.setattr(sim_mod, "_algorithm1_batch", recorded_batch)
-    monkeypatch.setattr(sim_mod, "order_stats", no_single_law)
+    monkeypatch.setattr(scheme_mod, "order_stats", no_single_law)
     m = MarkovModel(3, worked_law().table, np.full(3, 1 / 3))
     pattern = PrivacyPattern.from_string("1000100")
     views = list(enumerate_steps(m, pattern, len(pattern) - 1))
@@ -517,6 +518,12 @@ def test_server_state_regenerates_messages_each_step():
             sel = np.flatnonzero(member[e])   # increasing source order
             assert np.array_equal(payload[e, :len(sel)], server.messages[e, sel])
             assert not payload[e, len(sel):].any()
+
+
+@pytest.mark.parametrize("msg_bits", [0, -8])
+def test_server_needs_a_message_bit(msg_bits):
+    with pytest.raises(ValueError, match="msg_bits must be at least 1"):
+        ServerState(3, msg_bits, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("msg_bits", [1, 13, 64, 100])

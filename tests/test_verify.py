@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_law, worked_law
+from helpers import mutual_information_kl_bits, random_law, worked_law
 from onoffpir.bounds import bounds_over_horizon, outer_bound_2
 from onoffpir.model import (ConditionalLaw, MarkovModel, PrivacyPattern,
                             entropy_bits, order_stats, step_law)
@@ -13,8 +13,7 @@ from onoffpir.sim import POLICIES
 from onoffpir.verify import (audit_distribution, conditional_query_mi,
                              extension_mutual_informations,
                              markov_privacy_extension_check,
-                             mutual_information_bits,
-                             mutual_information_kl_bits)
+                             mutual_information_bits)
 
 
 def binary_entropy(p):
