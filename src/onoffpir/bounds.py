@@ -92,7 +92,8 @@ def bounds_over_horizon(model: MarkovModel, pattern: PrivacyPattern,
     policy, merged where they reach the same belief; each belief contributes
     its probability times its bounds and its pivot/query mutual information.
     ON steps pin both bounds at N and leak nothing.  ``with_lp`` additionally
-    solves the exact query-design LP per belief and averages the optima.
+    solves the exact query-design LP per belief, all of a step's beliefs in
+    one lock-step batch, and averages the optima.
     """
     n = model.n
     alpha = beta = None
@@ -116,8 +117,9 @@ def bounds_over_horizon(model: MarkovModel, pattern: PrivacyPattern,
             inner += br.prob * _inner_cost(br.stats)
             mi += br.prob * mutual_information_bits(
                 np.einsum("ux,kux->uk", br.pre_joint, br.scheme.w))
-            if with_lp:
-                sol = _lp.solve(_lp.build_lp(br.law))
+        if with_lp:
+            sols = _lp.solve_batch(_lp.build_lps([br.law for br in view.branches]))
+            for br, sol in zip(view.branches, sols):
                 if sol.status != "optimal":
                     raise AssertionError(f"per-class LP came back {sol.status}")
                 lp_opt += br.prob * sol.optimum

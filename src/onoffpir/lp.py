@@ -6,12 +6,17 @@ only if Hall's condition sum_{q subset of B} r(q) <= m(B) = min_u law[u, B]
 holds for every proper nonempty set B of sources.  So the one-step
 query-design LP has one variable per query mask and 2^n - 1 rows, and this
 module solves it with a self-contained dense two-phase tableau simplex under
-Bland's rule.  A pivot subtracts its rank-1 update only from the rows whose
-pivot-column entry is nonzero; at desk scale most rows have a zero there.
-Skipping a row skips only ``v - 0 * w``, so the pivot path and every nonzero
-value match the full update, but a zero may keep the sign ``-0.0`` that the
-full update would have cleared.  ``solve`` therefore writes every zero of
-``x`` as ``+0.0``, so ``x`` stays byte-identical to the full update's.
+Bland's rule.  ``build_lps`` makes the LPs of many laws with one matrix and
+objective, and ``solve_batch`` runs the simplex on a stack of equal-shaped
+tableaus in lock-step: each iteration takes one pivot on every tableau still
+running, with the same rules per tableau as a solve alone.  ``build_lp`` and
+``solve`` are the batches of one.  A pivot subtracts its rank-1 update only
+from the (tableau, row) pairs whose pivot-column entry is nonzero; at desk
+scale most rows have a zero there.  Skipping a row skips only ``v - 0 * w``,
+so the pivot path and every nonzero value match the full update, but a zero
+may keep the sign ``-0.0`` that the full update would have cleared.  The
+solution therefore writes every zero of ``x`` as ``+0.0``, so ``x`` stays
+byte-identical to the full update's.
 """
 
 from __future__ import annotations
@@ -21,15 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EPS, CapacityError, ConditionalLaw
+from .model import EPS, CapacityError, ConditionalLaw, whole_numbers
 
 _FEAS_TOL = 1e-7   # constraint satisfaction at optimality
 _PIVOT_TOL = 1e-9  # reduced-cost / ratio-test threshold
-# Most pivots one simplex phase may take before it is declared stalled.
+_TIE_TOL = 1e-12   # ratios this close count as tied in the ratio test
+# Most lock-step pivots one simplex phase may take before it is declared
+# stalled.
 MAX_PIVOTS = 10 ** 6
 # Most bytes the phase-1 simplex tableau of a ``build_lp`` problem may take
 # (the LP fits up to n = 11, at 101 MB, whatever the cap).
 TABLEAU_BYTES = 1 << 28
+# Most bytes of phase-1 tableaus ``solve_batch`` stacks at once (at least
+# one tableau).  Stacking pays off where numpy's per-call overhead dominates
+# a pivot, for small tableaus; a large one's pivot costs its data either way.
+STACK_BYTES = 1 << 24
 
 
 class IterationLimitError(RuntimeError):
@@ -42,7 +53,8 @@ class LpProblem:
 
     ``columns`` optionally carries the query bitmask of each leading column
     for problems produced by :func:`build_lp`; the columns after them are
-    slacks.
+    slacks.  Every entry must be finite, and there must be at least one
+    row and one column.
     """
 
     objective: np.ndarray
@@ -54,9 +66,13 @@ class LpProblem:
         c = np.asarray(self.objective, dtype=float)
         a = np.asarray(self.eq_matrix, dtype=float)
         b = np.asarray(self.eq_rhs, dtype=float)
-        if a.shape != (len(b), len(c)):
+        if c.ndim != 1 or b.ndim != 1 or a.shape != (len(b), len(c)):
             raise ValueError(f"inconsistent LP shapes: A{a.shape}, b{b.shape}, c{c.shape}")
+        if not a.size:
+            raise ValueError(f"an LP needs a row and a column, got A{a.shape}")
         for name, arr in (("objective", c), ("eq_matrix", a), ("eq_rhs", b)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"LP {name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -87,7 +103,13 @@ def _query_sizes(n: int, cardinality_cap: int | None) -> list:
 
 
 def build_lp(law: ConditionalLaw, cardinality_cap: int | None = None) -> LpProblem:
-    """The one-step query-design LP for a given conditional law.
+    """The one-step query-design LP for a given conditional law: the batch
+    of one of :func:`build_lps`."""
+    return build_lps([law], cardinality_cap)[0]
+
+
+def build_lps(laws, cardinality_cap: int | None = None) -> list:
+    """The one-step query-design LPs of laws over one source count n.
 
     Minimize sum_q |q| r(q) subject to sum_q r(q) = 1, r >= 0 and, for every
     proper nonempty source mask B, sum_{q subset of B} r(q) + s_B = m(B) with
@@ -95,12 +117,22 @@ def build_lp(law: ConditionalLaw, cardinality_cap: int | None = None) -> LpProbl
     allowed query masks (|q| restricted when a cap is given, the full set
     always allowed so the problem stays feasible), by size and then by
     value, followed by the slacks; row 0 is the mass row and row B the Hall
-    row of B.  Raises :class:`CapacityError` when the phase-1 tableau
-    :func:`solve` would make exceeds ``TABLEAU_BYTES``.
+    row of B.  The problems share one read-only matrix and objective; only
+    the right-hand sides differ.  Raises :class:`CapacityError` when the
+    phase-1 tableau :func:`solve` would make exceeds ``TABLEAU_BYTES``.
     """
-    n = law.n
-    if cardinality_cap is not None and cardinality_cap < 1:
-        raise ValueError("cardinality cap must be >= 1")
+    if cardinality_cap is not None:
+        try:
+            cardinality_cap = int(whole_numbers(cardinality_cap, "cap", 1, 1 << 62))
+        except (TypeError, ValueError):
+            raise ValueError("cardinality cap must be an integer >= 1, "
+                             f"got {cardinality_cap!r}") from None
+    laws = list(laws)
+    if not laws:
+        return []
+    n = laws[0].n
+    if any(law.n != n for law in laws):
+        raise ValueError("build_lps needs laws over one source count")
     sizes = _query_sizes(n, cardinality_cap)
     nrows = (1 << n) - 1
     ncols = sum(math.comb(n, k) for k in sizes) + nrows - 1
@@ -108,12 +140,13 @@ def build_lp(law: ConditionalLaw, cardinality_cap: int | None = None) -> LpProbl
         raise CapacityError(f"LP of {nrows} rows x {ncols} columns: its simplex "
                             f"tableau exceeds {TABLEAU_BYTES} bytes")
 
-    # law[u, B] and |B| for every mask B, one source at a time: the masks
-    # with top bit i are those below 2^i plus source i
-    mass = np.zeros((n, nrows + 1))
+    # law[u, B] for every law and mask B, and |B|, one source at a time: the
+    # masks with top bit i are those below 2^i plus source i
+    tables = np.array([law.table for law in laws])
+    mass = np.zeros((len(laws), n, nrows + 1))
     size = np.zeros(nrows + 1, dtype=np.int64)
     for i in range(n):
-        mass[:, 1 << i:2 << i] = mass[:, :1 << i] + law.table[:, i, None]
+        mass[:, :, 1 << i:2 << i] = mass[:, :, :1 << i] + tables[:, :, i, None]
         size[1 << i:2 << i] = size[:1 << i] + 1
     order = np.argsort(size, kind="stable")
     masks = order[np.isin(size[order], sizes)]
@@ -123,93 +156,189 @@ def build_lp(law: ConditionalLaw, cardinality_cap: int | None = None) -> LpProbl
     a[0, :len(masks)] = 1.0
     a[1:, :len(masks)] = (masks & hall[:, None]) == masks
     a[hall, len(masks) - 1 + hall] = 1.0
-    b = np.concatenate(([1.0], mass[:, 1:-1].min(axis=0)))
+    rhs = np.ones((len(laws), nrows))
+    rhs[:, 1:] = mass[:, :, 1:-1].min(axis=1)
     c = np.zeros(ncols)
     c[:len(masks)] = size[masks]
-    return LpProblem(c, a, b, tuple(masks.tolist()))
+    columns = tuple(masks.tolist())
+    return [LpProblem(c, a, b, columns) for b in rhs]
 
 
-def _pivot(tab: np.ndarray, row: int, col: int):
-    tab[row] /= tab[row, col]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    nz = np.flatnonzero(factors)
-    tab[nz] -= factors[nz, None] * tab[row]
+def _pivot(tab: np.ndarray, stack: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+           column: np.ndarray):
+    """Pivot tableau ``stack[k]`` on (``rows[k]``, ``cols[k]``) for every k,
+    given ``column[k] = tab[stack[k], :, cols[k]]`` (which it overwrites),
+    updating only the (tableau, row) pairs with a nonzero factor.  ``tab``
+    is C-contiguous: its rows are written through a reshaped view."""
+    height = tab.shape[1]
+    flat = tab.reshape(-1, tab.shape[2])
+    pivots = np.arange(len(stack)), rows
+    at = stack * height + rows
+    pivot_rows = flat[at] / column[pivots][:, None]
+    flat[at] = pivot_rows
+    column[pivots] = 0.0
+    k, i = np.nonzero(column)
+    update = pivot_rows[k]
+    update *= column[k, i, None]
+    flat[stack[k] * height + i] -= update
 
 
-def _run_simplex(tab: np.ndarray, basis: list) -> str:
-    """Bland's rule on a tableau whose last row is reduced costs and last
-    column the rhs.  Returns "optimal" or "unbounded"."""
+def _scan(ratios: list, basis: list) -> int:
+    """The sequential ratio test: rows in order, the smallest ratio, ties
+    within ``_TIE_TOL`` to the smallest basic variable."""
+    leave, best, best_var = -1, math.inf, math.inf
+    for i, ratio in enumerate(ratios):
+        if ratio < best - _TIE_TOL or (abs(ratio - best) <= _TIE_TOL
+                                       and basis[i] < best_var):
+            leave, best, best_var = i, ratio, basis[i]
+    return leave
+
+
+def _run_simplex(tab: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Bland's rule on a stack of tableaus in lock-step, each with its
+    reduced costs in the last row and its rhs in the last column, and
+    ``basis[k, i]`` the basic variable of row i of tableau k.  Returns which
+    tableaus are unbounded; the others end optimal."""
+    unbounded = np.zeros(len(tab), dtype=bool)
+    run = np.arange(len(tab))
+    if not len(run):
+        return unbounded
     for _ in range(MAX_PIVOTS):
-        entering = np.flatnonzero(tab[-1, :-1] < -_PIVOT_TOL)
-        if not len(entering):
-            return "optimal"
-        enter = int(entering[0])
-        # smallest ratio, ties within 1e-12 to the smallest basic variable
-        leave, best, best_var = -1, np.inf, np.inf
-        for i in np.flatnonzero(tab[:-1, enter] > _PIVOT_TOL).tolist():
-            ratio = tab[i, -1] / tab[i, enter]
-            if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12
-                                        and basis[i] < best_var):
-                leave, best, best_var = i, ratio, basis[i]
-        if leave < 0:
-            return "unbounded"
-        _pivot(tab, leave, enter)
-        basis[leave] = enter
+        # the first negative reduced cost enters; the smallest ratio leaves
+        entering = tab[run, -1, :-1] < -_PIVOT_TOL
+        enter = entering.argmax(axis=1)
+        column = tab[run, :, enter]
+        col = column[:, :-1]
+        ratio = np.divide(tab[run, :-1, -1], col, out=np.full(col.shape, np.inf),
+                          where=col > _PIVOT_TOL)
+        best = ratio.min(axis=1, keepdims=True)
+        going = entering.any(axis=1)
+        move = going & (best[:, 0] < np.inf)
+        if not move.all():
+            unbounded[run[going & ~move]] = True
+            run, enter, column, ratio, best = (
+                run[move], enter[move], column[move], ratio[move], best[move])
+            if not len(run):
+                return unbounded
+        # The sequential scan (``_scan``) keeps the smallest ratio, ties
+        # within T = 1e-12 going to the smallest basic variable.  Split the
+        # rows by their float ``gap`` above the smallest ratio ``best``:
+        # near (gap <= T/2: ``best`` itself, and the round-off ties that
+        # degenerate pivots leave) and far (gap > 4T, which includes the
+        # inf of rows with no candidate).  If every row is near or far, then,
+        # rounding included, two near ratios r, s have ``abs(r - s) <= T``
+        # and not ``r < s - T``, and a near r and a far g have ``g - r > 2T``,
+        # hence ``r < g - T`` and not ``abs(g - r) <= T``.  So the scan takes
+        # its first near row over inf or any far ratio it holds, no far row
+        # displaces a near one, and a near row displaces a near one exactly
+        # when its basic variable is smaller: it returns the near row with
+        # the smallest basic variable, one argmin.  Only the tableaus with a
+        # row in between run the scan itself.
+        gap = ratio - best
+        near = gap <= _TIE_TOL / 2
+        leave = np.where(near, basis[run], tab.shape[2]).argmin(axis=1)
+        split = near | (gap > 4 * _TIE_TOL)
+        if not split.all():
+            for k in np.flatnonzero(~split.all(axis=1)).tolist():
+                rows = np.flatnonzero(ratio[k] < np.inf)
+                leave[k] = rows[_scan(ratio[k, rows].tolist(),
+                                      basis[run[k], rows].tolist())]
+        _pivot(tab, run, leave, enter, column)
+        basis[run, leave] = enter
     raise IterationLimitError(f"no optimum after {MAX_PIVOTS} pivots")
 
 
 def solve(problem: LpProblem) -> LpSolution:
-    """Two-phase primal simplex with Bland's anti-cycling rule."""
-    a = problem.eq_matrix.copy()
-    b = problem.eq_rhs.copy()
-    c = problem.objective
+    """Two-phase primal simplex with Bland's anti-cycling rule: the batch of
+    one of :func:`solve_batch`."""
+    return solve_batch([problem])[0]
+
+
+def solve_batch(problems) -> list:
+    """Solve equal-shaped problems with one lock-step two-phase simplex.
+
+    Each problem gets the :class:`LpSolution` it would get alone, bit for
+    bit, with its own status; a phase that needs more than ``MAX_PIVOTS``
+    lock-step pivots raises :class:`IterationLimitError`.  The problems are
+    stacked at most ``STACK_BYTES`` of phase-1 tableau at a time.
+    """
+    problems = list(problems)
+    if not problems:
+        return []
+    m, ncols = problems[0].eq_matrix.shape
+    if any(p.eq_matrix.shape != (m, ncols) for p in problems):
+        raise ValueError("solve_batch needs problems of one shape, got "
+                         f"{sorted({p.eq_matrix.shape for p in problems})}")
+    step = max(1, STACK_BYTES // (8 * (m + 1) * (ncols + m + 1)))
+    return [sol for lo in range(0, len(problems), step)
+            for sol in _solve_stack(problems[lo:lo + step])]
+
+
+def _solve_stack(problems: list) -> list:
+    a = np.array([p.eq_matrix for p in problems])
+    b = np.array([p.eq_rhs for p in problems])
     neg = b < 0
     a[neg] *= -1.0
     b[neg] *= -1.0
-    m, ncols = a.shape
+    count, m, ncols = a.shape
 
     # phase 1: artificial basis, minimize total artificial mass
-    tab = np.zeros((m + 1, ncols + m + 1))
-    tab[:m, :ncols] = a
-    tab[:m, ncols:ncols + m] = np.eye(m)
-    tab[:m, -1] = b
-    tab[-1, :ncols] = -a.sum(axis=0)
-    tab[-1, -1] = -b.sum()
-    basis = list(range(ncols, ncols + m))
-    if _run_simplex(tab, basis) != "optimal":
+    tab = np.zeros((count, m + 1, ncols + m + 1))
+    tab[:, :m, :ncols] = a
+    tab[:, :m, ncols:ncols + m] = np.eye(m)
+    tab[:, :m, -1] = b
+    tab[:, -1, :ncols] = -a.sum(axis=1)
+    tab[:, -1, -1] = -b.sum(axis=1)
+    basis = np.tile(np.arange(ncols, ncols + m), (count, 1))
+    if _run_simplex(tab, basis).any():
         raise AssertionError("phase 1 cannot be unbounded")
-    if -tab[-1, -1] > _FEAS_TOL:
-        return LpSolution("infeasible", None, None, None)
+    feasible = np.flatnonzero(~(-tab[:, -1, -1] > _FEAS_TOL))
+    tab, basis = tab[feasible], basis[feasible]
 
-    # drive leftover artificials out of the basis; all-zero rows are redundant
-    keep = []
-    for i in range(m):
-        if basis[i] >= ncols:
-            nonzero = np.flatnonzero(np.abs(tab[i, :ncols]) > _PIVOT_TOL)
-            if not len(nonzero):
-                continue
-            _pivot(tab, i, nonzero[0])
-            basis[i] = int(nonzero[0])
-        keep.append(i)
+    # drive leftover artificials out of the basis, row by row; a row with
+    # nothing to pivot on is redundant and stays as an inert zero row
+    redundant = np.zeros(basis.shape, dtype=bool)
+    artificial = basis >= ncols
+    for i in np.flatnonzero(artificial.any(axis=0)).tolist():
+        stack = np.flatnonzero(artificial[:, i])
+        nonzero = np.abs(tab[stack, i, :ncols]) > _PIVOT_TOL
+        found = nonzero.any(axis=1)
+        redundant[stack[~found], i] = True
+        stack, cols = stack[found], nonzero[found].argmax(axis=1)
+        _pivot(tab, stack, np.full(len(stack), i), cols, tab[stack, :, cols])
+        basis[stack, i] = cols
 
-    # phase 2 tableau on the original columns, reduced costs in the last row
-    tab2 = np.zeros((len(keep) + 1, ncols + 1))
-    tab2[:-1] = tab[np.ix_(keep, np.r_[:ncols, -1])]
-    tab2[-1, :ncols] = c
-    basis2 = [basis[i] for i in keep]
-    for r, var in enumerate(basis2):
-        tab2[-1] -= c[var] * tab2[r]
-    if _run_simplex(tab2, basis2) == "unbounded":
-        return LpSolution("unbounded", None, None, None)
+    # phase 2 tableaus on the original columns, reduced costs in the last
+    # row; a zero row's basic variable is the extra column ncols, of cost
+    # +0.0, so subtracting it changes no bit
+    c = np.array([p.objective for p in problems])[feasible]
+    tab2 = tab[:, :, np.r_[:ncols, -1]]
+    tab2[:, :-1][redundant] = 0.0
+    tab2[:, -1, :ncols] = c
+    tab2[:, -1, -1] = 0.0
+    basis[redundant] = ncols
+    cost = np.take_along_axis(np.pad(c, ((0, 0), (0, 1))), basis, axis=1)
+    for r in range(m):
+        tab2[:, -1] -= cost[:, r, None] * tab2[:, r]
+    unbounded = _run_simplex(tab2, basis)
 
-    x = np.zeros(ncols)
-    x[basis2] = tab2[:-1, -1]
-    x = np.where(x <= 0, 0.0, x)
+    xs = np.zeros((len(feasible), ncols + 1))
+    np.put_along_axis(xs, basis, tab2[:, :-1, -1], axis=1)
+    xs = np.where(xs <= 0, 0.0, xs)
+    solutions = [LpSolution("infeasible", None, None, None)] * count
+    for k, idx in enumerate(feasible.tolist()):
+        if unbounded[k]:
+            solutions[idx] = LpSolution("unbounded", None, None, None)
+        else:
+            solutions[idx] = _optimal(problems[idx], xs[k, :ncols].copy())
+    return solutions
+
+
+def _optimal(problem: LpProblem, x: np.ndarray) -> LpSolution:
     residual = problem.eq_matrix @ x - problem.eq_rhs
-    if np.max(np.abs(residual)) > _FEAS_TOL:
+    if not np.all(np.abs(residual) <= _FEAS_TOL):
         raise AssertionError("optimal tableau violates constraints beyond tolerance")
-    optimum = float(c @ x)
+    optimum = float(problem.objective @ x)
     assignment = None
     if problem.columns is not None:
         labelled = x[:len(problem.columns)]

@@ -127,8 +127,10 @@ class MarkovModel:
     def symmetric(n: int, alpha: float) -> "MarkovModel":
         """n-source chain that stays put with probability alpha and moves to
         each other source with probability (1-alpha)/(n-1)."""
-        if n < 2:
-            raise ValueError(f"need at least two sources, got n={n}")
+        try:
+            n = source_count(n, 2)
+        except ValueError:
+            raise ValueError(f"need at least two sources, got n={n!r}") from None
         if n * n * 8 > TABLE_BYTES:
             raise CapacityError(f"a {n} x {n} transition matrix exceeds "
                                 f"{TABLE_BYTES} bytes")

@@ -11,8 +11,10 @@ from onoffpir.bounds import (bounds_over_horizon, exact_rate_n2, grid_csv,
                              horizon_csv, inner_bound_first_off_step,
                              outer_bound_2, restricted_lp_singleton_optimum,
                              symmetric_bound_grid, two_source_rate_grid)
+from onoffpir.lp import build_lp, solve
 from onoffpir.model import (CapacityError, ConditionalLaw, MarkovModel,
                             PrivacyPattern, order_stats, step_law)
+from onoffpir.sim import enumerate_steps
 
 
 # ------------------------------------------------------------------- outer 2
@@ -213,6 +215,22 @@ def test_horizon_values_pinned_bit_for_bit():
               for r in rows]
     assert hashlib.sha256(repr(values).encode()).hexdigest() == (
         "baf98188812ab7acdbe3167b26e558790dd46312bcde37cb4695004774c8ae51")
+
+
+def test_horizon_lp_column_is_the_per_belief_solves():
+    # each OFF layer is solved in one lock-step batch; its lp_opt equals the
+    # probability-weighted optima of the beliefs solved one at a time
+    chain = MarkovModel(4, workload_table(11, 4), np.full(4, 1 / 4))
+    pattern = PrivacyPattern.from_string("10000")
+    rows = bounds_over_horizon(chain, pattern, 4, with_lp=True)
+    for row, view in zip(rows, enumerate_steps(chain, pattern, 4), strict=True):
+        if view.f_on:
+            assert row.lp_opt == 4.0
+            continue
+        want = 0.0
+        for br in view.branches:
+            want += br.prob * solve(build_lp(br.law)).optimum
+        assert row.lp_opt.hex() == float(want).hex()
 
 
 def test_horizon_capacity_guard(monkeypatch):

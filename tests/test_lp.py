@@ -8,7 +8,8 @@ import onoffpir.lp as lp_mod
 import reference_lp
 from helpers import random_law, run_fresh_python, worked_law, workload_table
 from onoffpir.bounds import restricted_lp_singleton_optimum
-from onoffpir.lp import IterationLimitError, LpProblem, build_lp, solve
+from onoffpir.lp import (IterationLimitError, LpProblem, build_lp, build_lps,
+                         solve, solve_batch)
 from onoffpir.model import (CapacityError, ConditionalLaw, MarkovModel,
                             PrivacyPattern, order_stats, step_law)
 from onoffpir.sim import enumerate_steps
@@ -381,3 +382,162 @@ def test_pivot_cap_raises(monkeypatch):
     monkeypatch.setattr(lp_mod, "MAX_PIVOTS", 1)
     with pytest.raises(IterationLimitError):
         solve(build_lp(worked_law()))
+    with pytest.raises(IterationLimitError):
+        solve_batch(build_lps(_per_class_layers()[1]))
+
+
+# ------------------------------------------------------- the lock-step batch
+
+def _per_class_layers():
+    # the 88 per-class laws of ``_per_class_laws``, as their OFF layers
+    chain = _workload_chain(11, 4)
+    layers = [[br.law for br in view.branches] for view in enumerate_steps(
+                  chain, PrivacyPattern.from_string("10000"), 4) if not view.f_on]
+    assert [len(layer) for layer in layers] == [1, 11, 27, 49]
+    return layers
+
+
+def _by_shape(laws):
+    """(law, cap) pairs grouped by (n, cap), in first-seen order."""
+    groups = {}
+    for law, cap in laws:
+        groups.setdefault((law.n, cap), []).append(law)
+    return list(groups.items())
+
+
+def _mixed_stack():
+    """Equal-shaped 3 x 3 problems: optimal, with a negative rhs, infeasible,
+    unbounded, and two with redundant rows (one all zero)."""
+    rows = [
+        ([1.0, 2.0, 0.0], [[1, 1, 0], [1, -1, 0], [0, 0, 1]], [1.0, 0.0, 0.5]),
+        ([1.0, 1.0, 3.0], [[-1, -1, 0], [1, 0, -1], [0, 1, 1]], [-1.0, 0.25, 0.75]),
+        ([1.0, 0.0, 0.0], [[1, 1, 0], [1, 1, 0], [0, 0, 1]], [1.0, 2.0, 1.0]),
+        ([-1.0, 0.0, 0.0], [[1, -1, 0], [0, 0, 1], [0, 0, 1]], [0.0, 1.0, 1.0]),
+        ([1.0, 2.0, 1.0], [[1, 1, 0], [1, 1, 0], [0, 1, 1]], [1.0, 1.0, 1.0]),
+        ([2.0, 1.0, 0.0], [[1, 1, 1], [0, 0, 0], [1, 0, 0]], [1.0, 0.0, 0.25]),
+    ]
+    return [LpProblem(*row) for row in rows]
+
+
+def _assert_batch_matches_reference(problems):
+    """Each solution of the stack equals the loop solver's on its problem.
+    The loop solver labels every column, so a set-function problem goes to
+    it without its legend, and its assignment is read off its ``x``."""
+    statuses = []
+    for sol, problem in zip(solve_batch(problems), problems, strict=True):
+        columns = problem.columns
+        if columns is None or len(columns) == problem.eq_matrix.shape[1]:
+            ref = reference_lp.solve(problem)
+            assignment = ref.assignment
+        else:
+            ref = reference_lp.solve(LpProblem(problem.objective, problem.eq_matrix,
+                                               problem.eq_rhs))
+            assignment = {q: float(v) for q, v in zip(columns, ref.x) if v > 1e-9}
+        assert sol.status == ref.status
+        assert (sol.x is None and ref.x is None) or sol.x.tobytes() == ref.x.tobytes()
+        assert repr(sol.optimum) == repr(ref.optimum)
+        assert repr(sol.assignment) == repr(assignment)
+        statuses.append(sol.status)
+    return statuses
+
+
+def test_solve_batch_per_class_layers_match_reference():
+    layers = _per_class_layers()
+    for layer in layers:
+        assert _assert_batch_matches_reference(build_lps(layer)) == ["optimal"] * len(layer)
+    everything = [law for layer in layers for law in layer]
+    assert _assert_batch_matches_reference(build_lps(everything)) == ["optimal"] * 88
+
+
+@pytest.mark.parametrize("laws", [_random_laws, _tied_and_zero_laws],
+                         ids=["random-caps", "tied-and-zero"])
+def test_solve_batch_grouped_laws_match_reference(laws):
+    for (n, cap), group in _by_shape(laws()):
+        _assert_batch_matches_reference(build_lps(group, cap))
+        if n <= 4:
+            _assert_batch_matches_reference(
+                [reference_lp.build_lp(law, cap) for law in group])
+
+
+def test_solve_batch_mixed_statuses_match_reference():
+    statuses = _assert_batch_matches_reference(_mixed_stack())
+    assert statuses == ["optimal", "optimal", "infeasible", "unbounded",
+                        "optimal", "optimal"]
+    # each problem alone gets what it gets in the stack
+    for problem, sol in zip(_mixed_stack(), solve_batch(_mixed_stack())):
+        alone = solve(problem)
+        assert alone.status == sol.status and repr(alone.optimum) == repr(sol.optimum)
+
+
+@pytest.mark.parametrize("budget", [1, 2 * 8 * 4 * 7])
+def test_solve_batch_chunks_by_stack_bytes(monkeypatch, budget):
+    # a budget of less than one or of two 3 x 3 phase-1 tableaus (4 x 7
+    # cells) splits the stack into chunks; the solutions are those of the
+    # whole stack
+    whole = solve_batch(_mixed_stack())
+    monkeypatch.setattr(lp_mod, "STACK_BYTES", budget)
+    for sol, want in zip(solve_batch(_mixed_stack()), whole, strict=True):
+        assert sol.status == want.status and repr(sol.optimum) == repr(want.optimum)
+
+
+def test_solve_batch_edges():
+    assert solve_batch([]) == []
+    assert build_lps([]) == []
+    with pytest.raises(ValueError, match="one shape"):
+        solve_batch([build_lp(worked_law()), LpProblem([1.0], [[1.0]], [1.0])])
+    with pytest.raises(ValueError, match="one source count"):
+        build_lps([worked_law(), step_law(MarkovModel.two_state(0.2, 0.2), 1)])
+
+
+def test_build_lps_shares_the_matrix_and_matches_one_law_builds():
+    layer = _per_class_layers()[2]
+    problems = build_lps(layer)
+    assert all(p.eq_matrix is problems[0].eq_matrix for p in problems)
+    assert all(p.objective is problems[0].objective for p in problems)
+    for law, problem in zip(layer, problems, strict=True):
+        alone = build_lp(law)
+        for name in ("objective", "eq_matrix", "eq_rhs"):
+            assert getattr(problem, name).tobytes() == getattr(alone, name).tobytes()
+        assert problem.columns == alone.columns
+
+
+# ------------------------------------------------------------ input checks
+
+@pytest.mark.parametrize("objective,matrix,rhs", [
+    ([1.0, 1.0], [[np.nan, 1.0]], [1.0]),
+    ([1.0, np.inf], [[1.0, 1.0]], [1.0]),
+    ([1.0, 1.0], [[1.0, 1.0]], [np.nan]),
+    ([1.0, 1.0], [[1.0, 1.0]], [-np.inf]),
+    ([np.nan], [[1.0]], [1.0])])
+def test_lp_problem_rejects_non_finite_entries(objective, matrix, rhs):
+    with pytest.raises(ValueError, match="finite"):
+        LpProblem(objective, matrix, rhs)
+
+
+@pytest.mark.parametrize("objective,matrix,rhs", [
+    ([], np.zeros((1, 0)), [1.0]), ([1.0], np.zeros((0, 1)), []),
+    ([], np.zeros((0, 0)), [])])
+def test_lp_problem_rejects_empty_problems(objective, matrix, rhs):
+    with pytest.raises(ValueError):
+        LpProblem(objective, matrix, rhs)
+
+
+def test_residual_check_fails_closed():
+    # a NaN that reaches the solver past the constructor (here written into
+    # the matrix afterwards) must not come back optimal: NaN > tol is False
+    problem = LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.0])
+    problem.eq_matrix.setflags(write=True)
+    problem.eq_matrix[0, 0] = np.nan
+    with pytest.raises(AssertionError):
+        solve(problem)
+
+
+def test_build_lp_cap_is_a_whole_number():
+    law = step_law(MarkovModel.symmetric(4, 0.3), 1)
+    assert build_lp(law, 4.0).columns == build_lp(law, 4).columns
+    assert build_lp(law, np.int64(2)).columns == build_lp(law, 2).columns
+    for cap in (2.5, "2", True, 0, [2]):
+        with pytest.raises(ValueError, match="cardinality cap"):
+            build_lp(law, cap)
+        with pytest.raises(ValueError, match="cardinality cap"):
+            build_lps([law], cap)

@@ -53,6 +53,14 @@ def test_symmetric_model_needs_two_sources():
         MarkovModel.symmetric(1, 0.5)
 
 
+def test_symmetric_model_takes_n_through_source_count():
+    made = MarkovModel.symmetric(3.0, 0.5)
+    assert type(made.n) is int and made.n == 3 and made.p.shape == (3, 3)
+    for n in ("3", 2.5, True, None, 0):
+        with pytest.raises(ValueError, match="two sources"):
+            MarkovModel.symmetric(n, 0.5)
+
+
 def test_symmetric_model_capacity_guard():
     # the n x n table is checked before it is allocated
     with pytest.raises(CapacityError, match="transition matrix"):
