@@ -12,6 +12,7 @@ Python-int bitmask, bit i standing for source i.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,9 +21,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (EPS, ZERO_TOL, ConditionalLaw, OrderStats,
+from .model import (EPS, ZERO_TOL, CapacityError, ConditionalLaw, OrderStats,
                     check_number_types, load_json, numbers, order_stats,
                     source_count, whole_numbers)
+
+# Most bits the int64 merge key of ``_assemble`` may pack (its sign bit
+# clear): count-row rank, x, u and entry index, each in the fewest bits that
+# hold it.  At n = 100, 990,089 entries over 9,901 rows need 48.
+KEY_BITS = 63
 
 
 class InternalConsistencyError(AssertionError):
@@ -236,40 +242,67 @@ def _assemble(n: int, row_law, rows, row_of, xs, us, ps):
     Entry ``e`` has count vector ``rows[row_of[e]]`` (repeats allowed) of
     law ``row_law[row_of[e]]`` (int64, all 0 for one law); ``row_of``,
     ``xs``, ``us`` and ``ps`` broadcast together, entries in C order.  One
-    ``lexsort`` ranks the distinct (law, vector) pairs by law, cardinality
-    and vector, so the merge key sorts entries straight into canonical order
-    law by law, and every cell is summed in entry order.
+    stable argsort of each row's big-endian bytes (law, cardinality, then
+    vector) ranks the distinct (law, vector) pairs.  Each entry's merge key
+    packs ``rank | x | u | e`` as bit fields of one int64, so one in-place
+    sort puts the entries in canonical order law by law, the entries of a
+    cell in entry order, and every cell is summed in entry order.  Raises
+    :class:`CapacityError` when the key needs more than ``KEY_BITS`` bits.
     """
     rows = np.asarray(rows, dtype=np.int64)
     rows = rows.reshape(len(rows), n)
-    order = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1), row_law]))
-    ranked = rows[order]
+    # The narrowest big-endian field that holds a law index, a cardinality
+    # and a count: byte order is then the order of the (law, |z|, z) keys.
+    top = max(n, int(row_law.max(initial=0)))
+    field = np.dtype(f">u{next(size for size in (1, 2, 4, 8) if top >> 8 * size == 0)}")
+    packed = np.empty((len(rows), n + 2), dtype=field)
+    packed[:, 0] = row_law
+    packed[:, 1] = rows.sum(axis=1)
+    packed[:, 2:] = rows
+    packed = packed.view(np.dtype((np.void, field.itemsize * (n + 2)))).ravel()
+    order = np.argsort(packed, kind="stable")
+    packed = packed[order]
     new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    new[1:] |= row_law[order[1:]] != row_law[order[:-1]]
+    new[1:] = packed[1:] != packed[:-1]
+    del packed
     rank = np.empty(len(rows), dtype=np.int64)
     rank[order] = np.cumsum(new) - 1
-    distinct = ranked[new]
-    del ranked   # a batch of laws is large
+    firsts = order[new]   # the first row of each rank
 
-    key = rank[np.asarray(row_of, dtype=np.int64)] * n + np.asarray(xs, dtype=np.int64)
-    key *= n
-    key += np.asarray(us, dtype=np.int64)
-    uniq, inverse = np.unique(key, return_inverse=True)
-    sums = np.bincount(inverse.ravel(), minlength=len(uniq), weights=np.broadcast_to(
-        np.asarray(ps, dtype=float), key.shape).ravel())
+    row_of, xs, us = (np.asarray(a, dtype=np.int64) for a in (row_of, xs, us))
+    ps = np.asarray(ps, dtype=float)
+    shape = np.broadcast(row_of, xs, us, ps).shape
+    entries = math.prod(shape)
+    x_bits = (n - 1).bit_length()
+    e_bits = max(entries - 1, 0).bit_length()
+    bits = max(len(firsts) - 1, 0).bit_length() + 2 * x_bits + e_bits
+    if bits > KEY_BITS:
+        raise CapacityError(f"{entries} entries over {len(firsts)} count rows of "
+                            f"n={n}: their merge keys need {bits} bits, above {KEY_BITS}")
+    key = np.arange(entries, dtype=np.int64).reshape(shape)
+    key |= rank[row_of] << (2 * x_bits + e_bits)
+    key |= xs << (x_bits + e_bits)
+    key |= us << e_bits
+    key = key.ravel()
+    key.sort()
+    weights = np.broadcast_to(ps, shape).ravel()[key & ((1 << e_bits) - 1)]
+    key >>= e_bits
+    start = np.ones(len(key), dtype=bool)
+    start[1:] = key[1:] != key[:-1]
+    sums = np.bincount(np.cumsum(start) - 1, weights)
+    del weights
+    cells = key[start]
     keep = sums > ZERO_TOL
-    uniq, sums = uniq[keep], sums[keep]
-    # uniq is sorted, so its distinct ranks start where the rank changes
-    ranks = uniq // (n * n)
+    cells, sums = cells[keep], sums[keep]
+    # cells is sorted, so its distinct ranks start where the rank changes
+    ranks = cells >> 2 * x_bits
     first = np.ones(len(ranks), dtype=bool)
     first[1:] = ranks[1:] != ranks[:-1]
-    present = ranks[first]
-    qidx = np.cumsum(first) - 1
-    xs, us = uniq // n, uniq % n
-    xs %= n
-    return (QueryDistribution._of_counts(n, distinct[present], qidx, xs, us, sums),
-            row_law[order][new][present])
+    present = firsts[ranks[first]]
+    mask = (1 << x_bits) - 1
+    return (QueryDistribution._of_counts(n, rows[present], np.cumsum(first) - 1,
+                                         (cells >> x_bits) & mask, cells & mask, sums),
+            row_law[present])
 
 
 def project_to_sets(dist: QueryDistribution) -> QueryDistribution:
@@ -358,30 +391,37 @@ def build_batch(laws: list, stats: list):
     and each law's part is the self-checked distribution its build alone
     gives."""
     n = laws[0].n
-    # Per merge round its request and weight; per lane entry its round,
-    # pivot and column.  Every other pivot of a round asks for the request.
-    round_x, round_nu, lane_round, lane_pivot, lane_col = [], [], [], [], []
+    # Per merge round its request, cardinality and weight; per lane entry
+    # its column.  Every other pivot of a round asks for the request.
+    round_x, round_card, round_nu, lane_col = [], [], [], []
     law_rounds = []
     for law, law_stats in zip(laws, stats, strict=True):
         if law.n != n:
             raise ValueError(f"a batch of laws over n={n} holds one over n={law.n}")
-        _take_rounds(law, law_stats, round_x, round_nu, lane_round, lane_pivot,
-                     lane_col)
+        _take_rounds(law, law_stats, round_x, round_card, round_nu, lane_col)
         law_rounds.append(len(round_x))
 
-    # Expand each round to its n entries in one pass: row r of xs holds
-    # round r's requests, pivot u's in column u.  The entries of a round
-    # differ in u, so _assemble sums every merge key in round order.
+    # Expand each round to its n entries in one pass.  A round of
+    # cardinality c has c - 1 lanes, the pivots orderings[x, :c - 1] of its
+    # law in lane order, so every lane's pivot is one gather from the
+    # stacked orderings.  Row r of xs holds round r's requests, pivot u's
+    # in column u.  The entries of a round differ in u, and _assemble breaks
+    # ties between equal cells by entry index, so it sums each cell in
+    # round order.
     n_rounds = len(round_x)
     round_x = np.asarray(round_x, dtype=np.int64)
-    lane_round = np.asarray(lane_round, dtype=np.int64)
+    round_law = np.repeat(np.arange(len(laws)), np.diff(law_rounds, prepend=0))
+    lanes = np.asarray(round_card, dtype=np.int64) - 1
+    lane_round = np.repeat(np.arange(n_rounds), lanes)
+    lane_rank = np.arange(len(lane_round)) - np.repeat(np.cumsum(lanes) - lanes, lanes)
+    lane_pivot = np.stack([law_stats.orderings for law_stats in stats])[
+        round_law[lane_round], round_x[lane_round], lane_rank]
     lane_col = np.asarray(lane_col, dtype=np.int64)
     counts = np.bincount(np.concatenate([np.arange(n_rounds) * n + round_x,
                                          lane_round * n + lane_col]),
                          minlength=n_rounds * n).reshape(n_rounds, n)
     xs = np.repeat(round_x, n).reshape(n_rounds, n)
-    xs[lane_round, np.asarray(lane_pivot, dtype=np.int64)] = lane_col
-    round_law = np.repeat(np.arange(len(laws)), np.diff(law_rounds, prepend=0))
+    xs[lane_round, lane_pivot] = lane_col
     whole, row_law = _assemble(n, round_law, counts, np.arange(n_rounds)[:, None],
                                xs, np.arange(n), np.asarray(round_nu)[:, None])
     _check_built(whole, row_law, laws, stats)
@@ -389,9 +429,9 @@ def build_batch(laws: list, stats: list):
 
 
 def _take_rounds(law: ConditionalLaw, stats: OrderStats, round_x: list,
-                 round_nu: list, lane_round: list, lane_pivot: list, lane_col: list):
+                 round_card: list, round_nu: list, lane_col: list):
     """Algorithm 1's lane loop for one law: append its merge rounds to the
-    lists, numbering them on from the rounds already there."""
+    lists, each round's lane columns in lane order."""
     n = law.n
     table = law.table
     # sorted_likes[x][i] = p(x | u^(x, i+1)); the lanes run on Python floats,
@@ -415,10 +455,9 @@ def _take_rounds(law: ConditionalLaw, stats: OrderStats, round_x: list,
                     continue  # target vanished to float dust inside the lanes
                 merged = _merge_lanes(lanes)
             for zeta, nu in merged:
-                lane_round.extend([len(round_x)] * len(zeta))
-                lane_pivot.extend(lane_us)
                 lane_col.extend(zeta)
                 round_x.append(x)
+                round_card.append(card)
                 round_nu.append(nu)
 
 

@@ -4,9 +4,12 @@
 the per-entry form of the builder: lanes read and write the auxiliary matrix
 one numpy scalar at a time, each merge round subtracts its weight lane by lane,
 and every round appends its count vector and its n entries to Python lists
-before one ``_assemble``.  The tests require ``onoffpir.scheme``'s builder to
-return bit-identical distributions: the same ``counts``, ``qidx``, ``xs``,
-``us`` and ``probs`` bytes and shapes.
+before one ``_assemble``.  That ``_assemble`` is the package's assembly as it
+was before its packed merge keys: one ``lexsort`` over every count row's
+keys and ``np.unique`` over the entries' keys.  The tests require
+``onoffpir.scheme``'s builder and assembly to return bit-identical
+distributions: the same ``counts``, ``qidx``, ``xs``, ``us`` and ``probs``
+bytes and shapes.
 """
 
 from __future__ import annotations
@@ -14,8 +17,52 @@ from __future__ import annotations
 import numpy as np
 
 from onoffpir.model import EPS, ZERO_TOL, ConditionalLaw, OrderStats, order_stats
-from onoffpir.scheme import (InternalConsistencyError, QueryDistribution,
-                             _assemble, _check_built)
+from onoffpir.scheme import InternalConsistencyError, QueryDistribution, _check_built
+
+
+def _assemble(n: int, row_law, rows, row_of, xs, us, ps):
+    """Intern count vectors, merge duplicate (z, x, u) triples, drop dust,
+    and order canonically, law by law: one distribution with each law's
+    part, as it alone gives it, after the last law's, and the law of each
+    of its count rows.
+
+    Entry ``e`` has count vector ``rows[row_of[e]]`` (repeats allowed) of
+    law ``row_law[row_of[e]]`` (int64, all 0 for one law); ``row_of``,
+    ``xs``, ``us`` and ``ps`` broadcast together, entries in C order.  One
+    ``lexsort`` ranks the distinct (law, vector) pairs by law, cardinality
+    and vector, so the merge key sorts entries straight into canonical order
+    law by law, and every cell is summed in entry order.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    rows = rows.reshape(len(rows), n)
+    order = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1), row_law]))
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    new[1:] |= row_law[order[1:]] != row_law[order[:-1]]
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    distinct = ranked[new]
+    del ranked   # a batch of laws is large
+
+    key = rank[np.asarray(row_of, dtype=np.int64)] * n + np.asarray(xs, dtype=np.int64)
+    key *= n
+    key += np.asarray(us, dtype=np.int64)
+    uniq, inverse = np.unique(key, return_inverse=True)
+    sums = np.bincount(inverse.ravel(), minlength=len(uniq), weights=np.broadcast_to(
+        np.asarray(ps, dtype=float), key.shape).ravel())
+    keep = sums > ZERO_TOL
+    uniq, sums = uniq[keep], sums[keep]
+    # uniq is sorted, so its distinct ranks start where the rank changes
+    ranks = uniq // (n * n)
+    first = np.ones(len(ranks), dtype=bool)
+    first[1:] = ranks[1:] != ranks[:-1]
+    present = ranks[first]
+    qidx = np.cumsum(first) - 1
+    xs, us = uniq // n, uniq % n
+    xs %= n
+    return (QueryDistribution._of_counts(n, distinct[present], qidx, xs, us, sums),
+            row_law[order][new][present])
 
 
 def _lane_take(q_mat: np.ndarray, row_ptr: np.ndarray, u: int, amount: float):

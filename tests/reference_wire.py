@@ -19,8 +19,9 @@ import json
 import numpy as np
 from scipy.special import chdtrc
 
-from onoffpir.scheme import QueryDistribution, _assemble
+from onoffpir.scheme import QueryDistribution
 from onoffpir.sim import ChiSquareAudit, SimulationResult
+from reference_builder import _assemble
 
 
 def numbers(values, what: str) -> np.ndarray:

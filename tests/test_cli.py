@@ -73,6 +73,12 @@ def test_bounds_capacity_exit_code(model3_path, capsys, monkeypatch):
     assert main(["bounds", "--model", model3_path, "--pattern", "10000"]) == 3
 
 
+def test_build_merge_key_guard_exits_capacity(model3_path, capsys, monkeypatch):
+    monkeypatch.setattr(scheme_mod, "KEY_BITS", 8)
+    assert main(["build", "--model", model3_path]) == 3
+    assert "merge keys" in capsys.readouterr().err
+
+
 def test_build_verify_round_trip(model3_path, tmp_path, capsys):
     dist_path = str(tmp_path / "dist.json")
     assert main(["build", "--model", model3_path, "--out", dist_path]) == 0

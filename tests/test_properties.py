@@ -2,20 +2,24 @@
 and on permutation and identity chains: the builder, its set projection and
 the wire format, and at three sources the builder's cost against the LP
 optimum; on stacks of such laws and of joints with zero-mass pivot rows,
-the stacked laws and order statistics against their loop forms; and, on
-such chains with point-mass starts, the exact enumeration, its beliefs, its
-leakage and the Monte Carlo episodes against it."""
+the stacked laws and order statistics against their loop forms; on count
+rows and entries with repeats and dust, the assembly against its frozen
+form; and, on such chains with point-mass starts, the exact enumeration,
+its beliefs, its leakage and the Monte Carlo episodes against it."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_builder
 import reference_model
 from helpers import is_set_view
 from onoffpir.bounds import inner_bound_first_off_step
 from onoffpir.lp import build_lp, solve
 from onoffpir.model import (ZERO_TOL, ConditionalLaw, MarkovModel, PrivacyPattern,
                             order_stats, stacked_order_stats)
-from onoffpir.scheme import QueryDistribution, build_query_distribution, project_to_sets
+from onoffpir.scheme import (QueryDistribution, _assemble, build_query_distribution,
+                             project_to_sets)
 from onoffpir.sim import _law_from_joint, enumerate_steps, simulate
 from onoffpir.verify import audit_distribution, conditional_query_mi
 
@@ -130,6 +134,84 @@ def test_stacked_order_stats_of_laws_match_loop_form(stack):
     for law, law_stats in zip(stack, made, strict=True):
         _assert_stats_match_loop_form(law_stats, law)
         _assert_stats_match_loop_form(order_stats(law), law)
+
+
+# Exact zeros, masses one ulp below, at and one ulp above the dust
+# threshold, ties and uniform masses.
+MASSES = st.one_of(st.sampled_from([0.0, float(np.nextafter(ZERO_TOL, 0.0)), ZERO_TOL,
+                                    float(np.nextafter(ZERO_TOL, 1.0))]),
+                   st.integers(1, 3).map(lambda k: k / 8), st.floats(0.0, 1.0))
+
+
+@st.composite
+def assemblies(draw):
+    """Arguments of ``_assemble``: count rows of up to three laws over one
+    n, drawn from a small pool so that equal rows meet within and across
+    laws, passed as counts or as bools (as the set projection passes them);
+    and entries of few distinct values, so that (row, x, u) triples repeat,
+    listed one by one or broadcast as a build lays them out."""
+    n = draw(st.integers(1, 5))
+    multisets = st.lists(st.integers(0, n - 1), max_size=n)
+    pool = draw(st.lists(multisets.map(lambda z: np.bincount(z, minlength=n)),
+                         min_size=1, max_size=4))
+    n_rows = draw(st.integers(0, 8))
+    rows = np.array([draw(st.sampled_from(pool)) for _ in range(n_rows)],
+                    dtype=np.int64).reshape(n_rows, n)
+    row_law = np.array(draw(st.lists(st.integers(0, 2), min_size=n_rows,
+                                     max_size=n_rows)), dtype=np.int64)
+    if draw(st.booleans()):
+        rows = rows > 0
+    ints = lambda hi, size: np.array(draw(st.lists(st.integers(0, max(hi - 1, 0)),
+                                                   min_size=size, max_size=size)),
+                                     dtype=np.int64)
+    masses = lambda size: np.array(draw(st.lists(MASSES, min_size=size, max_size=size)))
+    if n_rows and draw(st.booleans()):
+        # one entry per (row, pivot), the row's mass shared by its pivots
+        return (n, row_law, rows, np.arange(n_rows)[:, None],
+                ints(n, n_rows * n).reshape(n_rows, n), np.arange(n),
+                masses(n_rows)[:, None])
+    size = draw(st.integers(0, 24)) if n_rows else 0
+    return n, row_law, rows, ints(n_rows, size), ints(n, size), ints(n, size), masses(size)
+
+
+def _assert_assembly_matches_frozen_form(args):
+    got, got_law = _assemble(*args)
+    want, want_law = reference_builder._assemble(*args)
+    assert got.n == want.n
+    for name in ("counts", "qidx", "xs", "us", "probs"):
+        assert _same_bytes(getattr(got, name), getattr(want, name)), name
+    assert _same_bytes(got_law, want_law)
+
+
+@settings(max_examples=300, deadline=None)
+@given(assemblies())
+def test_assembly_matches_frozen_form(args):
+    _assert_assembly_matches_frozen_form(args)
+
+
+def _wide_assembly(n, laws, firsts):
+    """One entry per count row, row i of law ``laws[i]`` holding
+    ``firsts[i]`` of source 0 and the rest of its n sources in source 1."""
+    rows = np.zeros((len(firsts), n), dtype=np.int64)
+    rows[:, 0] = firsts
+    rows[:, 1] = n - rows[:, 0]
+    k = len(firsts)
+    return (n, np.array(laws, dtype=np.int64), rows, np.arange(k), np.zeros(k, np.int64),
+            np.arange(k) % n, np.full(k, 0.5))
+
+
+@pytest.mark.parametrize("args", [
+    # counts and cardinalities past one byte: a 1-byte field would read 256 as 0
+    _wide_assembly(300, [0, 0, 0, 0], [256, 255, 0, 300]),
+    # law indices past one byte
+    _wide_assembly(3, [256, 255, 256, 0], [1, 2, 1, 3]),
+    # one source, and no entries at all
+    (1, np.zeros(3, np.int64), [[1], [0], [1]], [0, 2, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+     [0.25, 0.5, 0.125, 1.0]),
+    (4, np.zeros(0, np.int64), np.zeros((0, 4), np.int64), [], [], [], []),
+])
+def test_assembly_matches_frozen_form_at_the_edges(args):
+    _assert_assembly_matches_frozen_form(args)
 
 
 @st.composite

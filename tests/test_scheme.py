@@ -1,15 +1,19 @@
 import dataclasses
 import hashlib
+import json
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
+import onoffpir.scheme as scheme_mod
 import reference_builder
 from helpers import (is_set_view, law_marginal, law_part, random_law, worked_law,
                      workload_table)
-from onoffpir.model import ConditionalLaw, MarkovModel, order_stats, step_law
-from onoffpir.scheme import (InternalConsistencyError, QueryDistribution,
+from onoffpir.model import (CapacityError, ConditionalLaw, MarkovModel, order_stats,
+                            step_law)
+from onoffpir.scheme import (InternalConsistencyError, QueryDistribution, _assemble,
                              _check_built, _QueryCounts, build_batch,
                              build_query_distribution, policy_n2,
                              policy_n2_table, project_to_sets)
@@ -291,6 +295,57 @@ def test_project_preserves_invariants_and_shrinks_cost():
         assert np.max(np.abs(law_marginal(sets) - law.table)) < 1e-9
         cond = sets.query_conditionals()
         assert np.max(cond.max(axis=1) - cond.min(axis=1)) < 1e-9
+
+
+# ------------------------------------------------------------ merge-key budget
+
+def test_merge_key_budget_is_exact(monkeypatch):
+    # 3 distinct count rows, n = 4 and 5 entries: 2 + 2 * 2 + 3 key bits
+    items = [((1, 0, 0, 0), 0, 0, 0.5), ((1, 1, 0, 0), 1, 1, 0.25),
+             ((1, 0, 0, 0), 0, 2, 0.5), ((0, 0, 1, 1), 3, 3, 1.0),
+             ((1, 1, 0, 0), 0, 1, 0.25)]
+    monkeypatch.setattr(scheme_mod, "KEY_BITS", 9)
+    assert len(QueryDistribution.from_items(4, items)) == 5
+    monkeypatch.setattr(scheme_mod, "KEY_BITS", 8)
+    with pytest.raises(CapacityError, match="need 9 bits, above 8"):
+        QueryDistribution.from_items(4, items)
+
+
+def test_merge_key_guard_stops_build_projection_and_readers(monkeypatch):
+    law = random_law(np.random.default_rng(5), 6)
+    dist = build_query_distribution(law)
+    wire = dist.to_json()
+    indented = json.dumps(json.loads(wire), indent=1)   # read through json.loads
+    monkeypatch.setattr(scheme_mod, "KEY_BITS", 8)
+    for call in (lambda: build_query_distribution(law), lambda: project_to_sets(dist),
+                 lambda: QueryDistribution.from_json(wire),
+                 lambda: QueryDistribution.from_json(indented)):
+        with pytest.raises(CapacityError, match="merge keys"):
+            call()
+
+
+def _assembly_peak_bytes(args) -> int:
+    tracemalloc.start()
+    try:
+        try:
+            _assemble(*args)
+        except CapacityError:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_merge_key_guard_fires_before_the_key_array(monkeypatch):
+    # one count row broadcast to 200 x 100 entries, whose int64 keys take
+    # 160 KB; the guard must fire before any entry-length array is made
+    n, rounds = 100, 200
+    args = (n, np.zeros(1, np.int64), np.eye(1, n, dtype=np.int64),
+            np.zeros((rounds, 1), np.int64), np.zeros((1, n), np.int64), np.arange(n),
+            np.full((rounds, 1), 1.0 / rounds))
+    assert _assembly_peak_bytes(args) >= 8 * rounds * n
+    monkeypatch.setattr(scheme_mod, "KEY_BITS", 28)
+    assert _assembly_peak_bytes(args) < 8 * rounds * n // 8
 
 
 # -------------------------------------------------------------------- policy
