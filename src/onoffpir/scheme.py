@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -132,12 +133,19 @@ class QueryDistribution:
 
     def to_json(self) -> str:
         """What ``json.dumps`` writes for the entries as objects, formatting
-        each distinct count row once (``repr`` is its format for a float)."""
+        each distinct count row, index and probability once (``repr`` is its
+        format for a float).  Probabilities are told apart by their bits, not
+        their values, so that ``-0.0`` keeps its sign."""
         rows = [json.dumps(row) for row in self.counts.tolist()]
+        ints, int_of = np.unique(np.concatenate([self.xs, self.us]), return_inverse=True)
+        ints = list(map(str, ints.tolist()))
+        bits, p_of = np.unique(self.probs.view(np.int64), return_inverse=True)
+        ps = list(map(repr, bits.view(float).tolist()))
+        m = len(self)
         entries = ", ".join([
-            f'{{"z": {rows[q]}, "x": {x}, "u": {u}, "p": {p!r}}}'
-            for q, x, u, p in zip(self.qidx.tolist(), self.xs.tolist(),
-                                  self.us.tolist(), self.probs.tolist())])
+            f'{{"z": {rows[q]}, "x": {ints[x]}, "u": {ints[u]}, "p": {ps[p]}}}'
+            for q, x, u, p in zip(self.qidx.tolist(), int_of[:m].tolist(),
+                                  int_of[m:].tolist(), p_of.tolist())])
         return f'{{"n": {self.n}, "entries": [{entries}]}}'
 
     @staticmethod
@@ -145,9 +153,12 @@ class QueryDistribution:
         """Read a JSON text (str or bytes) or its parsed dict.  What
         ``to_json`` and ``onoffpir build`` write is scanned directly; any
         other text goes through ``json.loads``, with the same checks."""
-        if isinstance(obj, str) and (dist := _scan(obj)) is not None:
-            return dist
         if isinstance(obj, (str, bytes)):
+            # The scan accepts ASCII only, so bytes that are not UTF-8 fail
+            # there and reach json.loads as they are (a BOM or UTF-16 too).
+            text = obj if isinstance(obj, str) else obj.decode(errors="replace")
+            if (dist := _scan(text)) is not None:
+                return dist
             obj = load_json(obj)
         try:
             items = [(e["z"], e["x"], e["u"], e["p"]) for e in obj["entries"]]
@@ -207,30 +218,42 @@ _ENTRY = re.compile(rf'\{{"z": (\[[0-9, ]*\]), "x": ({_INT}), "u": ({_INT}), '
 _TAIL = re.compile(rf'\](?:, "expected_[a-z_]+": {_NUM})*\}}[ \t\n\r]*')
 
 
+def _interned(texts) -> tuple:
+    """The distinct ``texts`` in first-seen order and each text's index
+    among them (int64)."""
+    index_of: dict = {}
+    of = np.array([index_of.setdefault(t, len(index_of)) for t in texts], dtype=np.int64)
+    return list(index_of), of
+
+
 def _scan(text: str) -> QueryDistribution | None:
     """``text`` read as ``to_json`` writes it, or None when it has any other
     shape.  Each entry has 30 fixed characters (28 the last), so the entries
-    tile the list when these and their groups add up to its length.  Count
-    rows are parsed once per distinct text; ``float`` is json's own call for
-    a number, and exact on an integer (-0 aside, which merging drops)."""
+    tile the list when these and their groups add up to its length.  Each
+    field's distinct texts are converted and checked once, then gathered per
+    entry: the count rows with one ``json.loads``, x and u with ``int``, and
+    p with ``float``, json's own call for a number, exact on an integer (-0
+    aside, which merging drops)."""
     head = _HEAD.match(text)
     end = text.rfind("]")
     if head is None or not _TAIL.fullmatch(text, end):
         return None
     start = head.end()
     found = _ENTRY.findall(text, start, end)
-    if sum(map(len, chain.from_iterable(found))) + 30 * len(found) - 2 != end - start:
+    fields = [_interned(map(itemgetter(k), found)) for k in range(4)]
+    grouped = sum(int(np.array([len(t) for t in texts], np.int64)[of].sum())
+                  for texts, of in fields)
+    if grouped + 30 * len(found) - 2 != end - start:
         return None
-    zs, xs, us, ps = zip(*found)
-    index_of: dict = {}
-    row_of = [index_of.setdefault(z, len(index_of)) for z in zs]
+    (zs, row_of), (xs, x_of), (us, u_of), (ps, p_of) = fields
     try:
-        rows = [json.loads(z) for z in index_of]
+        rows = json.loads("[" + ", ".join(zs) + "]")
     except ValueError:
         return None
     n, counts, xs, us, ps = _checked(int(head[1]), rows, list(map(int, xs)),
                                      list(map(int, us)), list(map(float, ps)))
-    return _assemble(n, np.zeros(len(counts), np.int64), counts, row_of, xs, us, ps)[0]
+    return _assemble(n, np.zeros(len(counts), np.int64), counts, row_of,
+                     xs[x_of], us[u_of], ps[p_of])[0]
 
 
 def _assemble(n: int, row_law, rows, row_of, xs, us, ps):

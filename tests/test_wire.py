@@ -3,13 +3,16 @@
 back, the same inputs rejected, identical trace CSV bytes, and identical
 chi-square audits (statistic and p-value within 1e-12 relative)."""
 
+import codecs
 import json
 import math
 import re
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import reference_wire as ref
 import test_scheme
@@ -38,6 +41,45 @@ SCHEMES = list(_schemes())
 def test_to_json_bytes_match_reference():
     for dist in SCHEMES:
         assert dist.to_json() == ref.to_json(dist)
+
+
+def _constructed(n, rows, entries):
+    """A distribution made with the public constructor: count rows ``rows``
+    and (row, x, u, p) ``entries``, stored as given."""
+    qidx, xs, us, ps = zip(*entries)
+    return QueryDistribution(n, [SimpleNamespace(counts=row) for row in rows],
+                             qidx, xs, us, ps)
+
+
+CONSTRUCTED = {
+    "signed-zero": _constructed(2, [(1, 1), (0, 1)], [
+        (0, 0, 0, 0.0), (0, 1, 0, -0.0), (1, 1, 0, 1.0), (0, 0, 1, -0.0),
+        (0, 1, 1, 0.0), (1, 1, 1, 1.0)]),
+    "repeated-p": _constructed(5, [(1, 1, 1, 1, 1), (2, 0, 0, 0, 1)], [
+        (q, x, u, 0.2 if q == 0 else 0.125) for q in (0, 1) for x in (0, 4)
+        for u in range(5)]),
+    "exponents": _constructed(3, [(1, 1, 1)], [
+        (0, 0, 2, 1e-05), (0, 1, 0, 2.5e-10), (0, 2, 2, 5e-324), (0, 0, 1, 1e16),
+        (0, 1, 1, 1e22), (0, 2, 1, 1.7976931348623157e308)]),
+    "last-index": _constructed(7, [(0, 0, 0, 0, 0, 0, 7)], [(0, 6, 6, 1.0), (0, 6, 0, 1.0)]),
+    "one-source": _constructed(1, [(1,)], [(0, 0, 0, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTED)
+def test_to_json_of_constructed_matches_reference(name):
+    dist = CONSTRUCTED[name]
+    assert dist.to_json() == ref.to_json(dist)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.tuples(
+    st.integers(0, n - 1), st.integers(0, n - 1),
+    st.sampled_from([0.0, -0.0, 0.5, 1e-05, 2.5e-10]) | st.floats(0, 1e300)),
+    min_size=1, max_size=30))))
+def test_to_json_of_random_constructed_matches_reference(drawn):
+    n, entries = drawn
+    dist = _constructed(n, [(1,) * n], [(0, x, u, p) for x, u, p in entries])
+    assert dist.to_json() == ref.to_json(dist)
 
 
 def test_from_json_matches_reference():
@@ -81,9 +123,10 @@ def test_canonical_text_is_never_parsed_whole(built_texts, monkeypatch):
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda s, **kw: seen.append(s) or loads(s, **kw))
     for text in [dist.to_json() for dist in SCHEMES] + built_texts:
-        seen.clear()
-        QueryDistribution.from_json(text)
-        assert seen and all(len(arg) < len(text) for arg in seen)
+        for obj in (text, text.encode()):
+            seen.clear()
+            QueryDistribution.from_json(obj)
+            assert seen and all(len(arg) < len(text) for arg in seen)
 
 
 def _first(pattern, new):
@@ -100,7 +143,7 @@ def _reordered(text):
                        "n": obj["n"]})
 
 
-_P, _X, _Z = r'"p": [^}]*', r'"x": (\d+)', r'"z": \[[^\]]*\]'
+_P, _X, _U, _Z = r'"p": [^}]*', r'"x": (\d+)', r'"u": (\d+)', r'"z": \[[^\]]*\]'
 MUTATIONS = {
     "indent": lambda text: json.dumps(json.loads(text), indent=1),
     "compact": lambda text: json.dumps(json.loads(text), separators=(",", ":")),
@@ -112,6 +155,9 @@ MUTATIONS = {
     "trailing-nbsp": lambda text: text + "\u00a0",
     "leading-space": lambda text: " " + text,
     "bytes": str.encode,
+    "bytes-bom": lambda text: codecs.BOM_UTF8 + text.encode(),
+    "bytes-utf16": lambda text: text.encode("utf-16"),
+    "bytes-not-utf8": lambda text: (text + "\u00a0").encode("latin-1"),
     "p-int": _first(_P, '"p": 1'),
     "p-minus-zero": _first(_P, '"p": -0'),
     "p-exponent": _first(_P, '"p": 1E-5'),
@@ -124,6 +170,10 @@ MUTATIONS = {
     "x-leading-zero": _first(_X, r'"x": 0\1'),
     "x-out-of-range": lambda text: _first(_X, f'"x": {json.loads(text)["n"]}')(text),
     "x-huge-int": _first(_X, '"x": 1' + "0" * 400),
+    "u-float": _first(_U, r'"u": \1.0'),
+    "u-leading-zero": _first(_U, r'"u": 0\1'),
+    "u-out-of-range": lambda text: _first(_U, f'"u": {json.loads(text)["n"]}')(text),
+    "u-huge-int": _first(_U, '"u": 1' + "0" * 400),
     "z-double-comma": _first(_Z, '"z": [1,,0]'),
     "z-empty-item": _first(r'"z": \[(\d+), ', r'"z": [\1,, '),
     "z-unterminated": _first(_Z, '"z": [1, 0'),
@@ -149,6 +199,27 @@ def test_mutated_text_reads_as_dict_route(mutation, built_texts):
         assert mutated != text
         assert (_outcome(QueryDistribution.from_json, mutated)
                 == _outcome(_dict_route, mutated))
+
+
+def test_spellings_of_one_value_read_as_dict_route():
+    # Distinct texts of equal values, two of them in one cell that merges.
+    text = ('{"n": 2, "entries": [{"z": [1, 1], "x": 0, "u": 0, "p": 0.5}, '
+            '{"z": [1, 1], "x": 1, "u": -0, "p": 5e-1}, '
+            '{"z": [1, 1], "x": 0, "u": 1, "p": 0.50}, '
+            '{"z": [1, 1], "x": 1, "u": 1, "p": 0.25}, '
+            '{"z": [1, 1], "x": 1, "u": 1, "p": 2.5E-1}]}')
+    got, want = _scan(text), _dict_route(text)
+    for name in ("counts", "qidx", "xs", "us", "probs"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.entry_tuples() == [((1, 1), x, u, 0.5) for x in (0, 1) for u in (0, 1)]
+
+
+@pytest.mark.parametrize("field", ["x", "u"])
+def test_scanned_index_out_of_range_names_its_field(field):
+    text = SCHEMES[0].to_json()
+    n = json.loads(text)["n"]
+    with pytest.raises(ValueError, match=rf"^{field} must be integers in \[0, {n}\)"):
+        _scan(_first(rf'"{field}": \d+', f'"{field}": {n}')(text))
 
 
 def test_scan_stays_linear_on_unclosed_rows():
