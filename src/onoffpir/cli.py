@@ -106,7 +106,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     model = MarkovModel.load(args.model)
-    with open(args.dist) as fh:
+    with open(args.dist, "rb") as fh:   # as bytes, so a UTF-8 BOM is read too
         dist = QueryDistribution.from_json(fh.read())
     law = step_law(model, args.gap)
     stats = order_stats(law)

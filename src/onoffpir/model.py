@@ -8,7 +8,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,6 +75,18 @@ def load_json(text):
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON text nested too deeply") from None
+
+
+def _unchecked(cls, *columns) -> list:
+    """Instances of the frozen dataclass ``cls``, one per row of its field
+    ``columns``, each value as it is: ``__post_init__`` is skipped."""
+    names = [spec.name for spec in fields(cls)]
+    made = []
+    for values in zip(*columns):
+        obj = cls.__new__(cls)
+        obj.__dict__.update(zip(names, values))
+        made.append(obj)
+    return made
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -233,13 +245,7 @@ class ConditionalLaw:
         tables = _readonly(tables)
         n = tables.shape[-1]
         _check_tables(n, tables)
-        laws = []
-        for table in tables:
-            law = cls.__new__(cls)
-            object.__setattr__(law, "n", n)
-            object.__setattr__(law, "table", table)
-            laws.append(law)
-        return laws
+        return _unchecked(cls, [n] * len(tables), tables)
 
     def key(self) -> bytes:
         """Stable hash key, insensitive to sub-tolerance float noise."""
@@ -334,16 +340,19 @@ def stacked_order_stats(tables: np.ndarray) -> list:
     moved = np.cumsum(b - a, axis=1) <= (1.0 - a.sum(axis=1))[:, None]
     moved[sigmas == n] = True
     deltas = np.where(moved, b, a)
-    # b >= a, so each row of moved is True up to its break point only
-    for law in np.flatnonzero(~moved.all(axis=1)).tolist():
-        j = int(np.argmin(moved[law]))
-        deltas[law, j] = 1.0 - b[law, :j].sum() - a[law, j + 1:].sum()
+    # b >= a, so each row of moved is True up to its break point j only;
+    # the laws breaking at one j are summed at once, each row as alone.
+    broken = np.flatnonzero(~moved.all(axis=1))
+    breaks = np.argmin(moved[broken], axis=1)
+    for j in set(breaks.tolist()):   # not np.unique, whose int path imports numpy.ma
+        group = broken[breaks == j]
+        deltas[group, j] = 1.0 - b[group, :j].sum(axis=1) - a[group, j + 1:].sum(axis=1)
 
     orderings = ranks.transpose(0, 2, 1)   # orderings[l, x, i] = u^(x, i+1)
     for arr in (orderings, lambdas, thetas, deltas):
         arr.setflags(write=False)
-    return [OrderStats(n, *fields) for fields in
-            zip(orderings, lambdas, thetas, sigmas.tolist(), deltas)]
+    return _unchecked(OrderStats, [n] * len(tables), orderings, lambdas, thetas,
+                      sigmas.tolist(), deltas)
 
 
 def entropy_bits(p: np.ndarray) -> float:

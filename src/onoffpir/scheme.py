@@ -334,64 +334,6 @@ def project_to_sets(dist: QueryDistribution) -> QueryDistribution:
                      dist.qidx, dist.xs, dist.us, dist.probs)[0]
 
 
-def _lane_take(q_mat: list, row_ptr: list, u: int, amount: float):
-    """Consume `amount` of mass from row u of the auxiliary matrix, scanning
-    left to right, taking full cells until the last one is truncated.
-
-    Returns a list of (column, value) pairs summing to `amount`.
-    """
-    row = q_mat[u]
-    n = len(row)
-    out = []
-    need = amount
-    k = row_ptr[u]
-    while need > ZERO_TOL:
-        while k < n and row[k] <= ZERO_TOL:
-            k += 1
-        if k == n:
-            if need <= EPS:
-                break  # float dust only
-            raise InternalConsistencyError(
-                f"auxiliary row {u} exhausted with {need!r} still to assign")
-        avail = row[k]
-        if avail < need - ZERO_TOL:
-            out.append((k, avail))
-            row[k] = 0.0
-            need -= avail
-            k += 1
-        else:
-            out.append((k, need))
-            row[k] = avail - need
-            need = 0.0
-    row_ptr[u] = k
-    return out
-
-
-def _merge_lanes(lanes):
-    """Align the per-pivot (column, value) lanes into joint rounds.
-
-    All lanes carry the same total mass.  Each round takes the minimum of the
-    current lane fronts as its weight, records the tuple of front columns,
-    subtracts the weight everywhere, and advances the (lowest-index) lane
-    whose front was the minimum.  Zero-weight rounds advance exhausted ties
-    without producing output.
-    """
-    idx = [0] * len(lanes)
-    cols = [lane[0][0] for lane in lanes]
-    cur = [lane[0][1] for lane in lanes]
-    rounds = []
-    while True:
-        nu = min(cur)
-        pick = cur.index(nu)
-        if nu > ZERO_TOL:
-            rounds.append((tuple(cols), nu))
-        cur = [c - nu for c in cur]
-        idx[pick] += 1
-        if idx[pick] == len(lanes[pick]):
-            return rounds
-        cols[pick], cur[pick] = lanes[pick][idx[pick]]
-
-
 def build_query_distribution(law: ConditionalLaw,
                              stats: OrderStats | None = None) -> QueryDistribution:
     """Construct a feasible query distribution for one step.
@@ -414,15 +356,25 @@ def build_batch(laws: list, stats: list):
     and each law's part is the self-checked distribution its build alone
     gives."""
     n = laws[0].n
-    # Per merge round its request, cardinality and weight; per lane entry
-    # its column.  Every other pivot of a round asks for the request.
-    round_x, round_card, round_nu, lane_col = [], [], [], []
-    law_rounds = []
-    for law, law_stats in zip(laws, stats, strict=True):
+    for law, _law_stats in zip(laws, stats, strict=True):
         if law.n != n:
             raise ValueError(f"a batch of laws over n={n} holds one over n={law.n}")
-        _take_rounds(law, law_stats, round_x, round_card, round_nu, lane_col)
-        law_rounds.append(len(round_x))
+    tables = np.stack([law.table for law in laws])
+    orderings = np.stack([law_stats.orderings for law_stats in stats])
+    deltas = np.stack([law_stats.deltas for law_stats in stats])
+    # sorted_likes[l, x, i] = p(x | u^(x, i+1)) of law l.  targets[l, x, c - 1]
+    # is min(delta_x, sorted_likes[l, x, c - 1]) less sorted_likes[l, x, c - 2]:
+    # the mass request x sends at cardinality c, as one float step each gives.
+    sorted_likes = np.take_along_axis(tables.transpose(0, 2, 1), orderings, axis=2)
+    targets = np.minimum(deltas[:, :, None], sorted_likes)
+    targets[:, :, 1:] -= sorted_likes[:, :, :-1]
+    q_mats = np.maximum(tables - deltas[:, None, :], 0.0)
+    # Per merge round (request, cardinality, weight); per lane entry its
+    # column.  Every other pivot of a round asks for the request.
+    rounds, lane_col, law_rounds = [], [], []
+    for law_targets, q_mat, law_stats in zip(targets.transpose(0, 2, 1), q_mats, stats):
+        _take_rounds(law_targets, q_mat, law_stats, rounds, lane_col)
+        law_rounds.append(len(rounds))
 
     # Expand each round to its n entries in one pass.  A round of
     # cardinality c has c - 1 lanes, the pivots orderings[x, :c - 1] of its
@@ -431,14 +383,15 @@ def build_batch(laws: list, stats: list):
     # in column u.  The entries of a round differ in u, and _assemble breaks
     # ties between equal cells by entry index, so it sums each cell in
     # round order.
-    n_rounds = len(round_x)
-    round_x = np.asarray(round_x, dtype=np.int64)
+    n_rounds = len(rounds)
+    round_x, lanes, round_nu = np.fromiter(   # ints are exact as floats
+        chain.from_iterable(rounds), float, 3 * n_rounds).reshape(n_rounds, 3).T
+    round_x, lanes = round_x.astype(np.int64), lanes.astype(np.int64) - 1
+    del rounds, deltas, sorted_likes, targets, q_mats   # the entries come next
     round_law = np.repeat(np.arange(len(laws)), np.diff(law_rounds, prepend=0))
-    lanes = np.asarray(round_card, dtype=np.int64) - 1
     lane_round = np.repeat(np.arange(n_rounds), lanes)
     lane_rank = np.arange(len(lane_round)) - np.repeat(np.cumsum(lanes) - lanes, lanes)
-    lane_pivot = np.stack([law_stats.orderings for law_stats in stats])[
-        round_law[lane_round], round_x[lane_round], lane_rank]
+    lane_pivot = orderings[round_law[lane_round], round_x[lane_round], lane_rank]
     lane_col = np.asarray(lane_col, dtype=np.int64)
     counts = np.bincount(np.concatenate([np.arange(n_rounds) * n + round_x,
                                          lane_round * n + lane_col]),
@@ -446,42 +399,74 @@ def build_batch(laws: list, stats: list):
     xs = np.repeat(round_x, n).reshape(n_rounds, n)
     xs[lane_round, lane_pivot] = lane_col
     whole, row_law = _assemble(n, round_law, counts, np.arange(n_rounds)[:, None],
-                               xs, np.arange(n), np.asarray(round_nu)[:, None])
-    _check_built(whole, row_law, laws, stats)
+                               xs, np.arange(n), round_nu[:, None])
+    _check_built(whole, row_law, tables,
+                 np.stack([law_stats.thetas for law_stats in stats]))
     return whole, row_law
 
 
-def _take_rounds(law: ConditionalLaw, stats: OrderStats, round_x: list,
-                 round_card: list, round_nu: list, lane_col: list):
-    """Algorithm 1's lane loop for one law: append its merge rounds to the
-    lists, each round's lane columns in lane order."""
-    n = law.n
-    table = law.table
-    # sorted_likes[x][i] = p(x | u^(x, i+1)); the lanes run on Python floats,
-    # which round exactly as numpy's float64 scalars do.
-    sorted_likes = table[stats.orderings, np.arange(n)[:, None]].tolist()
-    q_mat = np.maximum(table - stats.deltas[None, :], 0.0).tolist()
-    orderings, deltas = stats.orderings.tolist(), stats.deltas.tolist()
+def _take_rounds(targets, q_mat, stats: OrderStats, rounds: list, lane_col: list):
+    """Algorithm 1's lane loop for one law, given ``targets[c - 1][x]``, the
+    mass request x sends at cardinality c: append its merge rounds, and
+    their lane columns in lane order, to the lists.  It runs on Python
+    floats, which round exactly as numpy's float64 scalars do, converted
+    from this law's arrays alone.  A pivot's lane takes the target from its
+    row of ``q_mat`` left to right, whole cells until the last one is cut.
+    Each merge round weighs the least lane front, which then comes off
+    every front, and the lowest lane at that least advances; rounds up to
+    ``ZERO_TOL`` are dropped, so a lone lane's rounds are its pieces above it."""
+    targets, q_mat, orderings = targets.tolist(), q_mat.tolist(), stats.orderings.tolist()
+    n = len(q_mat)
     row_ptr = [0] * n
-    for card in range(1, min(stats.sigma + 1, n) + 1):
-        for x in range(n):
-            prev = sorted_likes[x][card - 2] if card >= 2 else 0.0
-            target = min(deltas[x], sorted_likes[x][card - 1]) - prev
+    for card, card_targets in enumerate(targets[:min(stats.sigma + 1, n)], 1):
+        for x, target in enumerate(card_targets):
             if target <= ZERO_TOL:
                 continue
-            lane_us = orderings[x][:card - 1]
             if card == 1:
-                merged = [((), target)]
-            else:
-                lanes = [_lane_take(q_mat, row_ptr, u, target) for u in lane_us]
-                if any(not lane for lane in lanes):
-                    continue  # target vanished to float dust inside the lanes
-                merged = _merge_lanes(lanes)
-            for zeta, nu in merged:
-                lane_col.extend(zeta)
-                round_x.append(x)
-                round_card.append(card)
-                round_nu.append(nu)
+                rounds.append((x, 1, target))
+                continue
+            lanes = [([], []) for _ in range(card - 1)]   # per pivot (columns, values)
+            for u, (cols, vals) in zip(orderings[x], lanes):
+                row = q_mat[u]
+                need = target
+                k = row_ptr[u]
+                while need > ZERO_TOL:
+                    while k < n and row[k] <= ZERO_TOL:
+                        k += 1
+                    if k == n:
+                        if need <= EPS:
+                            break  # float dust only
+                        raise InternalConsistencyError(
+                            f"auxiliary row {u} exhausted with {need!r} still to assign")
+                    avail = row[k]
+                    cols.append(k)
+                    if avail < need - ZERO_TOL:
+                        vals.append(avail)
+                        row[k] = 0.0
+                        need -= avail
+                        k += 1
+                    else:
+                        vals.append(need)
+                        row[k] = avail - need
+                        break
+                row_ptr[u] = k
+            if ([], []) in lanes:
+                continue  # target vanished to float dust inside a lane
+            idx = [0] * len(lanes)
+            front = [cols[0] for cols, _vals in lanes]
+            cur = [vals[0] for _cols, vals in lanes]
+            while True:
+                nu = min(cur)
+                pick = cur.index(nu)
+                if nu > ZERO_TOL:
+                    lane_col.extend(front)
+                    rounds.append((x, card, nu))
+                cur = [c - nu for c in cur]
+                i = idx[pick] = idx[pick] + 1
+                cols, vals = lanes[pick]
+                if i == len(cols):
+                    break
+                front[pick], cur[pick] = cols[i], vals[i]
 
 
 class IdentityGaps(NamedTuple):
@@ -537,16 +522,16 @@ def identity_gaps(dist: QueryDistribution, row_law, tables, thetas) -> IdentityG
                         spread, np.abs(card_law[:, 1:] - thetas))
 
 
-def _check_built(dist: QueryDistribution, row_law, laws: list, stats: list):
+def _check_built(dist: QueryDistribution, row_law, tables, thetas):
     """Cheap structural self-check of a batch, each law against its own
-    table and thetas in one pass; failures are builder bugs by construction."""
-    gaps = identity_gaps(dist, row_law, np.stack([law.table for law in laws]),
-                         np.stack([law_stats.thetas for law_stats in stats]))
+    stacked table and thetas in one pass; failures are builder bugs by
+    construction."""
+    gaps = identity_gaps(dist, row_law, tables, thetas)
     if gaps.violations.any():
         j = int(np.argmax(gaps.violations))
         raise InternalConsistencyError(
             f"{gaps.violations[j]} nonpositive or undecodable entries stored in law {j}")
-    privacy = np.zeros(len(laws))
+    privacy = np.zeros(len(tables))
     np.maximum.at(privacy, row_law, gaps.spread)
     for what, gap in (("per-pivot totals", gaps.totals.max(axis=1)),
                       ("marginal", gaps.marginal.max(axis=(1, 2))),

@@ -171,7 +171,8 @@ class _BeliefGraph:
         built from its first node's ``law`` and ``stats``."""
         if self._fixed is not None:
             return [self._fixed] * len(nodes)
-        keys = [node.law.key() for node in nodes]
+        keys = [row.tobytes() for row in   # each node's law.key(), rounded at once
+                np.round(np.stack([node.law.table for node in nodes]), 12)]
         new: dict = {}   # key -> its first node, for keys not memoized
         for key, node in zip(keys, nodes):
             if key not in self._schemes:

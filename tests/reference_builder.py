@@ -179,5 +179,6 @@ def build_query_distribution(law: ConditionalLaw,
                 out_p.extend([nu] * m)
 
     dist = _assemble(n, np.zeros(len(rows), np.int64), rows, row_of, out_x, out_u, out_p)[0]
-    _check_built(dist, np.zeros(len(dist.counts), np.int64), [law], [stats])
+    _check_built(dist, np.zeros(len(dist.counts), np.int64), law.table[None],
+                 stats.thetas[None])
     return dist

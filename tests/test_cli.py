@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 from pathlib import Path
@@ -94,6 +95,21 @@ def test_build_verify_round_trip(model3_path, tmp_path, capsys):
     assert main(["verify", "--dist", dist_path, "--model", model3_path]) == 0
     report2 = json.loads(capsys.readouterr().out)
     assert report1 == report2
+
+
+def test_verify_reads_a_utf8_bom(model3_path, tmp_path, capsys):
+    """A built file with a UTF-8 BOM in front verifies as the plain file
+    does, to the byte of its report."""
+    plain, bom = tmp_path / "dist.json", tmp_path / "dist_bom.json"
+    assert main(["build", "--model", model3_path, "--out", str(plain)]) == 0
+    bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    reports = []
+    for dist in (plain, bom):
+        out = tmp_path / f"report_{dist.stem}.json"
+        assert main(["verify", "--dist", str(dist), "--model", model3_path,
+                     "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] and b'"passed": true' in reports[0]
 
 
 def test_build_output_pinned(model3_path, capsys):

@@ -136,6 +136,51 @@ def test_stacked_order_stats_of_laws_match_loop_form(stack):
         _assert_stats_match_loop_form(order_stats(law), law)
 
 
+def _break_index(law):
+    """The source where the loop form's budget runs out, or None."""
+    cols = np.sort(law.table, axis=0, kind="stable")
+    sigma = reference_model.order_stats(law).sigma
+    if sigma == law.n:
+        return None
+    a, b = cols[sigma - 1], cols[sigma]
+    over = np.cumsum(b - a) > 1.0 - a.sum()
+    return int(np.argmax(over)) if over.any() else None
+
+
+def _break_stack(rng, n, size):
+    """``size`` laws over n: random, tied, constant-column, and random with
+    cells at or around the dust threshold, in random order."""
+    dust = [1e-13, ZERO_TOL, float(np.nextafter(ZERO_TOL, 1.0))]
+    tables = []
+    for k in range(size):
+        t = rng.random((n, n)) + 1e-3
+        if k % 4 == 1:
+            t = np.ceil(t * 4.0)
+        elif k % 4 == 2:
+            t = np.tile(t[0], (n, 1))
+        elif k % 4 == 3:
+            t[rng.random((n, n)) < 0.3] = rng.choice(dust)
+            t[:, 0] += 0.5
+        tables.append(t / t.sum(axis=1, keepdims=True))
+    return np.stack([tables[i] for i in rng.permutation(size)])
+
+
+def test_stacked_break_points_match_loop_form_on_large_stacks():
+    """Laws that run out of budget at one source take their budgets in one
+    step, bit for bit as each law alone; the stacks share break points,
+    some past 8 terms, where numpy sums pairwise."""
+    rng = np.random.default_rng(41)
+    shared = set()
+    for n, size in ((3, 300), (6, 300), (9, 200), (17, 120), (40, 60), (100, 40)):
+        tables = _break_stack(rng, n, size)
+        laws = ConditionalLaw.stack(tables)
+        for law, law_stats in zip(laws, stacked_order_stats(tables), strict=True):
+            _assert_stats_match_loop_form(law_stats, law)
+        breaks = [j for j in map(_break_index, laws) if j is not None]
+        shared |= {j for j in breaks if breaks.count(j) >= 2}
+    assert shared and max(shared) >= 8, shared
+
+
 # Exact zeros, masses one ulp below, at and one ulp above the dust
 # threshold, ties and uniform masses.
 MASSES = st.one_of(st.sampled_from([0.0, float(np.nextafter(ZERO_TOL, 0.0)), ZERO_TOL,

@@ -115,7 +115,14 @@ def test_builder_self_check_catches_each_identity(identity, message):
     dist = build_query_distribution(law, stats)
     tampered, law, stats = _tamper(identity, dist, 0, dist, law, stats)
     with pytest.raises(InternalConsistencyError, match=message):
-        _check_built(tampered, np.zeros(len(tampered.counts), np.int64), [law], [stats])
+        _check_built(tampered, np.zeros(len(tampered.counts), np.int64), law.table[None],
+                     stats.thetas[None])
+
+
+def _stacks(laws, stats):
+    """The laws' stacked tables and thetas, as the self-check takes them."""
+    return (np.stack([law.table for law in laws]),
+            np.stack([law_stats.thetas for law_stats in stats]))
 
 
 @pytest.mark.parametrize("identity,message", IDENTITIES)
@@ -126,13 +133,13 @@ def test_batch_self_check_catches_each_identity_in_one_law(identity, message):
     laws = [random_law(rng, 3), worked_law(), random_law(rng, 3, ties=True)]
     stats = [order_stats(law) for law in laws]
     whole, row_law = build_batch(laws, stats)
-    _check_built(whole, row_law, laws, stats)
+    _check_built(whole, row_law, *_stacks(laws, stats))
     tampered, laws[1], stats[1] = _tamper(identity, whole,
                                           int(np.argmax(row_law[whole.qidx] == 1)),
                                           law_part(whole, row_law, 1),
                                           laws[1], stats[1])
     with pytest.raises(InternalConsistencyError, match=f"{message} .* in law 1$"):
-        _check_built(tampered, row_law, laws, stats)
+        _check_built(tampered, row_law, *_stacks(laws, stats))
 
 
 def test_builder_worked_example_rates():
@@ -210,7 +217,8 @@ def test_builder_deterministic_bit_for_bit():
 
 def _reference_laws():
     """Random, tied, zero-cell and 1e-13-cell laws at n = 2..8, the belief
-    laws of a short horizon walk, and the benchmark's tables at n = 12, 40."""
+    laws of a short horizon walk, and the benchmark's tables at n = 12, 40
+    and 100 (merge rounds of up to about 60 lanes)."""
     rng = np.random.default_rng(2024)
     laws = []
     for n in range(2, 9):
@@ -226,7 +234,8 @@ def _reference_laws():
                  chain, PrivacyPattern.from_string("1000"), 3)
              for br in view.branches if br.law is not None]
     return laws + [ConditionalLaw(n, workload_table(seed, n))
-                   for n in (12, 40) for seed in (11, 21)]
+                   for n in (12, 40) for seed in (11, 21)] + [
+        ConditionalLaw(100, workload_table(11, 100))]
 
 
 def test_builder_matches_reference_bit_for_bit():

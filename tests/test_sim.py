@@ -272,15 +272,16 @@ def _layer_laws(rng, n):
 
 def test_layer_batch_matches_per_law_builds(monkeypatch):
     """A batch of laws gives each law the distribution and the scheme it
-    gets alone, and that the loop-form builder gives, bit for bit."""
+    gets alone, and that the loop-form builder gives, bit for bit; the
+    loop form's lanes show that one law's lane vanishes to float dust."""
     vanished = []
-    take = scheme_mod._lane_take
+    take = reference_builder._lane_take
 
     def counted(*args):
         lane = take(*args)
         vanished.append(not lane)
         return lane
-    monkeypatch.setattr(scheme_mod, "_lane_take", counted)
+    monkeypatch.setattr(reference_builder, "_lane_take", counted)
     rng = np.random.default_rng(29)
     for n in range(2, 9):
         laws = _layer_laws(rng, n)
@@ -303,6 +304,22 @@ def test_layer_batch_matches_per_law_builds(monkeypatch):
             _assert_same_table(scheme, _projected_table(
                 law, reference_builder.build_query_distribution))
     assert any(vanished)
+
+
+def test_layer_memo_keys_are_the_law_keys():
+    """The memo keys of a layer, rounded at once, are ``law.key()`` of each
+    node, the twin law's too."""
+    rng = np.random.default_rng(37)
+    for n in (3, 6):
+        laws = _layer_laws(rng, n)
+        m = MarkovModel(n, laws[0].table, np.full(n, 1 / n))
+        graph = sim_mod._BeliefGraph(m, PrivacyPattern.from_string("10"), "algorithm1")
+        got = graph._schemes_of([sim_mod.BranchView(1, None, law, order_stats(law), None)
+                                 for law in laws])
+        keys = [law.key() for law in laws]
+        assert len(set(keys)) < len(keys)   # the twin shares its key
+        assert list(graph._schemes) == list(dict.fromkeys(keys))
+        assert all(scheme is graph._schemes[key] for scheme, key in zip(got, keys))
 
 
 def test_layer_memo_is_first_come_in_node_order():
