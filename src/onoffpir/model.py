@@ -79,8 +79,12 @@ def load_json(text):
 
 def _unchecked(cls, *columns) -> list:
     """Instances of the frozen dataclass ``cls``, one per row of its field
-    ``columns``, each value as it is: ``__post_init__`` is skipped."""
+    ``columns``, each value as it is: its checks are skipped.  A column
+    that is an array is made read-only once, so its rows are read-only."""
     names = [spec.name for spec in fields(cls)]
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            column.setflags(write=False)
     made = []
     for values in zip(*columns):
         obj = cls.__new__(cls)
@@ -242,14 +246,10 @@ class ConditionalLaw:
     def stack(cls, tables: np.ndarray) -> list:
         """The laws of an (L, n, n) stack of tables, checked once as a
         whole; each law's table is a read-only view of the stack."""
-        tables = _readonly(tables)
+        tables = np.asarray(tables, dtype=float)
         n = tables.shape[-1]
         _check_tables(n, tables)
         return _unchecked(cls, [n] * len(tables), tables)
-
-    def key(self) -> bytes:
-        """Stable hash key, insensitive to sub-tolerance float noise."""
-        return np.round(self.table, 12).tobytes()
 
 
 def _check_tables(n: int, tables: np.ndarray):
@@ -267,8 +267,7 @@ def _check_tables(n: int, tables: np.ndarray):
 
 def step_law(model: MarkovModel, k: int) -> ConditionalLaw:
     """The k-step law P^k as a ConditionalLaw (matrix power, k >= 1)."""
-    if k < 1:
-        raise ValueError(f"step count must be >= 1, got {k}")
+    k = int(whole_numbers(k, "step count", 1, 1 << 53))
     # np.linalg.matrix_power squares repeatedly, so large k stays cheap.
     pk = np.linalg.matrix_power(model.p, k)
     pk = np.clip(pk, 0.0, None)
@@ -349,8 +348,6 @@ def stacked_order_stats(tables: np.ndarray) -> list:
         deltas[group, j] = 1.0 - b[group, :j].sum(axis=1) - a[group, j + 1:].sum(axis=1)
 
     orderings = ranks.transpose(0, 2, 1)   # orderings[l, x, i] = u^(x, i+1)
-    for arr in (orderings, lambdas, thetas, deltas):
-        arr.setflags(write=False)
     return _unchecked(OrderStats, [n] * len(tables), orderings, lambdas, thetas,
                       sigmas.tolist(), deltas)
 

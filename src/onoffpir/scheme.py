@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (EPS, ZERO_TOL, CapacityError, ConditionalLaw, OrderStats,
-                    check_number_types, load_json, numbers, order_stats,
-                    source_count, whole_numbers)
+                    _unchecked, check_number_types, load_json, numbers,
+                    order_stats, source_count, whole_numbers)
 
 # Most bits the int64 merge key of ``_assemble`` may pack (its sign bit
 # clear): count-row rank, x, u and entry index, each in the fewest bits that
@@ -82,20 +82,10 @@ class QueryDistribution:
         qidx = whole_numbers(qidx, "query indices", 0, len(counts))
         if not len(qidx) == len(xs) == len(us) == len(probs):
             raise ValueError("qidx, xs, us and probs must have equal lengths")
-        self._freeze(n, counts, qidx, xs, us, probs)
-
-    @classmethod
-    def _of_counts(cls, n: int, counts, qidx, xs, us, probs) -> "QueryDistribution":
-        dist = cls.__new__(cls)
-        dist._freeze(n, counts, qidx, xs, us, probs)
-        return dist
-
-    def _freeze(self, n, counts, qidx, xs, us, probs):
-        object.__setattr__(self, "n", int(n))
-        for name, arr, dtype in (("counts", counts, np.int64), ("qidx", qidx, np.int64),
-                                 ("xs", xs, np.int64), ("us", us, np.int64),
-                                 ("probs", probs, float)):
-            arr = np.ascontiguousarray(arr, dtype=dtype)
+        object.__setattr__(self, "n", n)
+        # the checks' own arrays: fresh, contiguous int64 and float64
+        for name, arr in zip(("counts", "qidx", "xs", "us", "probs"),
+                             (counts, qidx, xs, us, probs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -154,9 +144,10 @@ class QueryDistribution:
         ``to_json`` and ``onoffpir build`` write is scanned directly; any
         other text goes through ``json.loads``, with the same checks."""
         if isinstance(obj, (str, bytes)):
-            # The scan accepts ASCII only, so bytes that are not UTF-8 fail
-            # there and reach json.loads as they are (a BOM or UTF-16 too).
-            text = obj if isinstance(obj, str) else obj.decode(errors="replace")
+            # The scan accepts ASCII only, after a UTF-8 BOM in bytes, so bytes
+            # that are not UTF-8 fail there and reach json.loads as they are
+            # (UTF-16 too), as does a str that starts with a BOM.
+            text = obj if isinstance(obj, str) else obj.decode("utf-8-sig", errors="replace")
             if (dist := _scan(text)) is not None:
                 return dist
             obj = load_json(obj)
@@ -323,9 +314,9 @@ def _assemble(n: int, row_law, rows, row_of, xs, us, ps):
     first[1:] = ranks[1:] != ranks[:-1]
     present = firsts[ranks[first]]
     mask = (1 << x_bits) - 1
-    return (QueryDistribution._of_counts(n, rows[present], np.cumsum(first) - 1,
-                                         (cells >> x_bits) & mask, cells & mask, sums),
-            row_law[present])
+    stacks = [a[None] for a in (rows[present], np.cumsum(first) - 1,   # one row each
+                                (cells >> x_bits) & mask, cells & mask, sums)]
+    return _unchecked(QueryDistribution, [n], *stacks)[0], row_law[present]
 
 
 def project_to_sets(dist: QueryDistribution) -> QueryDistribution:

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import (ZERO_TOL, CapacityError, ConditionalLaw, MarkovModel,
-                    OrderStats, PrivacyPattern, stacked_order_stats)
+                    OrderStats, PrivacyPattern, stacked_order_stats, whole_numbers)
 from .scheme import build_batch
 
 POLICIES = ("algorithm1", "naive", "full_download")
@@ -164,15 +164,15 @@ class _BeliefGraph:
         self._full = _scheme_full(model.n)
         self._fixed = (_scheme_naive(model.n) if policy == "naive" else
                        self._full if policy == "full_download" else None)
-        self._schemes: dict = {}   # law.key() -> algorithm 1's scheme
+        self._schemes: dict = {}   # law table rounded to 1e-12, as bytes -> scheme
 
-    def _schemes_of(self, nodes: list) -> list:
-        """The schemes of OFF ``nodes``, in order; a law new to the memo is
-        built from its first node's ``law`` and ``stats``."""
+    def _schemes_of(self, nodes: list, tables: np.ndarray) -> list:
+        """The schemes of OFF ``nodes``, whose law tables are ``tables``, in
+        order; a law new to the memo is built from its first node's ``law``
+        and ``stats``."""
         if self._fixed is not None:
             return [self._fixed] * len(nodes)
-        keys = [row.tobytes() for row in   # each node's law.key(), rounded at once
-                np.round(np.stack([node.law.table for node in nodes]), 12)]
+        keys = [row.tobytes() for row in np.round(tables, 12)]
         new: dict = {}   # key -> its first node, for keys not memoized
         for key, node in zip(keys, nodes):
             if key not in self._schemes:
@@ -194,7 +194,7 @@ class _BeliefGraph:
         stats = stacked_order_stats(tables)
         nodes = [BranchView(t, pre, law, law_stats, None)
                  for pre, law, law_stats in zip(pres, laws, stats)]
-        for node, scheme in zip(nodes, self._schemes_of(nodes)):
+        for node, scheme in zip(nodes, self._schemes_of(nodes, tables)):
             node.scheme = scheme
         return nodes
 
@@ -234,8 +234,7 @@ def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
     interned, before any node of that step is made (Monte Carlo simulation
     is the fallback at that size).
     """
-    if not 0 <= horizon < len(pattern):
-        raise ValueError(f"horizon {horizon} outside the pattern's steps 0..{len(pattern) - 1}")
+    horizon = int(whole_numbers(horizon, "horizon", 0, len(pattern)))
     graph = _BeliefGraph(model, pattern, policy)
     layer = graph.layer(0, [np.diag(model.pi0)])
     layer[0].prob = 1.0
@@ -358,9 +357,8 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
     user decodes its request from the slot its query and request give.
     Raises :class:`CapacityError` past ``MAX_BELIEFS`` nodes at a step.
     """
-    if episodes < 1 or msg_bits < 1:
-        raise ValueError(f"episodes and msg_bits must be at least 1, "
-                         f"got {episodes} and {msg_bits}")
+    episodes = int(whole_numbers(episodes, "episodes", 1, 1 << 53))
+    msg_bits = int(whole_numbers(msg_bits, "msg_bits", 1, 1 << 53))
     n = model.n
     if n > 63:
         raise CapacityError(f"{n} sources do not fit the int64 query masks (at most 63)")

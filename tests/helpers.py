@@ -1,8 +1,9 @@
 """Shared fixtures-in-spirit: the worked three-source law, random laws, the
 benchmark's random tables, a broken policy scheme and a fresh interpreter;
-and the readings of a scheme only the tests take: its set-view flag, its
-law marginal, one law's part of a batch build, Algorithm 1's scheme of one
-law, and mutual information as a KL divergence."""
+and the readings of a scheme only the tests take: a law's memo key, a
+distribution made of given arrays unchecked, its set-view flag, its law
+marginal, one law's part of a batch build, Algorithm 1's scheme of one law,
+and mutual information as a KL divergence."""
 
 import os
 import subprocess
@@ -10,7 +11,7 @@ import sys
 
 import numpy as np
 
-from onoffpir.model import ConditionalLaw, order_stats
+from onoffpir.model import ConditionalLaw, _unchecked, order_stats
 from onoffpir.scheme import QueryDistribution
 from onoffpir.sim import StepScheme, _algorithm1_batch
 
@@ -63,6 +64,19 @@ def run_fresh_python(code: str) -> str:
                           capture_output=True, text=True, timeout=120).stdout
 
 
+def law_key(law: ConditionalLaw) -> bytes:
+    """The belief graph's memo key of a law: its table rounded to 1e-12, as
+    bytes, insensitive to sub-tolerance float noise."""
+    return np.round(law.table, 12).tobytes()
+
+
+def of_counts(n: int, counts, qidx, xs, us, probs) -> QueryDistribution:
+    """The distribution of these arrays as they are, unchecked, as the
+    package's assembly makes one."""
+    return _unchecked(QueryDistribution, [n], *(np.asarray(a)[None] for a in
+                                               (counts, qidx, xs, us, probs)))[0]
+
+
 def is_set_view(dist: QueryDistribution) -> bool:
     return bool(np.all(dist.counts <= 1))
 
@@ -79,9 +93,8 @@ def law_part(whole: QueryDistribution, row_law, j: int) -> QueryDistribution:
     its count rows and their entries, each a contiguous run."""
     r0, r1 = np.searchsorted(row_law, [j, j + 1])
     e0, e1 = np.searchsorted(whole.qidx, [r0, r1])
-    return QueryDistribution._of_counts(whole.n, whole.counts[r0:r1],
-                                        whole.qidx[e0:e1] - r0, whole.xs[e0:e1],
-                                        whole.us[e0:e1], whole.probs[e0:e1])
+    return of_counts(whole.n, whole.counts[r0:r1], whole.qidx[e0:e1] - r0,
+                     whole.xs[e0:e1], whole.us[e0:e1], whole.probs[e0:e1])
 
 
 def scheme_algorithm1(law: ConditionalLaw) -> StepScheme:

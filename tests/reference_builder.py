@@ -18,6 +18,7 @@ import numpy as np
 
 from onoffpir.model import EPS, ZERO_TOL, ConditionalLaw, OrderStats, order_stats
 from onoffpir.scheme import InternalConsistencyError, QueryDistribution, _check_built
+from helpers import of_counts
 
 
 def _assemble(n: int, row_law, rows, row_of, xs, us, ps):
@@ -61,7 +62,7 @@ def _assemble(n: int, row_law, rows, row_of, xs, us, ps):
     qidx = np.cumsum(first) - 1
     xs, us = uniq // n, uniq % n
     xs %= n
-    return (QueryDistribution._of_counts(n, distinct[present], qidx, xs, us, sums),
+    return (of_counts(n, distinct[present], qidx, xs, us, sums),
             row_law[order][new][present])
 
 

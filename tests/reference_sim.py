@@ -16,7 +16,7 @@ import numpy as np
 from onoffpir.model import CapacityError
 from onoffpir.sim import (POLICIES, BranchView, SimulationResult, StepView,
                           _scheme_full, _scheme_naive)
-from helpers import scheme_algorithm1
+from helpers import law_key, scheme_algorithm1
 from reference_model import law_from_joint, order_stats
 
 
@@ -63,9 +63,9 @@ def scheme_lookup(n: int, policy: str):
     memo: dict = {}
 
     def lookup(law):
-        if law.key() not in memo:
-            memo[law.key()] = scheme_algorithm1(law)
-        return memo[law.key()]
+        if law_key(law) not in memo:
+            memo[law_key(law)] = scheme_algorithm1(law)
+        return memo[law_key(law)]
     return lookup
 
 

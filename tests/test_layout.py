@@ -1,7 +1,9 @@
 """The package holds no dead code: every function, class and method that
 ``src/onoffpir`` defines has a reader in the package, the benchmark or the
 demos.  A name only the tests read belongs in ``tests/``, next to the
-reference forms or in ``helpers.py``."""
+reference forms or in ``helpers.py``.  A method is read only as an
+attribute or in a dotted-name string: a bare name of the same spelling is
+some local variable or function, not the method."""
 
 import ast
 import re
@@ -26,23 +28,26 @@ def _defined(tree):
 
 
 def _read(tree):
-    """The names the code reads: loaded names, attributes, and each part of
-    a string constant that is a dotted name (``bench/tracer.py`` binds its
-    targets by string)."""
+    """The names the code reads, each with whether it is read as an
+    attribute: loaded bare names (False), attributes, and each part of a
+    string constant that is a dotted name (True; ``bench/tracer.py`` binds
+    its targets by string)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, True
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and DOTTED.fullmatch(node.value)):
-            yield from node.value.split(".")
+            yield from ((part, True) for part in node.value.split("."))
 
 
 def test_every_package_name_has_a_reader_outside_tests():
-    read = {name for folder in READERS for path in folder.glob("*.py")
-            for name in _read(ast.parse(path.read_text(), str(path)))}
+    read = {pair for folder in READERS for path in folder.glob("*.py")
+            for pair in _read(ast.parse(path.read_text(), str(path)))}
     unread = [f"{path.name}:{qualified}" for path in sorted(PACKAGE.glob("*.py"))
               for qualified, name in _defined(ast.parse(path.read_text()))
-              if not (name.startswith("__") and name.endswith("__")) and name not in read]
+              if not (name.startswith("__") and name.endswith("__"))
+              and (name, True) not in read
+              and ("." in qualified or (name, False) not in read)]
     assert not unread, f"defined in src/ but read only by tests or nowhere: {unread}"

@@ -9,12 +9,12 @@ import pytest
 
 import onoffpir.scheme as scheme_mod
 import reference_builder
-from helpers import (is_set_view, law_marginal, law_part, random_law, worked_law,
-                     workload_table)
-from onoffpir.model import (CapacityError, ConditionalLaw, MarkovModel, order_stats,
-                            step_law)
+from helpers import (is_set_view, law_marginal, law_part, of_counts, random_law,
+                     worked_law, workload_table)
+from onoffpir.model import (CapacityError, ConditionalLaw, MarkovModel, OrderStats,
+                            order_stats, stacked_order_stats, step_law)
 from onoffpir.scheme import (InternalConsistencyError, QueryDistribution, _assemble,
-                             _check_built, _QueryCounts, build_batch,
+                             _check_built, _QueryCounts, _scan, build_batch,
                              build_query_distribution, policy_n2,
                              policy_n2_table, project_to_sets)
 from onoffpir.sim import PrivacyPattern, enumerate_steps
@@ -103,8 +103,7 @@ def _tamper(identity, whole, first, part, law, stats):
         law = ConditionalLaw(3, law.table + [[0.01, -0.01, 0], [0, 0, 0], [0, 0, 0]])
     else:
         stats = order_stats(ConditionalLaw(3, np.eye(3)))
-    tampered = QueryDistribution._of_counts(3, whole.counts, whole.qidx, xs,
-                                            whole.us, probs)
+    tampered = of_counts(3, whole.counts, whole.qidx, xs, whole.us, probs)
     return tampered, law, stats
 
 
@@ -596,3 +595,48 @@ def test_constructor_accepts_valid_arrays():
 def test_constructor_rejects_invalid_arrays(changes):
     with pytest.raises(ValueError):
         QueryDistribution(3, **_constructor_args(**changes))
+
+
+# ------------------------------------------------------- unchecked records
+
+INT64_FIELDS = {"counts", "qidx", "xs", "us", "orderings"}
+
+
+def _assert_as_constructed(made, public):
+    """``made``, a record built without its checks, holds read-only arrays of
+    the dtypes the public constructor gives, and equals ``public``, that
+    constructor's record, field by field."""
+    assert type(made) is type(public)
+    for spec in dataclasses.fields(made):
+        got, want = getattr(made, spec.name), getattr(public, spec.name)
+        if isinstance(want, np.ndarray):
+            dtype = np.int64 if spec.name in INT64_FIELDS else np.float64
+            assert not got.flags.writeable and not want.flags.writeable, spec.name
+            assert got.dtype == want.dtype == dtype, spec.name
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), spec.name
+        else:
+            assert type(got) is type(want) is int and got == want, spec.name
+
+
+def test_unchecked_records_are_as_constructed():
+    """Every record the package makes without its checks: the laws of a
+    stack, their stacked order statistics, and the distributions of a batch
+    build, a projection, ``from_items`` and a scanned text."""
+    rng = np.random.default_rng(71)
+    tables = np.stack([random_law(rng, 5, ties=k % 2 == 1).table for k in range(4)]
+                      + [np.eye(5), np.full((5, 5), 0.2)])
+    laws = ConditionalLaw.stack(tables.copy())
+    stats = stacked_order_stats(tables.copy())
+    for law, law_stats in zip(laws, stats):
+        _assert_as_constructed(law, ConditionalLaw(law.n, law.table.copy()))
+        _assert_as_constructed(law_stats, OrderStats(
+            law_stats.n, law_stats.orderings.copy(), law_stats.lambdas.copy(),
+            law_stats.thetas.copy(), law_stats.sigma, law_stats.deltas.copy()))
+    whole = build_batch(laws, stats)[0]
+    dists = [whole, project_to_sets(whole),
+             QueryDistribution.from_items(whole.n, whole.entry_tuples()),
+             _scan(whole.to_json())]
+    for dist in dists:
+        _assert_as_constructed(dist, QueryDistribution(
+            dist.n, dist.queries, dist.qidx.tolist(), dist.xs.tolist(),
+            dist.us.tolist(), dist.probs.tolist()))

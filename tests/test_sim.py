@@ -10,11 +10,12 @@ import onoffpir.sim as sim_mod
 import reference_builder
 import reference_model
 from reference_sim import EpisodeServer
-from helpers import (law_part, never_the_request, random_law, scheme_algorithm1,
-                     worked_law)
+from helpers import (law_key, law_part, never_the_request, random_law,
+                     scheme_algorithm1, worked_law)
 from onoffpir.bounds import bounds_over_horizon
 from onoffpir.model import (ZERO_TOL, CapacityError, ConditionalLaw,
-                            MarkovModel, PrivacyPattern, order_stats, tau_of)
+                            MarkovModel, PrivacyPattern, order_stats, step_law,
+                            tau_of)
 from onoffpir.scheme import (build_batch, build_query_distribution, policy_n2,
                              project_to_sets)
 from onoffpir.sim import (POLICIES, ServerState, _inverse_cdf, _scheme_full,
@@ -254,7 +255,7 @@ DUST_LANES = [
 
 def _layer_laws(rng, n):
     """One batch over n sources: the edge cases, a law whose columns are
-    constant (sigma = n), and a law equal to the first on ``law.key()`` but
+    constant (sigma = n), and a law equal to the first on ``law_key`` but
     not in its bytes; at n = 6 also the vanishing-lane law.  Last come two
     permutation laws, whose one count row, all ones, is the same."""
     laws = _edge_case_laws(rng, n)
@@ -262,7 +263,7 @@ def _layer_laws(rng, n):
     twin = laws[0].table.copy()
     twin[:, :2] += [1e-15, -1e-15]
     laws.append(ConditionalLaw(n, twin))
-    assert laws[-1].key() == laws[0].key() and np.any(twin != laws[0].table)
+    assert law_key(laws[-1]) == law_key(laws[0]) and np.any(twin != laws[0].table)
     if n == 6:
         laws.append(ConditionalLaw(n, DUST_LANES))
     order = rng.permutation(len(laws))
@@ -307,7 +308,7 @@ def test_layer_batch_matches_per_law_builds(monkeypatch):
 
 
 def test_layer_memo_keys_are_the_law_keys():
-    """The memo keys of a layer, rounded at once, are ``law.key()`` of each
+    """The memo keys of a layer, rounded at once, are ``law_key`` of each
     node, the twin law's too."""
     rng = np.random.default_rng(37)
     for n in (3, 6):
@@ -315,26 +316,26 @@ def test_layer_memo_keys_are_the_law_keys():
         m = MarkovModel(n, laws[0].table, np.full(n, 1 / n))
         graph = sim_mod._BeliefGraph(m, PrivacyPattern.from_string("10"), "algorithm1")
         got = graph._schemes_of([sim_mod.BranchView(1, None, law, order_stats(law), None)
-                                 for law in laws])
-        keys = [law.key() for law in laws]
+                                 for law in laws], np.stack([law.table for law in laws]))
+        keys = [law_key(law) for law in laws]
         assert len(set(keys)) < len(keys)   # the twin shares its key
         assert list(graph._schemes) == list(dict.fromkeys(keys))
         assert all(scheme is graph._schemes[key] for scheme, key in zip(got, keys))
 
 
 def test_layer_memo_is_first_come_in_node_order():
-    """Laws equal on ``law.key()`` share the scheme of the first in node
+    """Laws equal on ``law_key`` share the scheme of the first in node
     order, built once, the later ones' own bytes unread."""
     first = random_law(np.random.default_rng(31), 4)
     twin = ConditionalLaw(4, first.table + [[1e-15, -1e-15, 0, 0]] * 4)
-    assert twin.key() == first.key()
+    assert law_key(twin) == law_key(first)
     assert scheme_algorithm1(twin).w.tobytes() != scheme_algorithm1(first).w.tobytes()
     m = MarkovModel(4, first.table, np.full(4, 0.25))
     graph = sim_mod._BeliefGraph(m, PrivacyPattern.from_string("10"), "algorithm1")
     for laws in ([first, twin], [twin, first]):
         graph._schemes.clear()
         got = graph._schemes_of([sim_mod.BranchView(1, None, law, order_stats(law), None)
-                                 for law in laws])
+                                 for law in laws], np.stack([law.table for law in laws]))
         assert got[0] is got[1] and len(graph._schemes) == 1
         assert got[0].w.tobytes() == scheme_algorithm1(laws[0]).w.tobytes()
 
@@ -689,6 +690,34 @@ def test_simulate_rejects_bad_sizes():
     # one step's messages are drawn in one piece: its size is bounded
     with pytest.raises(CapacityError):
         simulate(m, pat, 2, msg_bits=8 * sim_mod.PAYLOAD_BYTES // 4 + 1)
+
+
+def _ten_episodes(**kw):
+    res = simulate(two_state(), PrivacyPattern.from_string("100"), **kw, seed=5)
+    return repr((res.episodes, res.msg_bits, res.q_masks.tolist(), res.oks.tolist()))
+
+
+# Each call's output as a comparable value, given one step count.
+COUNTED = {
+    "step_law-k": lambda k: step_law(two_state(), k).table.tobytes(),
+    "bounds-horizon": lambda h: bounds_over_horizon(
+        two_state(), PrivacyPattern.from_string("1000"), h),
+    "enumerate-horizon": lambda h: [(v.t, len(v.branches)) for v in enumerate_steps(
+        two_state(), PrivacyPattern.from_string("1000"), h)],
+    "simulate-episodes": lambda e: _ten_episodes(episodes=e),
+    "simulate-msg_bits": lambda b: _ten_episodes(episodes=10, msg_bits=b),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, "2", True, np.float64(2.5), -1],
+                         ids=["fraction", "str", "bool", "np-fraction", "negative"])
+@pytest.mark.parametrize("call", COUNTED)
+def test_step_counts_are_whole_numbers(call, bad):
+    """Step counts, episodes and message bits follow the readers' integer
+    rule: an integral float is that integer; anything else is a ValueError."""
+    with pytest.raises(ValueError):
+        COUNTED[call](bad)
+    assert COUNTED[call](2.0) == COUNTED[call](np.int64(2)) == COUNTED[call](2)
 
 
 def test_simulate_trajectory_capacity_guard():

@@ -123,10 +123,13 @@ def test_canonical_text_is_never_parsed_whole(built_texts, monkeypatch):
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda s, **kw: seen.append(s) or loads(s, **kw))
     for text in [dist.to_json() for dist in SCHEMES] + built_texts:
-        for obj in (text, text.encode()):
+        for obj in (text, text.encode(), codecs.BOM_UTF8 + text.encode()):
             seen.clear()
             QueryDistribution.from_json(obj)
             assert seen and all(len(arg) < len(text) for arg in seen)
+    # a str is read as it is given: a BOM in front is not JSON text
+    with pytest.raises(ValueError):
+        QueryDistribution.from_json("\ufeff" + built_texts[0])
 
 
 def _first(pattern, new):
