@@ -18,7 +18,7 @@ import numpy as np
 from . import bounds as _bounds
 from . import lp as _lp
 from .model import (CapacityError, MarkovModel, PrivacyPattern, load_json,
-                    order_stats, step_law, whole_numbers)
+                    order_stats, step_law, whole_number)
 from .scheme import (InternalConsistencyError, QueryDistribution,
                      build_query_distribution)
 from .sim import POLICIES, empirical_privacy_audit, simulate
@@ -192,14 +192,11 @@ def _cmd_simulate(args) -> int:
                              "pattern and a model (an object or a file path)")
         model = (MarkovModel.from_json(cfg["model"]) if isinstance(cfg["model"], dict)
                  else MarkovModel.load(cfg["model"]))
-        # whole_numbers reads through float, which is exact below 2**53
+        # whole_number reads through float, which is exact below 2**53
         episodes, seed, msg_bits = (
-            whole_numbers(cfg.get(key, default), key, 0, 1 << 53)
+            whole_number(cfg.get(key, default), key, 0, 1 << 53)
             for key, default in (("episodes", args.episodes), ("seed", args.seed),
                                  ("L", args.msg_bits)))
-        if episodes.ndim or seed.ndim or msg_bits.ndim:
-            raise ValueError("episodes, seed and L must be single integers")
-        episodes, seed, msg_bits = int(episodes), int(seed), int(msg_bits)
         pattern = _load_pattern(cfg["pattern"], seed)
         policy = cfg.get("policy", args.policy)
     else:

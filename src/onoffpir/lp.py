@@ -12,11 +12,14 @@ tableaus in lock-step: each iteration takes one pivot on every tableau still
 running, with the same rules per tableau as a solve alone.  ``build_lp`` and
 ``solve`` are the batches of one.  A pivot subtracts its rank-1 update only
 from the (tableau, row) pairs whose pivot-column entry is nonzero; at desk
-scale most rows have a zero there.  Skipping a row skips only ``v - 0 * w``,
-so the pivot path and every nonzero value match the full update, but a zero
-may keep the sign ``-0.0`` that the full update would have cleared.  The
-solution therefore writes every zero of ``x`` as ``+0.0``, so ``x`` stays
-byte-identical to the full update's.
+scale most rows have a zero there.  A stack of one broadcasts its one pivot
+row over those rows, as a loop over a single tableau would; a larger stack
+gathers each row's own.  The phase-2 tableaus are made row-major in one
+copy, so a pivot reads and writes contiguous rows.  Skipping a row skips
+only ``v - 0 * w``, so the pivot path and every nonzero value match the full
+update, but a zero may keep the sign ``-0.0`` that the full update would
+have cleared.  The solution therefore writes every zero of ``x`` as
+``+0.0``, so ``x`` stays byte-identical to the full update's.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EPS, CapacityError, ConditionalLaw, whole_numbers
+from .model import EPS, CapacityError, ConditionalLaw, whole_number
 
 _FEAS_TOL = 1e-7   # constraint satisfaction at optimality
 _PIVOT_TOL = 1e-9  # reduced-cost / ratio-test threshold
@@ -95,13 +98,6 @@ class LpSolution:
     assignment: dict | None  # column label -> value on its support, labelled problems only
 
 
-def _query_sizes(n: int, cardinality_cap: int | None) -> list:
-    """Allowed query sizes: all of 1..n, or {1..cap, n}."""
-    if cardinality_cap is None:
-        return list(range(1, n + 1))
-    return sorted(set(range(1, min(cardinality_cap, n) + 1)) | {n})
-
-
 def build_lp(law: ConditionalLaw, cardinality_cap: int | None = None) -> LpProblem:
     """The one-step query-design LP for a given conditional law: the batch
     of one of :func:`build_lps`."""
@@ -122,18 +118,16 @@ def build_lps(laws, cardinality_cap: int | None = None) -> list:
     phase-1 tableau :func:`solve` would make exceeds ``TABLEAU_BYTES``.
     """
     if cardinality_cap is not None:
-        try:
-            cardinality_cap = int(whole_numbers(cardinality_cap, "cap", 1, 1 << 62))
-        except (TypeError, ValueError):
-            raise ValueError("cardinality cap must be an integer >= 1, "
-                             f"got {cardinality_cap!r}") from None
+        cardinality_cap = whole_number(cardinality_cap, "cardinality cap", 1, 1 << 62)
     laws = list(laws)
     if not laws:
         return []
     n = laws[0].n
     if any(law.n != n for law in laws):
         raise ValueError("build_lps needs laws over one source count")
-    sizes = _query_sizes(n, cardinality_cap)
+    # the allowed query sizes: all of 1..n, or {1..cap, n}
+    top = n if cardinality_cap is None else min(cardinality_cap, n)
+    sizes = sorted({*range(1, top + 1), n})
     nrows = (1 << n) - 1
     ncols = sum(math.comb(n, k) for k in sizes) + nrows - 1
     if 8 * (nrows + 1) * (ncols + nrows + 1) > TABLEAU_BYTES:
@@ -164,23 +158,20 @@ def build_lps(laws, cardinality_cap: int | None = None) -> list:
     return [LpProblem(c, a, b, columns) for b in rhs]
 
 
-def _pivot(tab: np.ndarray, stack: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-           column: np.ndarray):
-    """Pivot tableau ``stack[k]`` on (``rows[k]``, ``cols[k]``) for every k,
-    given ``column[k] = tab[stack[k], :, cols[k]]`` (which it overwrites),
-    updating only the (tableau, row) pairs with a nonzero factor.  ``tab``
-    is C-contiguous: its rows are written through a reshaped view."""
-    height = tab.shape[1]
-    flat = tab.reshape(-1, tab.shape[2])
+def _pivot(tab: np.ndarray, stack: np.ndarray, rows: np.ndarray, column: np.ndarray):
+    """Pivot tableau ``stack[k]`` on row ``rows[k]`` for every k, given its
+    pivot column ``column[k]`` (which it overwrites), updating only the
+    (tableau, row) pairs with a nonzero factor.  A stack of one broadcasts
+    its pivot row over them; a larger stack gathers the pivot row of each.
+    Every read and write indexes ``tab`` itself, so any layout keeps the
+    update; the solver's tableaus are row-major, so those rows are contiguous."""
     pivots = np.arange(len(stack)), rows
-    at = stack * height + rows
-    pivot_rows = flat[at] / column[pivots][:, None]
-    flat[at] = pivot_rows
+    pivot_rows = tab[stack, rows] / column[pivots][:, None]
+    tab[stack, rows] = pivot_rows
     column[pivots] = 0.0
     k, i = np.nonzero(column)
-    update = pivot_rows[k]
-    update *= column[k, i, None]
-    flat[stack[k] * height + i] -= update
+    tab[stack[k], i] -= column[k, i, None] * (pivot_rows if len(stack) == 1
+                                              else pivot_rows[k])
 
 
 def _scan(ratios: list, basis: list) -> int:
@@ -201,25 +192,24 @@ def _run_simplex(tab: np.ndarray, basis: np.ndarray) -> np.ndarray:
     tableaus are unbounded; the others end optimal."""
     unbounded = np.zeros(len(tab), dtype=bool)
     run = np.arange(len(tab))
-    if not len(run):
-        return unbounded
     for _ in range(MAX_PIVOTS):
-        # the first negative reduced cost enters; the smallest ratio leaves
-        entering = tab[run, -1, :-1] < -_PIVOT_TOL
-        enter = entering.argmax(axis=1)
+        # the first negative reduced cost enters, and the smallest ratio
+        # leaves; a tableau stops when nothing enters (optimal) or nothing
+        # leaves (unbounded)
+        enter = (tab[run, -1, :-1] < -_PIVOT_TOL).argmax(axis=1)
         column = tab[run, :, enter]
         col = column[:, :-1]
         ratio = np.divide(tab[run, :-1, -1], col, out=np.full(col.shape, np.inf),
                           where=col > _PIVOT_TOL)
         best = ratio.min(axis=1, keepdims=True)
-        going = entering.any(axis=1)
+        going = column[:, -1] < -_PIVOT_TOL
         move = going & (best[:, 0] < np.inf)
-        if not move.all():
+        if not (move.all() and len(run)):   # a tableau stops, or none runs
             unbounded[run[going & ~move]] = True
+            if not move.any():
+                return unbounded
             run, enter, column, ratio, best = (
                 run[move], enter[move], column[move], ratio[move], best[move])
-            if not len(run):
-                return unbounded
         # The sequential scan (``_scan``) keeps the smallest ratio, ties
         # within T = 1e-12 going to the smallest basic variable.  Split the
         # rows by their float ``gap`` above the smallest ratio ``best``:
@@ -243,7 +233,7 @@ def _run_simplex(tab: np.ndarray, basis: np.ndarray) -> np.ndarray:
                 rows = np.flatnonzero(ratio[k] < np.inf)
                 leave[k] = rows[_scan(ratio[k, rows].tolist(),
                                       basis[run[k], rows].tolist())]
-        _pivot(tab, run, leave, enter, column)
+        _pivot(tab, run, leave, column)
         basis[run, leave] = enter
     raise IterationLimitError(f"no optimum after {MAX_PIVOTS} pivots")
 
@@ -305,14 +295,14 @@ def _solve_stack(problems: list) -> list:
         found = nonzero.any(axis=1)
         redundant[stack[~found], i] = True
         stack, cols = stack[found], nonzero[found].argmax(axis=1)
-        _pivot(tab, stack, np.full(len(stack), i), cols, tab[stack, :, cols])
+        _pivot(tab, stack, np.full(len(stack), i), tab[stack, :, cols])
         basis[stack, i] = cols
 
     # phase 2 tableaus on the original columns, reduced costs in the last
     # row; a zero row's basic variable is the extra column ncols, of cost
     # +0.0, so subtracting it changes no bit
     c = np.array([p.objective for p in problems])[feasible]
-    tab2 = tab[:, :, np.r_[:ncols, -1]]
+    tab2 = np.take(tab, np.r_[:ncols, -1], axis=2)
     tab2[:, :-1][redundant] = 0.0
     tab2[:, -1, :ncols] = c
     tab2[:, -1, -1] = 0.0

@@ -59,13 +59,19 @@ def whole_numbers(values, what: str, lo: int, hi: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def whole_number(value, what: str, lo: int, hi: int) -> int:
+    """``value`` as an int; ValueError unless it is one integer in [lo, hi)
+    by :func:`whole_numbers`' rule."""
+    arr = numbers(value, what)
+    if arr.ndim or not (arr == np.floor(arr) and lo <= arr < hi):
+        raise ValueError(f"{what} must be at least {lo}, one integer in "
+                         f"[{lo}, {hi}); got {value!r}")
+    return int(arr)
+
+
 def source_count(n, lo: int = 1) -> int:
-    """``n`` as an int; ValueError unless :func:`whole_numbers` finds it one
-    integer in [lo, 2**31)."""
-    try:
-        return int(whole_numbers(n, "n", lo, 1 << 31))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"need n >= {lo} sources: {exc}") from None
+    """``n`` as an int, by :func:`whole_number` in [lo, 2**31)."""
+    return whole_number(n, f"need n >= {lo} sources: n", lo, 1 << 31)
 
 
 def load_json(text):
@@ -267,7 +273,7 @@ def _check_tables(n: int, tables: np.ndarray):
 
 def step_law(model: MarkovModel, k: int) -> ConditionalLaw:
     """The k-step law P^k as a ConditionalLaw (matrix power, k >= 1)."""
-    k = int(whole_numbers(k, "step count", 1, 1 << 53))
+    k = whole_number(k, "step count", 1, 1 << 53)
     # np.linalg.matrix_power squares repeatedly, so large k stays cheap.
     pk = np.linalg.matrix_power(model.p, k)
     pk = np.clip(pk, 0.0, None)

@@ -21,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .model import (ZERO_TOL, CapacityError, ConditionalLaw, MarkovModel,
-                    OrderStats, PrivacyPattern, stacked_order_stats, whole_numbers)
+                    OrderStats, PrivacyPattern, source_count, stacked_order_stats,
+                    whole_number)
 from .scheme import build_batch
 
 POLICIES = ("algorithm1", "naive", "full_download")
@@ -234,7 +235,7 @@ def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
     interned, before any node of that step is made (Monte Carlo simulation
     is the fallback at that size).
     """
-    horizon = int(whole_numbers(horizon, "horizon", 0, len(pattern)))
+    horizon = whole_number(horizon, "horizon", 0, len(pattern))
     graph = _BeliefGraph(model, pattern, policy)
     layer = graph.layer(0, [np.diag(model.pi0)])
     layer[0].prob = 1.0
@@ -263,10 +264,8 @@ class ServerState:
     increasing source order."""
 
     def __init__(self, n: int, msg_bits: int, rng):
-        if msg_bits < 1:
-            raise ValueError(f"msg_bits must be at least 1, got {msg_bits}")
-        self.n = n
-        self.msg_bits = msg_bits
+        self.n = source_count(n)
+        self.msg_bits = msg_bits = whole_number(msg_bits, "msg_bits", 1, 1 << 53)
         self._rng = rng
         nbytes = (msg_bits + 7) // 8
         self._byte_mask = np.full(nbytes, 0xFF, dtype=np.uint8)
@@ -357,8 +356,8 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
     user decodes its request from the slot its query and request give.
     Raises :class:`CapacityError` past ``MAX_BELIEFS`` nodes at a step.
     """
-    episodes = int(whole_numbers(episodes, "episodes", 1, 1 << 53))
-    msg_bits = int(whole_numbers(msg_bits, "msg_bits", 1, 1 << 53))
+    episodes = whole_number(episodes, "episodes", 1, 1 << 53)
+    msg_bits = whole_number(msg_bits, "msg_bits", 1, 1 << 53)
     n = model.n
     if n > 63:
         raise CapacityError(f"{n} sources do not fit the int64 query masks (at most 63)")

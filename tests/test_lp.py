@@ -362,6 +362,24 @@ def test_optimum_matches_reference_formulation(laws):
         assert abs(got - want) <= 1e-12
 
 
+@pytest.mark.parametrize("law", [
+    lambda: step_law(_workload_chain(11, 6), 1),
+    lambda: step_law(_workload_chain(11, 7), 1),
+    lambda: step_law(_workload_chain(11, 8), 1),
+    lambda: step_law(MarkovModel.symmetric(8, 0.3), 1)],
+    ids=["chain-6", "chain-7", "chain-8", "symmetric-8"])
+def test_single_lp_matches_loop_reference_past_five_sources(law):
+    # a stack of one broadcasts its pivot row over hundreds of pivots; the
+    # loop solver gets the set-function LP without its legend
+    problem = build_lp(law())
+    sol = solve(problem)
+    ref = reference_lp.solve(LpProblem(problem.objective, problem.eq_matrix,
+                                       problem.eq_rhs))
+    assert sol.status == ref.status == "optimal"
+    assert sol.x.tobytes() == ref.x.tobytes()
+    assert repr(sol.optimum) == repr(ref.optimum)
+
+
 def test_degenerate_symmetric_six_source_lp_is_fast():
     # symmetric n=6, alpha=0.5: every likelihood ties, which made the
     # (q, x, u) LP take 7079 degenerate pivots; timed in a fresh interpreter,
@@ -487,6 +505,35 @@ def test_solve_batch_edges():
         solve_batch([build_lp(worked_law()), LpProblem([1.0], [[1.0]], [1.0])])
     with pytest.raises(ValueError, match="one source count"):
         build_lps([worked_law(), step_law(MarkovModel.two_state(0.2, 0.2), 1)])
+
+
+@pytest.mark.parametrize("stack,rows", [([1], [2]), ([0, 2], [2, 4])], ids=["one", "two"])
+def test_pivot_leaves_the_same_bytes_on_any_layout(stack, rows):
+    # a column-major stack of three tableaus cannot be reshaped to rows
+    # without a copy; the pivot (on the diagonal) must still land in it
+    rng = np.random.default_rng(91)
+    tab = rng.random((3, 6, 8)) * (rng.random((3, 6, 8)) < 0.7) + np.eye(6, 8)
+    stack, rows = np.array(stack), np.array(rows)
+    pivoted = []
+    for order in "CF":
+        t = np.array(tab, order=order)
+        lp_mod._pivot(t, stack, rows, t[stack, :, rows])
+        pivoted.append(t.tobytes())
+    assert pivoted[0] == pivoted[1] != tab.tobytes()
+
+
+def test_phase_two_tableaus_are_row_major(monkeypatch):
+    layouts = []
+    run_simplex = lp_mod._run_simplex
+
+    def record(tab, basis):
+        layouts.append(tab.flags.c_contiguous)
+        return run_simplex(tab, basis)
+
+    monkeypatch.setattr(lp_mod, "_run_simplex", record)
+    solve(build_lp(worked_law()))
+    solve_batch(build_lps(_per_class_layers()[2]))
+    assert layouts == [True] * 4
 
 
 def test_build_lps_shares_the_matrix_and_matches_one_law_builds():

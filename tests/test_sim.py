@@ -697,6 +697,12 @@ def _ten_episodes(**kw):
     return repr((res.episodes, res.msg_bits, res.q_masks.tolist(), res.oks.tolist()))
 
 
+def _server_messages(n, msg_bits):
+    server = ServerState(n, msg_bits, np.random.default_rng(0))
+    server.advance(4)
+    return repr((server.n, server.msg_bits)), server.messages.tobytes()
+
+
 # Each call's output as a comparable value, given one step count.
 COUNTED = {
     "step_law-k": lambda k: step_law(two_state(), k).table.tobytes(),
@@ -706,15 +712,19 @@ COUNTED = {
         two_state(), PrivacyPattern.from_string("1000"), h)],
     "simulate-episodes": lambda e: _ten_episodes(episodes=e),
     "simulate-msg_bits": lambda b: _ten_episodes(episodes=10, msg_bits=b),
+    "server-n": lambda n: _server_messages(n, 8),
+    "server-msg_bits": lambda b: _server_messages(3, b),
 }
 
 
-@pytest.mark.parametrize("bad", [1.5, "2", True, np.float64(2.5), -1],
-                         ids=["fraction", "str", "bool", "np-fraction", "negative"])
+@pytest.mark.parametrize("bad", [1.5, "2", True, np.float64(2.5), -1, [2]],
+                         ids=["fraction", "str", "bool", "np-fraction", "negative",
+                              "list"])
 @pytest.mark.parametrize("call", COUNTED)
 def test_step_counts_are_whole_numbers(call, bad):
     """Step counts, episodes and message bits follow the readers' integer
-    rule: an integral float is that integer; anything else is a ValueError."""
+    rule: an integral float is that integer; anything else, a list of one
+    integer included, is a ValueError."""
     with pytest.raises(ValueError):
         COUNTED[call](bad)
     assert COUNTED[call](2.0) == COUNTED[call](np.int64(2)) == COUNTED[call](2)
