@@ -17,7 +17,7 @@ import numpy as np
 from . import lp as _lp
 from .model import (CapacityError, ConditionalLaw, MarkovModel, OrderStats,
                     PrivacyPattern, mutual_information_bits, order_stats,
-                    step_law, tau_of)
+                    step_law, tau_of, whole_number)
 from .sim import enumerate_steps
 
 # Most (sum, gap) rows ``two_source_rate_grid`` may return.
@@ -56,8 +56,7 @@ def exact_rate_n2(alpha: float, beta: float, gap: int) -> RateBound:
     1 + |1 - alpha - beta|**gap (gap 0 forces both messages)."""
     if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
         raise ValueError("transition probabilities must lie in [0, 1]")
-    if gap < 0:
-        raise ValueError(f"gap must be >= 0, got {gap}")
+    gap = whole_number(gap, "gap", 0, 1 << 53)
     return RateBound(1.0 + abs(1.0 - alpha - beta) ** gap)
 
 
@@ -157,17 +156,12 @@ def two_source_rate_grid(sums, max_gap: int = 20) -> list:
     Returns (sum, gap, rate) triples; the rate depends on (alpha, beta) only
     through |1 - alpha - beta|, so the sum alone indexes a curve.
     """
-    if max_gap < 0:
-        raise ValueError(f"max_gap must be >= 0, got {max_gap}")
+    max_gap = whole_number(max_gap, "max_gap", 0, 1 << 53)
     if len(sums) * (max_gap + 1) > GRID_ROWS:
         raise CapacityError(f"{len(sums)} sums x {max_gap + 1} gaps exceed "
                             f"{GRID_ROWS} grid rows")
-    rows = []
-    for s in sums:
-        alpha = beta = s / 2.0
-        for gap in range(max_gap + 1):
-            rows.append((float(s), gap, exact_rate_n2(alpha, beta, gap).rate))
-    return rows
+    return [(float(s), gap, exact_rate_n2(s / 2.0, s / 2.0, gap).rate)
+            for s in sums for gap in range(max_gap + 1)]
 
 
 def symmetric_bound_grid(n: int, alphas) -> list:

@@ -192,7 +192,6 @@ def _cmd_simulate(args) -> int:
                              "pattern and a model (an object or a file path)")
         model = (MarkovModel.from_json(cfg["model"]) if isinstance(cfg["model"], dict)
                  else MarkovModel.load(cfg["model"]))
-        # whole_number reads through float, which is exact below 2**53
         episodes, seed, msg_bits = (
             whole_number(cfg.get(key, default), key, 0, 1 << 53)
             for key, default in (("episodes", args.episodes), ("seed", args.seed),

@@ -61,12 +61,15 @@ def whole_numbers(values, what: str, lo: int, hi: int) -> np.ndarray:
 
 def whole_number(value, what: str, lo: int, hi: int) -> int:
     """``value`` as an int; ValueError unless it is one integer in [lo, hi)
-    by :func:`whole_numbers`' rule."""
-    arr = numbers(value, what)
-    if arr.ndim or not (arr == np.floor(arr) and lo <= arr < hi):
+    by :func:`whole_numbers`' rule; an int is read exactly, not as a float."""
+    whole = value
+    if not (type(value) is int or isinstance(value, np.integer)):
+        arr = numbers(value, what)
+        whole = int(arr) if not arr.ndim and float(arr).is_integer() else None
+    if whole is None or not lo <= whole < hi:
         raise ValueError(f"{what} must be at least {lo}, one integer in "
                          f"[{lo}, {hi}); got {value!r}")
-    return int(arr)
+    return int(whole)
 
 
 def source_count(n, lo: int = 1) -> int:

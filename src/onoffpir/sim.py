@@ -148,9 +148,9 @@ class _BeliefGraph:
 
     A node is one step's belief, the posterior joint rounded to 1e-12, so
     histories reaching the same belief share it.  The graph keeps no node:
-    its walker holds the current layer and interns the next one's beliefs in
-    a dict keyed on the rounded belief, then makes their nodes in one call,
-    so a layer is freed once the walk has left it.  Algorithm 1's schemes
+    its walker holds the current layer, and ``step`` interns the next one's
+    beliefs and makes their nodes in one call, so a layer is freed once the
+    walk has left it.  Algorithm 1's schemes
     are memoized by law, first come in node order, each layer's new laws
     built in one batch; the other policies send one fixed scheme.  Only
     ``layer`` reads the pattern: an ON node holds the pivot-reset joint and
@@ -199,28 +199,34 @@ class _BeliefGraph:
             node.scheme = scheme
         return nodes
 
-    def children(self, node: BranchView, ks, beliefs: dict) -> list:
-        """The next layer's indices of the beliefs after ``node``'s
-        candidate queries ``ks``, in order (the Bayes step; at an ON node the
-        full set keeps the reset joint), each interned in ``beliefs`` as
-        (index, pre-query joint) on the rounded belief.  Raises
-        :class:`CapacityError` instead of interning more than
-        ``MAX_BELIEFS`` beliefs."""
-        posts = node.pre_joint * node.scheme.w[ks]
-        flat = posts.reshape(len(posts), self.model.n ** 2)
-        flat /= flat.sum(axis=1, keepdims=True)
-        out = []
-        for pre, rounded in zip(posts @ self.model.p, np.round(flat, 12)):
-            key = rounded.tobytes()
-            got = beliefs.get(key)
-            if got is None:
-                if len(beliefs) >= MAX_BELIEFS:
-                    raise CapacityError(f"more than {MAX_BELIEFS} belief nodes "
-                                        f"at t={node.t + 1}")
-                # a copy: a view would keep every row of the stack alive
-                got = beliefs[key] = (len(beliefs), pre.copy())
-            out.append(got[0])
-        return out
+    def root(self) -> list:
+        """Step 0's layer: one node, the joint diag(pi0), of probability 1."""
+        layer = self.layer(0, [np.diag(self.model.pi0)])
+        layer[0].prob = 1.0
+        return layer
+
+    def step(self, layer: list, ks: list) -> tuple:
+        """Step t + 1's nodes, and each edge's child index among them: node i
+        of step t's ``layer`` sends each query of ``ks[i]``, beliefs interned
+        in that edge order.  Raises :class:`CapacityError` before the belief
+        past ``MAX_BELIEFS`` is stored, before any node of t + 1 is made."""
+        t = layer[0].t + 1
+        beliefs, pres, index = {}, [], []   # beliefs: rounded belief -> index at t
+        for node, node_ks in zip(layer, ks):
+            posts = node.pre_joint * node.scheme.w[node_ks]
+            flat = posts.reshape(len(posts), self.model.n ** 2)
+            flat /= flat.sum(axis=1, keepdims=True)
+            for pre, rounded in zip(posts @ self.model.p, np.round(flat, 12)):
+                key = rounded.tobytes()
+                i = beliefs.get(key)
+                if i is None:
+                    if len(pres) >= MAX_BELIEFS:
+                        raise CapacityError(f"more than {MAX_BELIEFS} belief nodes "
+                                            f"at t={t}")
+                    i = beliefs[key] = len(pres)
+                    pres.append(pre.copy())   # a view would keep the whole stack
+                index.append(i)
+        return self.layer(t, pres), np.array(index, dtype=np.intp)
 
 
 def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
@@ -237,23 +243,16 @@ def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
     """
     horizon = whole_number(horizon, "horizon", 0, len(pattern))
     graph = _BeliefGraph(model, pattern, policy)
-    layer = graph.layer(0, [np.diag(model.pi0)])
-    layer[0].prob = 1.0
+    layer = graph.root()
     for t in range(horizon + 1):
         yield StepView(t, pattern.flags[t], layer)
         if t == horizon:
             return
-        beliefs: dict = {}   # rounded belief -> (index, pre-query joint) at t + 1
-        probs: list = []
-        for node in layer:
-            weights = node.scheme.query_marginal(node.pre_joint)
-            ks = np.flatnonzero(weights > ZERO_TOL)
-            for i, weight in zip(graph.children(node, ks, beliefs), weights[ks]):
-                if i == len(probs):
-                    probs.append(0.0)
-                probs[i] += node.prob * weight
-        layer = graph.layer(t + 1, [pre for _i, pre in beliefs.values()])
-        for node, prob in zip(layer, probs):
+        weights = [node.scheme.query_marginal(node.pre_joint) for node in layer]
+        ks = [np.flatnonzero(w > ZERO_TOL) for w in weights]
+        masses = np.concatenate([node.prob * w[k] for node, w, k in zip(layer, weights, ks)])
+        layer, index = graph.step(layer, ks)
+        for node, prob in zip(layer, np.bincount(index, masses)):   # adds in edge order
             node.prob = prob
 
 
@@ -382,24 +381,24 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
     oks = np.empty(q_masks.shape, dtype=bool)
     taus = pattern.taus
     rows = np.arange(episodes)
-    layer = graph.layer(0, [np.diag(model.pi0)])
+    layer = graph.root()
     at = np.zeros(episodes, dtype=np.intp)   # layer index of each episode's node
+    which = np.empty_like(at)   # index of each episode's query among its node's
     for t in range(horizon + 1):
         x = xs[:, t] = _inverse_cdf(np.cumsum(model.pi0) if t == 0 else p_cum[x],
                                     req_u[:, t])
-        beliefs: dict = {}   # rounded belief -> (index, pre-query joint) at t + 1
-        at_next = np.empty_like(at)
+        kept = []   # each node's distinct queries: the layer's edges, numbered in order
         for i, node in enumerate(layer):
             group = np.flatnonzero(at == i)
             ks = _inverse_cdf(node.scheme.cum[xs[group, taus[t]], x[group]],
                               sch_u[group, t])
             q_masks[group, t] = np.array(node.scheme.y_masks)[ks]
             if t < horizon:
-                kept, which = np.unique(ks, return_inverse=True)
-                at_next[group] = np.array(graph.children(node, kept, beliefs))[which]
+                node_ks, which[group] = np.unique(ks, return_inverse=True)
+                kept.append(node_ks)
         if t < horizon:
-            layer = graph.layer(t + 1, [pre for _i, pre in beliefs.values()])
-            at = at_next
+            layer, index = graph.step(layer, kept)
+            at = index[np.cumsum([0, *map(len, kept)])[at] + which]
 
         # fresh messages, answers, and a bit-exact decode from x's slot
         mask = q_masks[:, t]

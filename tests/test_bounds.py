@@ -84,8 +84,11 @@ def test_exact_n2_fig_points():
 
 
 def test_exact_n2_rejects_negative_gap():
-    with pytest.raises(ValueError):
-        exact_rate_n2(0.2, 0.2, -1)
+    # and any gap that is not one whole number
+    for gap in (-1, 1.5, True, "2", [1], float("nan")):
+        with pytest.raises(ValueError, match="gap"):
+            exact_rate_n2(0.2, 0.2, gap)
+    assert exact_rate_n2(0.2, 0.2, 2.0) == exact_rate_n2(0.2, 0.2, np.int64(2))
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.5, 1.5), (0.2, -0.1),
@@ -96,8 +99,11 @@ def test_exact_n2_rejects_probabilities_outside_unit_interval(alpha, beta):
 
 
 def test_rate_grid_rejects_negative_max_gap():
-    with pytest.raises(ValueError):
-        two_source_rate_grid([0.4], -1)
+    # and any max_gap that is not one whole number
+    for max_gap in (-1, 1.5, True, "2", [1]):
+        with pytest.raises(ValueError, match="max_gap"):
+            two_source_rate_grid([0.4], max_gap)
+    assert two_source_rate_grid([0.4], 2.0) == two_source_rate_grid([0.4], 2)
 
 
 def test_rate_grid_capacity_guard():

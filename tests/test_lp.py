@@ -588,3 +588,15 @@ def test_build_lp_cap_is_a_whole_number():
             build_lp(law, cap)
         with pytest.raises(ValueError, match="cardinality cap"):
             build_lps([law], cap)
+
+
+def test_build_lp_reads_a_cap_near_two_to_the_62_exactly():
+    """A cap just below 2**62 is in range and caps nothing; 2**62 is not."""
+    law = step_law(MarkovModel.symmetric(4, 0.3), 1)
+    capped, free = build_lp(law, 2**62 - 1), build_lp(law)
+    assert capped.columns == free.columns
+    for name in ("objective", "eq_matrix", "eq_rhs"):
+        assert getattr(capped, name).tobytes() == getattr(free, name).tobytes()
+    for cap in (2**62, np.uint64(2**62)):
+        with pytest.raises(ValueError, match="cardinality cap"):
+            build_lp(law, cap)

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 import onoffpir.model as model_mod
 from helpers import law_key, random_law, worked_law
 from onoffpir.model import (CapacityError, ConditionalLaw, MarkovModel,
-                            PrivacyPattern, order_stats, step_law, tau_of)
+                            PrivacyPattern, order_stats, step_law, tau_of,
+                            whole_number)
 
 
 # ---------------------------------------------------------------- validation
@@ -46,6 +47,24 @@ def test_model_and_law_store_an_integral_n_as_int():
         for made in (MarkovModel(n, np.full((2, 2), 0.5), [0.5, 0.5]),
                      ConditionalLaw(n, np.full((2, 2), 0.5))):
             assert type(made.n) is int and made.n == 2
+
+
+def test_whole_number_reads_ints_exactly():
+    """An int, Python's or numpy's, is read without a float round trip;
+    floats, bools, strings and lists keep their rules and messages."""
+    for value in (2**53 + 1, np.int64(2**53 + 1), np.uint64(2**53 + 1)):
+        got = whole_number(value, "x", 0, 1 << 62)
+        assert type(got) is int and got == 9007199254740993
+    assert whole_number(2**62 - 1, "x", 0, 1 << 62) == 2**62 - 1
+    assert whole_number(4.0, "x", 0, 5) == 4
+    for value in (2**62, np.int64(-1), 10**400, 2.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=r"x must be at least 0, one integer in"):
+            whole_number(value, "x", 0, 1 << 62)
+    for value, kind in ((True, "bool"), (np.bool_(True), "bool"), ("3", "str")):
+        with pytest.raises(ValueError, match=f"x must be numbers, not {kind}"):
+            whole_number(value, "x", 0, 5)
+    with pytest.raises(ValueError, match=r"got \[2\]"):
+        whole_number([2], "x", 0, 5)
 
 
 def test_symmetric_model_needs_two_sources():

@@ -31,22 +31,23 @@ def two_state():
 
 def _walk(model, pattern, horizon, off_only=True):
     """The views of an exact enumeration and its edges (parent, incoming
-    query mask, child), recorded from ``_BeliefGraph.children``, the graph's
-    one Bayes step, which gives each child's index in the next layer; with
+    query mask, child), recorded from ``_BeliefGraph.step``, the graph's one
+    Bayes step, which gives each edge's child in the next layer; with
     ``off_only`` just the edges out of OFF nodes."""
     edges = []
-    step = sim_mod._BeliefGraph.children
+    step = sim_mod._BeliefGraph.step
 
-    def children(graph, node, ks, beliefs):
-        got = step(graph, node, ks, beliefs)
-        if not (off_only and pattern.flags[node.t]):
-            edges.extend((node, node.scheme.y_masks[k], i) for k, i in zip(ks, got))
-        return got
+    def recorded(graph, layer, ks):
+        nxt, index = step(graph, layer, ks)
+        parents = [(node, k) for node, node_ks in zip(layer, ks) for k in node_ks]
+        edges.extend((node, node.scheme.y_masks[k], nxt[i])
+                     for (node, k), i in zip(parents, index)
+                     if not (off_only and pattern.flags[node.t]))
+        return nxt, index
 
-    with mock.patch.object(sim_mod._BeliefGraph, "children", children):
+    with mock.patch.object(sim_mod._BeliefGraph, "step", recorded):
         views = list(enumerate_steps(model, pattern, horizon))
-    return views, [(node, mask, views[node.t + 1].branches[i])
-                   for node, mask, i in edges]
+    return views, edges
 
 
 def test_belief_initial_is_diagonal():
@@ -382,35 +383,74 @@ def test_order_stats_one_stacked_pass_per_off_layer(monkeypatch):
     assert len(passes) == sum(not f for f in pattern.flags)
 
 
-def test_children_match_one_bayes_step_per_query():
-    """A node's kept posteriors, made at once, are interned in query order
-    with the bytes of one Bayes step per query, repeats of a belief
-    sharing its index."""
+def test_step_interns_a_layer_in_edge_order():
+    """``step`` interns a layer's beliefs in edge order, node by node and
+    query by query, with the bytes of one Bayes step per query: a query
+    repeated within a node, and edges of two nodes reaching one belief,
+    share its index."""
     rng = np.random.default_rng(41)
-    for n in (2, 3, 5, 9):
-        m = MarkovModel(n, random_law(rng, n, ties=n > 3).table, rng.dirichlet(np.ones(n)))
-        views = list(enumerate_steps(m, PrivacyPattern.from_string("1000"), 2))
-        graph = sim_mod._BeliefGraph(m, PrivacyPattern.from_string("1000"), "algorithm1")
-        for node in views[1].branches + views[2].branches:
-            weights = node.scheme.query_marginal(node.pre_joint)
-            ks = np.flatnonzero(weights > ZERO_TOL)
-            ks = np.concatenate([ks, ks[:1]])    # a repeated query
-            beliefs: dict = {"seen": (0, None)}
-            got = graph.children(node, ks, beliefs)
-            want: dict = {"seen": (0, None)}
-            want_index = []
-            for k in ks:
-                post = node.pre_joint * node.scheme.w[k]
-                post /= post.sum()
-                key = np.round(post, 12).tobytes()
-                want.setdefault(key, (len(want), post @ m.p))
-                want_index.append(want[key][0])
-            assert got == want_index
-            assert list(beliefs) == list(want)
-            for key, (i, pre) in want.items():
-                assert beliefs[key][0] == i
-                if pre is not None:
-                    assert beliefs[key][1].tobytes() == pre.tobytes()
+    models = [MarkovModel(n, random_law(rng, n, ties=n > 3).table, rng.dirichlet(np.ones(n)))
+              for n in (2, 3, 5, 9)]
+    models.append(MarkovModel.symmetric(8, 0.3))
+    pattern = PrivacyPattern.from_string("1000")
+    shared = 0   # children reached from more than one node
+    for m in models:
+        views = list(enumerate_steps(m, pattern, 2))
+        graph = sim_mod._BeliefGraph(m, pattern, "algorithm1")
+        for layer in (views[1].branches, views[2].branches):
+            ks = [np.flatnonzero(node.scheme.query_marginal(node.pre_joint) > ZERO_TOL)
+                  for node in layer]
+            ks[0] = np.concatenate([ks[0], ks[0][:1]])    # a repeated query
+            nxt, index = graph.step(layer, ks)
+            want: dict = {}   # rounded belief -> (index, pre-query joint)
+            want_index, parents = [], {}
+            for node, node_ks in zip(layer, ks):
+                for k in node_ks:
+                    post = node.pre_joint * node.scheme.w[k]
+                    post /= post.sum()
+                    key = np.round(post, 12).tobytes()
+                    want.setdefault(key, (len(want), post @ m.p))
+                    want_index.append(want[key][0])
+                    parents.setdefault(want[key][0], set()).add(id(node))
+            assert index.dtype == np.intp and index.tolist() == want_index
+            assert index[len(ks[0]) - 1] == index[0]
+            assert [node.t for node in nxt] == [layer[0].t + 1] * len(want)
+            for node, (i, pre) in zip(nxt, want.values()):
+                assert node is nxt[i] and node.pre_joint.tobytes() == pre.tobytes()
+            shared += sum(len(ids) > 1 for ids in parents.values())
+    assert shared > 0
+
+
+@pytest.mark.parametrize("n, pattern", [(2, "100100"), (3, "10010"), (4, "1000"),
+                                        (5, "1000"), (6, "1000"), (8, "1000")])
+def test_enumeration_masses_add_in_edge_order(n, pattern):
+    """Each node's probability is, bit for bit, the sum of its incoming
+    edges' masses (parent probability times query probability) added one
+    at a time in edge order; the n = 8 walk merges beliefs."""
+    rng = np.random.default_rng(7 + n)
+    m = (MarkovModel.symmetric(n, 0.3) if n == 8 else
+         MarkovModel(n, random_law(rng, n).table, rng.dirichlet(np.ones(n))))
+    steps = []
+    step = sim_mod._BeliefGraph.step
+
+    def recorded(graph, layer, ks):
+        nxt, index = step(graph, layer, ks)
+        steps.append((layer, ks, nxt, index))
+        return nxt, index
+
+    pat = PrivacyPattern.from_string(pattern)
+    with mock.patch.object(sim_mod._BeliefGraph, "step", recorded):
+        list(enumerate_steps(m, pat, len(pat) - 1))
+    assert len(steps) == len(pat) - 1
+    for layer, ks, nxt, index in steps:
+        want = [0.0] * len(nxt)
+        edges = ((node, k) for node, node_ks in zip(layer, ks) for k in node_ks)
+        for (node, k), i in zip(edges, index.tolist()):
+            weight = float(node.scheme.query_marginal(node.pre_joint)[k])
+            want[i] += float(node.prob) * weight
+        assert [float(node.prob).hex() for node in nxt] == [p.hex() for p in want]
+    if n == 8:
+        assert any(len(nxt) < len(index) for _l, _k, nxt, index in steps)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
