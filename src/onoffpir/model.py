@@ -227,6 +227,7 @@ class PrivacyPattern:
 
 def tau_of(pattern: PrivacyPattern, t: int) -> int:
     """Most recent time <= t at which privacy was ON (defined since flag 0 is ON)."""
+    t = whole_number(t, "step t", -(1 << 63), 1 << 63)
     if t < 0 or t >= len(pattern):
         raise IndexError(f"t={t} outside pattern of length {len(pattern)}")
     return int(pattern.taus[t])

@@ -336,21 +336,19 @@ def build_query_distribution(law: ConditionalLaw,
     cardinality law equals the theta increments, so the expected multiset
     cardinality meets the inner bound with equality.
     """
-    return build_batch([law], [order_stats(law) if stats is None else stats])[0]
+    return build_batch(law.table[None], [order_stats(law) if stats is None else stats])[0]
 
 
-def build_batch(laws: list, stats: list):
-    """:func:`build_query_distribution` of laws over one n, given their
-    order statistics: the lane loop per law, then one expansion and one
-    assembly for all.  Returns ``(whole, row_law)``: count row q of
+def build_batch(tables: np.ndarray, stats: list):
+    """:func:`build_query_distribution` of an (L, n, n) stack of law tables,
+    given their order statistics: the lane loop per law, then one expansion
+    and one assembly for all.  Returns ``(whole, row_law)``: count row q of
     ``whole`` and its entries are law ``row_law[q]``'s, the laws in order,
     and each law's part is the self-checked distribution its build alone
     gives."""
-    n = laws[0].n
-    for law, _law_stats in zip(laws, stats, strict=True):
-        if law.n != n:
-            raise ValueError(f"a batch of laws over n={n} holds one over n={law.n}")
-    tables = np.stack([law.table for law in laws])
+    if len(stats) != len(tables):
+        raise ValueError(f"{len(stats)} order statistics for {len(tables)} law tables")
+    n = tables.shape[-1]
     orderings = np.stack([law_stats.orderings for law_stats in stats])
     deltas = np.stack([law_stats.deltas for law_stats in stats])
     # sorted_likes[l, x, i] = p(x | u^(x, i+1)) of law l.  targets[l, x, c - 1]
@@ -379,7 +377,7 @@ def build_batch(laws: list, stats: list):
         chain.from_iterable(rounds), float, 3 * n_rounds).reshape(n_rounds, 3).T
     round_x, lanes = round_x.astype(np.int64), lanes.astype(np.int64) - 1
     del rounds, deltas, sorted_likes, targets, q_mats   # the entries come next
-    round_law = np.repeat(np.arange(len(laws)), np.diff(law_rounds, prepend=0))
+    round_law = np.repeat(np.arange(len(tables)), np.diff(law_rounds, prepend=0))
     lane_round = np.repeat(np.arange(n_rounds), lanes)
     lane_rank = np.arange(len(lane_round)) - np.repeat(np.cumsum(lanes) - lanes, lanes)
     lane_pivot = orderings[round_law[lane_round], round_x[lane_round], lane_rank]

@@ -77,13 +77,13 @@ class StepScheme:
         return np.einsum("ux,kux->k", pre_joint, self.w)
 
 
-def _algorithm1_batch(laws: list, stats: list) -> list:
-    """Algorithm 1's schemes of laws over one n, built together: each
-    multiset entry summed into its (support, u, x) cell in entry order, as
-    the set projection sums it, over p(x | u)."""
-    if not laws:
+def _algorithm1_batch(tables: np.ndarray, stats: list) -> list:
+    """Algorithm 1's schemes of an (L, n, n) stack of law tables, built
+    together: each multiset entry summed into its (support, u, x) cell in
+    entry order, as the set projection sums it, over p(x | u)."""
+    if not len(tables):
         return []
-    dist, row_law = build_batch(laws, stats)
+    dist, row_law = build_batch(tables, stats)
     n = dist.n
     # Each count row's law and support mask as one key, law * 2^n + mask, in
     # object dtype so that masks beyond 63 sources stay exact Python ints.
@@ -93,10 +93,10 @@ def _algorithm1_batch(laws: list, stats: list) -> list:
     cells, probs = (k[dist.qidx] * n + dist.us) * n + dist.xs, dist.probs
     del dist, row_law, supports, k   # the layer's entries go before its tables come
     w = np.bincount(cells, probs, len(keys) * n * n).reshape(len(keys), n, n)
-    cut = np.searchsorted((keys >> n).astype(np.int64), np.arange(len(laws) + 1)).tolist()
+    cut = np.searchsorted((keys >> n).astype(np.int64), np.arange(len(tables) + 1)).tolist()
     with np.errstate(invalid="ignore", divide="ignore"):
-        for law, a, b in zip(laws, cut[:-1], cut[1:]):
-            w[a:b] /= law.table
+        for table, a, b in zip(tables, cut[:-1], cut[1:]):
+            w[a:b] /= table
     w[~np.isfinite(w)] = 0.0
     np.clip(w, 0.0, 1.0, out=w)
     masks = (keys & ((1 << n) - 1)).tolist()
@@ -167,65 +167,59 @@ class _BeliefGraph:
                        self._full if policy == "full_download" else None)
         self._schemes: dict = {}   # law table rounded to 1e-12, as bytes -> scheme
 
-    def _schemes_of(self, nodes: list, tables: np.ndarray) -> list:
-        """The schemes of OFF ``nodes``, whose law tables are ``tables``, in
-        order; a law new to the memo is built from its first node's ``law``
-        and ``stats``."""
+    def _schemes_of(self, tables: np.ndarray, stats: list) -> list:
+        """The schemes of an OFF layer's law ``tables``, in order; a law new
+        to the memo is built from its first row and that row's ``stats``."""
         if self._fixed is not None:
-            return [self._fixed] * len(nodes)
+            return [self._fixed] * len(tables)
         keys = [row.tobytes() for row in np.round(tables, 12)]
-        new: dict = {}   # key -> its first node, for keys not memoized
-        for key, node in zip(keys, nodes):
+        new: dict = {}   # key -> its first row, for keys not memoized
+        for i, key in enumerate(keys):
             if key not in self._schemes:
-                new.setdefault(key, node)
-        built = _algorithm1_batch([node.law for node in new.values()],
-                                  [node.stats for node in new.values()])
+                new.setdefault(key, i)
+        rows = list(new.values())
+        built = _algorithm1_batch(tables[rows], [stats[i] for i in rows])
         self._schemes.update(zip(new, built))
         return [self._schemes[key] for key in keys]
 
-    def layer(self, t: int, pres: list) -> list:
-        """Step t's nodes, one per belief in ``pres``, each the joint of the
-        pivot and step t's request before step t's query, in order.  An OFF
-        layer's laws and order statistics are made in one pass each."""
-        if self.pattern.flags[t]:
-            return [BranchView(t, np.diag(pre.sum(axis=0)), None, None, self._full)
-                    for pre in pres]
-        tables = _law_from_joint(np.stack(pres))
-        laws = ConditionalLaw.stack(tables)
+    def layer(self, t: int, pres: np.ndarray) -> list:
+        """Step t's nodes, one per joint of the (L, n, n) stack ``pres``, each
+        of the pivot and step t's request before step t's query, in order.
+        An OFF layer's laws and order statistics are made in one pass each."""
+        if self.pattern.flags[t]:   # the current-request marginal on the diagonal
+            return [BranchView(t, joint, None, None, self._full)
+                    for joint in pres.sum(axis=1)[:, None] * np.eye(self.model.n)]
+        tables = _law_from_joint(pres)
         stats = stacked_order_stats(tables)
-        nodes = [BranchView(t, pre, law, law_stats, None)
-                 for pre, law, law_stats in zip(pres, laws, stats)]
-        for node, scheme in zip(nodes, self._schemes_of(nodes, tables)):
-            node.scheme = scheme
-        return nodes
+        return [BranchView(t, *fields) for fields in zip(
+            pres, ConditionalLaw.stack(tables), stats, self._schemes_of(tables, stats))]
 
     def root(self) -> list:
         """Step 0's layer: one node, the joint diag(pi0), of probability 1."""
-        layer = self.layer(0, [np.diag(self.model.pi0)])
+        layer = self.layer(0, np.diag(self.model.pi0)[None])
         layer[0].prob = 1.0
         return layer
 
     def step(self, layer: list, ks: list) -> tuple:
         """Step t + 1's nodes, and each edge's child index among them: node i
         of step t's ``layer`` sends each query of ``ks[i]``, beliefs interned
-        in that edge order.  Raises :class:`CapacityError` before the belief
-        past ``MAX_BELIEFS`` is stored, before any node of t + 1 is made."""
+        in that edge order.  Raises :class:`CapacityError` at the belief past
+        ``MAX_BELIEFS``, before any node of t + 1 is made."""
         t = layer[0].t + 1
-        beliefs, pres, index = {}, [], []   # beliefs: rounded belief -> index at t
-        for node, node_ks in zip(layer, ks):
-            posts = node.pre_joint * node.scheme.w[node_ks]
-            flat = posts.reshape(len(posts), self.model.n ** 2)
-            flat /= flat.sum(axis=1, keepdims=True)
-            for pre, rounded in zip(posts @ self.model.p, np.round(flat, 12)):
-                key = rounded.tobytes()
-                i = beliefs.get(key)
-                if i is None:
-                    if len(pres) >= MAX_BELIEFS:
-                        raise CapacityError(f"more than {MAX_BELIEFS} belief nodes "
-                                            f"at t={t}")
-                    i = beliefs[key] = len(pres)
-                    pres.append(pre.copy())   # a view would keep the whole stack
-                index.append(i)
+        posts = np.concatenate([node.pre_joint * node.scheme.w[node_ks]
+                                for node, node_ks in zip(layer, ks)])
+        flat = posts.reshape(len(posts), self.model.n ** 2)
+        flat /= flat.sum(axis=1, keepdims=True)
+        beliefs, firsts, index = {}, [], []   # beliefs: rounded belief -> index at t
+        for edge, rounded in enumerate(np.round(flat, 12)):
+            i = beliefs.setdefault(rounded.tobytes(), len(firsts))
+            if i == len(firsts):
+                if i >= MAX_BELIEFS:
+                    raise CapacityError(f"more than {MAX_BELIEFS} belief nodes at t={t}")
+                firsts.append(edge)
+            index.append(i)
+        pres = posts[firsts] @ self.model.p
+        del posts, flat, rounded   # the edges go before the layer's schemes come
         return self.layer(t, pres), np.array(index, dtype=np.intp)
 
 
@@ -357,6 +351,7 @@ def simulate(model: MarkovModel, pattern: PrivacyPattern, episodes: int,
     """
     episodes = whole_number(episodes, "episodes", 1, 1 << 53)
     msg_bits = whole_number(msg_bits, "msg_bits", 1, 1 << 53)
+    seed = whole_number(seed, "seed", 0, 1 << 128)
     n = model.n
     if n > 63:
         raise CapacityError(f"{n} sources do not fit the int64 query masks (at most 63)")
@@ -438,6 +433,7 @@ def empirical_privacy_audit(result: SimulationResult, t: int) -> ChiSquareAudit:
     from scipy.special import chdtrc
 
     masks, taus = result.q_masks, result.x_taus
+    t = whole_number(t, "step t", -(1 << 63), 1 << 63)
     if not 0 <= t < masks.shape[1]:
         raise IndexError(f"step {t} outside the simulated horizon")
 

@@ -99,7 +99,7 @@ def law_part(whole: QueryDistribution, row_law, j: int) -> QueryDistribution:
 
 def scheme_algorithm1(law: ConditionalLaw) -> StepScheme:
     """Algorithm 1's scheme of one law: ``sim._algorithm1_batch`` of one."""
-    return _algorithm1_batch([law], [order_stats(law)])[0]
+    return _algorithm1_batch(law.table[None], [order_stats(law)])[0]
 
 
 def mutual_information_kl_bits(joint: np.ndarray) -> float:

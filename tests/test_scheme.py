@@ -131,7 +131,7 @@ def test_batch_self_check_catches_each_identity_in_one_law(identity, message):
     rng = np.random.default_rng(5)
     laws = [random_law(rng, 3), worked_law(), random_law(rng, 3, ties=True)]
     stats = [order_stats(law) for law in laws]
-    whole, row_law = build_batch(laws, stats)
+    whole, row_law = build_batch(np.stack([law.table for law in laws]), stats)
     _check_built(whole, row_law, *_stacks(laws, stats))
     tampered, laws[1], stats[1] = _tamper(identity, whole,
                                           int(np.argmax(row_law[whole.qidx] == 1)),
@@ -632,7 +632,7 @@ def test_unchecked_records_are_as_constructed():
         _assert_as_constructed(law_stats, OrderStats(
             law_stats.n, law_stats.orderings.copy(), law_stats.lambdas.copy(),
             law_stats.thetas.copy(), law_stats.sigma, law_stats.deltas.copy()))
-    whole = build_batch(laws, stats)[0]
+    whole = build_batch(tables.copy(), stats)[0]
     dists = [whole, project_to_sets(whole),
              QueryDistribution.from_items(whole.n, whole.entry_tuples()),
              _scan(whole.to_json())]

@@ -9,9 +9,9 @@ import onoffpir.scheme as scheme_mod
 import onoffpir.sim as sim_mod
 import reference_builder
 import reference_model
-from reference_sim import EpisodeServer
+from reference_sim import EpisodeServer, reference_simulate
 from helpers import (law_key, law_part, never_the_request, random_law,
-                     scheme_algorithm1, worked_law)
+                     scheme_algorithm1, workload_table, worked_law)
 from onoffpir.bounds import bounds_over_horizon
 from onoffpir.model import (ZERO_TOL, CapacityError, ConditionalLaw,
                             MarkovModel, PrivacyPattern, order_stats, step_law,
@@ -289,8 +289,9 @@ def test_layer_batch_matches_per_law_builds(monkeypatch):
         laws = _layer_laws(rng, n)
         stats = [order_stats(law) for law in laws]
         assert any(st.sigma == n for st in stats)
-        cuts = build_batch(laws, stats)
-        schemes = sim_mod._algorithm1_batch(laws, stats)
+        tables = np.stack([law.table for law in laws])
+        cuts = build_batch(tables, stats)
+        schemes = sim_mod._algorithm1_batch(tables, stats)
         assert len(schemes) == len(laws)
         for j, (law, scheme) in enumerate(zip(laws, schemes)):
             got = law_part(*cuts, j)
@@ -316,8 +317,8 @@ def test_layer_memo_keys_are_the_law_keys():
         laws = _layer_laws(rng, n)
         m = MarkovModel(n, laws[0].table, np.full(n, 1 / n))
         graph = sim_mod._BeliefGraph(m, PrivacyPattern.from_string("10"), "algorithm1")
-        got = graph._schemes_of([sim_mod.BranchView(1, None, law, order_stats(law), None)
-                                 for law in laws], np.stack([law.table for law in laws]))
+        got = graph._schemes_of(np.stack([law.table for law in laws]),
+                                [order_stats(law) for law in laws])
         keys = [law_key(law) for law in laws]
         assert len(set(keys)) < len(keys)   # the twin shares its key
         assert list(graph._schemes) == list(dict.fromkeys(keys))
@@ -335,8 +336,8 @@ def test_layer_memo_is_first_come_in_node_order():
     graph = sim_mod._BeliefGraph(m, PrivacyPattern.from_string("10"), "algorithm1")
     for laws in ([first, twin], [twin, first]):
         graph._schemes.clear()
-        got = graph._schemes_of([sim_mod.BranchView(1, None, law, order_stats(law), None)
-                                 for law in laws], np.stack([law.table for law in laws]))
+        got = graph._schemes_of(np.stack([law.table for law in laws]),
+                                [order_stats(law) for law in laws])
         assert got[0] is got[1] and len(graph._schemes) == 1
         assert got[0].w.tobytes() == scheme_algorithm1(laws[0]).w.tobytes()
 
@@ -383,25 +384,37 @@ def test_order_stats_one_stacked_pass_per_off_layer(monkeypatch):
     assert len(passes) == sum(not f for f in pattern.flags)
 
 
-def test_step_interns_a_layer_in_edge_order():
+def test_step_interns_a_layer_in_edge_order(monkeypatch):
     """``step`` interns a layer's beliefs in edge order, node by node and
     query by query, with the bytes of one Bayes step per query: a query
     repeated within a node, and edges of two nodes reaching one belief,
-    share its index."""
+    share its index.  One n = 20 layer covers more than the benchmark's
+    sizes; with ``MAX_BELIEFS`` at a layer's belief count the step returns,
+    and one below it raises before the next layer is made."""
     rng = np.random.default_rng(41)
     models = [MarkovModel(n, random_law(rng, n, ties=n > 3).table, rng.dirichlet(np.ones(n)))
               for n in (2, 3, 5, 9)]
     models.append(MarkovModel.symmetric(8, 0.3))
+    models.append(MarkovModel(20, workload_table(11, 20), np.full(20, 1 / 20)))
     pattern = PrivacyPattern.from_string("1000")
     shared = 0   # children reached from more than one node
+    made = []   # the layers step made, by their times
+    layer_of = sim_mod._BeliefGraph.layer
+
+    def recorded(graph, t, pres):
+        made.append(t)
+        return layer_of(graph, t, pres)
+    monkeypatch.setattr(sim_mod._BeliefGraph, "layer", recorded)
     for m in models:
-        views = list(enumerate_steps(m, pattern, 2))
+        views = list(enumerate_steps(m, pattern, 1 if m.n == 20 else 2))
         graph = sim_mod._BeliefGraph(m, pattern, "algorithm1")
-        for layer in (views[1].branches, views[2].branches):
+        for layer in [view.branches for view in views[1:]]:
             ks = [np.flatnonzero(node.scheme.query_marginal(node.pre_joint) > ZERO_TOL)
                   for node in layer]
             ks[0] = np.concatenate([ks[0], ks[0][:1]])    # a repeated query
+            made.clear()
             nxt, index = graph.step(layer, ks)
+            assert made == [layer[0].t + 1]
             want: dict = {}   # rounded belief -> (index, pre-query joint)
             want_index, parents = [], {}
             for node, node_ks in zip(layer, ks):
@@ -418,6 +431,15 @@ def test_step_interns_a_layer_in_edge_order():
             for node, (i, pre) in zip(nxt, want.values()):
                 assert node is nxt[i] and node.pre_joint.tobytes() == pre.tobytes()
             shared += sum(len(ids) > 1 for ids in parents.values())
+        if m.n == 20:
+            assert len(index) == 336   # 335 edges and the repeated query
+            monkeypatch.setattr(sim_mod, "MAX_BELIEFS", len(nxt))
+            assert len(graph.step(layer, ks)[0]) == len(nxt)
+            monkeypatch.setattr(sim_mod, "MAX_BELIEFS", len(nxt) - 1)
+            made.clear()
+            with pytest.raises(CapacityError, match=f"more than {len(nxt) - 1} belief"):
+                graph.step(layer, ks)
+            assert made == []
     assert shared > 0
 
 
@@ -465,14 +487,18 @@ def test_bad_joint_in_a_layer_raises_as_its_law_alone(bad):
     with pytest.raises(ValueError) as alone:
         reference_model.law_from_joint(broken)
     with pytest.raises(ValueError) as stacked:
-        graph.layer(1, [good, broken, good])
+        graph.layer(1, np.stack([good, broken, good]))
     assert str(stacked.value) == str(alone.value) == "law entries must be finite"
 
 
-def test_batch_laws_share_one_size():
-    laws = [random_law(np.random.default_rng(2), n) for n in (3, 4)]
-    with pytest.raises(ValueError, match="n=3 holds one over n=4"):
-        build_batch(laws, [order_stats(law) for law in laws])
+def test_batch_takes_one_stats_per_table():
+    """A batch with more or fewer order statistics than law tables raises
+    ValueError before any work."""
+    laws = [random_law(np.random.default_rng(2), 3) for _ in range(3)]
+    tables, stats = np.stack([law.table for law in laws]), [order_stats(law) for law in laws]
+    for bad in (stats[:2], stats + stats[:1]):
+        with pytest.raises(ValueError, match=f"{len(bad)} order statistics for 3 law tables"):
+            build_batch(tables, bad)
 
 
 @pytest.mark.parametrize("n", [2, 5, 70])
@@ -752,6 +778,8 @@ COUNTED = {
         two_state(), PrivacyPattern.from_string("1000"), h)],
     "simulate-episodes": lambda e: _ten_episodes(episodes=e),
     "simulate-msg_bits": lambda b: _ten_episodes(episodes=10, msg_bits=b),
+    "simulate-seed": lambda s: repr(simulate(two_state(), PrivacyPattern.from_string("100"),
+                                             10, seed=s).summary()),
     "server-n": lambda n: _server_messages(n, 8),
     "server-msg_bits": lambda b: _server_messages(3, b),
 }
@@ -762,8 +790,8 @@ COUNTED = {
                               "list"])
 @pytest.mark.parametrize("call", COUNTED)
 def test_step_counts_are_whole_numbers(call, bad):
-    """Step counts, episodes and message bits follow the readers' integer
-    rule: an integral float is that integer; anything else, a list of one
+    """Step counts, episodes, message bits and the seed follow the readers'
+    integer rule: an integral float is that integer; anything else, a list of one
     integer included, is a ValueError."""
     with pytest.raises(ValueError):
         COUNTED[call](bad)
@@ -855,6 +883,36 @@ def test_privacy_audit_rejects_negative_step():
     for t in (-1, -4, -5):
         with pytest.raises(IndexError):
             empirical_privacy_audit(res, t)
+
+
+def test_simulate_reads_large_int_seeds_exactly():
+    """An int seed past 2^53 reaches numpy exactly, as the per-episode
+    reference passes it, and is echoed as that int; 2^128 is refused."""
+    pattern = PrivacyPattern.from_string("100")
+    with pytest.raises(ValueError, match="seed"):
+        simulate(two_state(), pattern, 10, seed=1 << 128)
+    for seed in ((1 << 53) + 1, 1 << 64):
+        got = simulate(two_state(), pattern, 50, seed=seed)
+        want = reference_simulate(two_state(), pattern, 50, seed=seed)
+        assert got.summary()["seed"] == seed and type(got.seed) is int
+        assert got.q_masks.tobytes() == want.q_masks.tobytes()
+        assert got.xs.tobytes() == want.xs.tobytes()
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "1", [1]])
+def test_step_index_is_a_whole_number(bad):
+    """``tau_of`` and ``empirical_privacy_audit`` read the step index by the
+    integer rule: a non-integer raises ValueError, on one episode too,
+    where a bool would index the arrays as a mask; 1.0 is step 1."""
+    pattern = PrivacyPattern.from_string("1000")
+    for episodes in (1, 50):
+        res = simulate(two_state(), pattern, episodes, seed=17)
+        with pytest.raises(ValueError, match="step t"):
+            empirical_privacy_audit(res, bad)
+        assert empirical_privacy_audit(res, 1.0) == empirical_privacy_audit(res, 1)
+    with pytest.raises(ValueError, match="step t"):
+        tau_of(pattern, bad)
+    assert tau_of(pattern, 2.0) == tau_of(pattern, 2) == 0
 
 
 def test_summary_fields():
