@@ -18,7 +18,7 @@ from . import lp as _lp
 from .model import (CapacityError, ConditionalLaw, MarkovModel, OrderStats,
                     PrivacyPattern, mutual_information_bits, order_stats,
                     step_law, tau_of, whole_number)
-from .sim import enumerate_steps
+from .sim import enumerate_steps, stacked_einsum
 
 # Most (sum, gap) rows ``two_source_rate_grid`` may return.
 GRID_ROWS = 1 << 20
@@ -43,12 +43,14 @@ def outer_bound_2(law: ConditionalLaw) -> RateBound:
 def inner_bound_first_off_step(law: ConditionalLaw) -> RateBound:
     """Achievable cost of the built scheme on the first OFF step, where the
     query history is the single deterministic full-set class."""
-    return RateBound(_inner_cost(order_stats(law)))
+    return RateBound(_inner_costs([order_stats(law)])[0])
 
 
-def _inner_cost(stats: OrderStats) -> float:
-    """The built scheme's expected multiset size, sum_i i * theta_i."""
-    return float(np.arange(1, stats.n + 1, dtype=float) @ stats.thetas)
+def _inner_costs(stats: list) -> list:
+    """Each built scheme's expected multiset size, sum_i i * theta_i, one
+    dot per law: one matmul over the stack gives other bits."""
+    levels = np.arange(1, stats[0].n + 1, dtype=float)
+    return [float(levels @ s.thetas) for s in stats]
 
 
 def exact_rate_n2(alpha: float, beta: float, gap: int) -> RateBound:
@@ -110,12 +112,16 @@ def bounds_over_horizon(model: MarkovModel, pattern: PrivacyPattern,
             rows.append(HorizonRow(t, True, outer2, float(n), float(n), exact,
                                    float(n) if with_lp else None))
             continue
+        # each branch's bounds and leakage, with the bits it gives alone, in
+        # one pass per layer or K group; the sums over branches in branch order
+        outer1s = np.array([br.law.table for br in view.branches]).max(axis=1).sum(axis=1)
+        inners = _inner_costs([br.stats for br in view.branches])
+        leaks = stacked_einsum(view.branches, "bux,bkux->buk", mutual_information_bits)
         outer1 = inner = lp_opt = mi = 0.0
-        for br in view.branches:
-            outer1 += br.prob * outer_bound_2(br.law).inverse_rate
-            inner += br.prob * _inner_cost(br.stats)
-            mi += br.prob * mutual_information_bits(
-                np.einsum("ux,kux->uk", br.pre_joint, br.scheme.w))
+        for br, bound, cost, leak in zip(view.branches, outer1s.tolist(), inners, leaks):
+            outer1 += br.prob * bound
+            inner += br.prob * cost
+            mi += br.prob * leak
         if with_lp:
             sols = _lp.solve_batch(_lp.build_lps([br.law for br in view.branches]))
             for br, sol in zip(view.branches, sols):

@@ -192,10 +192,11 @@ def _cmd_simulate(args) -> int:
                              "pattern and a model (an object or a file path)")
         model = (MarkovModel.from_json(cfg["model"]) if isinstance(cfg["model"], dict)
                  else MarkovModel.load(cfg["model"]))
+        # the seed in simulate's range, [0, 2**128), before the pattern reads it
         episodes, seed, msg_bits = (
-            whole_number(cfg.get(key, default), key, 0, 1 << 53)
-            for key, default in (("episodes", args.episodes), ("seed", args.seed),
-                                 ("L", args.msg_bits)))
+            whole_number(cfg.get(key, default), key, 0, 1 << bits)
+            for key, default, bits in (("episodes", args.episodes, 53),
+                                       ("seed", args.seed, 128), ("L", args.msg_bits, 53)))
         pattern = _load_pattern(cfg["pattern"], seed)
         policy = cfg.get("policy", args.policy)
     else:

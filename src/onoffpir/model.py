@@ -362,15 +362,32 @@ def stacked_order_stats(tables: np.ndarray) -> list:
                       sigmas.tolist(), deltas)
 
 
-def entropy_bits(p: np.ndarray) -> float:
-    """Shannon entropy in bits with the 0 log 0 = 0 convention."""
-    p = np.asarray(p, dtype=float).ravel()
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+def entropy_bits(p: np.ndarray):
+    """Shannon entropy in bits with the 0 log 0 = 0 convention, as a float;
+    of each row of a 2-D ``p``, as an array.  The rows with one count of
+    positive cells are summed in one pass: their terms form one 2-D array,
+    whose contiguous rows numpy sums each as it sums that row alone, so each
+    row's bits are its own entropy's."""
+    p = np.asarray(p, dtype=float)
+    rows = p if p.ndim == 2 else p.reshape(1, -1)
+    positive = rows > 0
+    counts = positive.sum(axis=1)
+    terms = rows[positive]
+    terms *= np.log2(terms)   # p log2 p of each row's positive cells, in row order
+    out = np.empty(len(rows))
+    cs = set(counts.tolist())   # not np.unique, whose int path imports numpy.ma
+    for c in cs:
+        group = counts == c
+        picked = terms if len(cs) == 1 else terms[group.repeat(counts)]
+        out[group] = -picked.reshape(group.sum(), c).sum(axis=1)
+    return out if p.ndim == 2 else float(out[0])
 
 
-def mutual_information_bits(joint: np.ndarray) -> float:
-    """I(U; Y) from a joint table, via H(U) + H(Y) - H(U, Y)."""
+def mutual_information_bits(joint: np.ndarray):
+    """I(U; Y) from a joint table, via H(U) + H(Y) - H(U, Y), as a float; of
+    each table of a (B, n, K) stack, as an array, by the same bits."""
     joint = np.asarray(joint, dtype=float)
-    return entropy_bits(joint.sum(axis=1)) + entropy_bits(joint.sum(axis=0)) \
-        - entropy_bits(joint)
+    joints = joint if joint.ndim == 3 else joint[None]
+    mis = (entropy_bits(joints.sum(axis=2)) + entropy_bits(joints.sum(axis=1))
+           - entropy_bits(joints.reshape(len(joints), -1)))
+    return mis if joint.ndim == 3 else float(mis[0])

@@ -103,6 +103,30 @@ def _algorithm1_batch(tables: np.ndarray, stats: list) -> list:
     return [StepScheme(tuple(masks[a:b]), w[a:b]) for a, b in zip(cut[:-1], cut[1:])]
 
 
+def stacked_einsum(nodes: list, subscripts: str, then=None) -> list:
+    """``np.einsum(subscripts, pre_joints, ws)`` over a layer's ``nodes``,
+    one call per candidate count K = ``len(scheme.y_masks)``, ``then``
+    applied to each call's result; each node's row of it, in node order,
+    with the bits the node's own call gives.  A group whose nodes share one
+    scheme reads it through a broadcast view, not K·n² bytes per node (one
+    ``w`` is 0.5 GB at n = 100).  A node whose scheme sends one set goes
+    alone: a stack of them sums each node's n² cells in another order once
+    n² passes numpy's 8192-element buffer."""
+    groups: dict = {}   # K, or a one-set node's own key -> node indices
+    for i, node in enumerate(nodes):
+        k = len(node.scheme.y_masks)
+        groups.setdefault(k if k > 1 else -1 - i, []).append(i)
+    out = [None] * len(nodes)
+    for idx in groups.values():
+        ws = [nodes[i].scheme.w for i in idx]
+        stack = (np.broadcast_to(ws[0], (len(ws), *ws[0].shape))
+                 if all(w is ws[0] for w in ws) else np.array(ws))
+        rows = np.einsum(subscripts, np.array([nodes[i].pre_joint for i in idx]), stack)
+        for i, row in zip(idx, rows if then is None else then(rows)):
+            out[i] = row
+    return out
+
+
 def _scheme_naive(n: int) -> StepScheme:
     w = np.zeros((n, n, n))
     w[np.arange(n), :, np.arange(n)] = 1.0
@@ -242,7 +266,7 @@ def enumerate_steps(model: MarkovModel, pattern: PrivacyPattern, horizon: int,
         yield StepView(t, pattern.flags[t], layer)
         if t == horizon:
             return
-        weights = [node.scheme.query_marginal(node.pre_joint) for node in layer]
+        weights = stacked_einsum(layer, "bux,bkux->bk")   # p(y_k | history)
         ks = [np.flatnonzero(w > ZERO_TOL) for w in weights]
         masses = np.concatenate([node.prob * w[k] for node, w, k in zip(layer, weights, ks)])
         layer, index = graph.step(layer, ks)

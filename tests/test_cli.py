@@ -346,6 +346,26 @@ def test_simulate_config_file(model2_path, tmp_path, capsys):
     assert summary["mean_query_size"] == [2.0, 2.0]
 
 
+def test_simulate_config_seed_reads_as_the_seed_flag(model2_path, tmp_path, capsys):
+    # a config's seed takes simulate's range, [0, 2**128), as --seed does
+    argv = ["--pattern", "bernoulli:0.5:6", "--episodes", "200"]
+    seed = 2 ** 54 + 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": model2_path, "pattern": argv[1],
+                                    "episodes": 200, "seed": seed}))
+    outs = []
+    for run in (["--config", str(cfg_path)],
+                ["--model", model2_path, *argv, "--seed", str(seed)]):
+        trace = tmp_path / f"trace{len(outs)}.csv"
+        assert main(["simulate", *run, "--out", str(trace)]) == 0
+        outs.append((capsys.readouterr().out, trace.read_bytes()))
+    assert outs[0] == outs[1]
+    cfg_path.write_text(json.dumps({"model": model2_path, "pattern": "10",
+                                    "seed": 2 ** 128}))
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fields", [
     {"episodes": True, "seed": "9", "L": "16"},
     {"episodes": True}, {"seed": "9"}, {"L": "16"}, {"episodes": 2.7},
