@@ -16,8 +16,8 @@ import numpy as np
 
 from . import lp as _lp
 from .model import (CapacityError, ConditionalLaw, MarkovModel, OrderStats,
-                    PrivacyPattern, mutual_information_bits, order_stats,
-                    step_law, tau_of, whole_number)
+                    PrivacyPattern, mutual_information_bits, number, numbers,
+                    order_stats, step_law, tau_of, whole_number)
 from .sim import enumerate_steps, stacked_einsum
 
 # Most (sum, gap) rows ``two_source_rate_grid`` may return.
@@ -56,10 +56,13 @@ def _inner_costs(stats: list) -> list:
 def exact_rate_n2(alpha: float, beta: float, gap: int) -> RateBound:
     """Optimal inverse rate for two sources at a given gap since the pivot:
     1 + |1 - alpha - beta|**gap (gap 0 forces both messages)."""
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-        raise ValueError("transition probabilities must lie in [0, 1]")
-    gap = whole_number(gap, "gap", 0, 1 << 53)
-    return RateBound(1.0 + abs(1.0 - alpha - beta) ** gap)
+    alpha, beta = number(alpha, "alpha", 0, 1), number(beta, "beta", 0, 1)
+    return RateBound(_rate_n2(alpha, beta, whole_number(gap, "gap", 0, 1 << 53)))
+
+
+def _rate_n2(alpha: float, beta: float, gap: int) -> float:
+    """:func:`exact_rate_n2`'s inverse rate, of arguments it has read."""
+    return 1.0 + abs(1.0 - alpha - beta) ** gap
 
 
 def restricted_lp_singleton_optimum(stats: OrderStats) -> RateBound:
@@ -97,17 +100,13 @@ def bounds_over_horizon(model: MarkovModel, pattern: PrivacyPattern,
     one lock-step batch, and averages the optima.
     """
     n = model.n
-    alpha = beta = None
-    if n == 2:
-        alpha, beta = float(model.p[0, 1]), float(model.p[1, 0])
+    alpha, beta = float(model.p[0, 1]), float(model.p[1, 0])   # used when n = 2
     rows = []
     for view in enumerate_steps(model, pattern, horizon, policy=policy):
         t = view.t
         gap = t - tau_of(pattern, t)
         outer2 = float(n) if gap == 0 else outer_bound_2(step_law(model, gap)).inverse_rate
-        exact = None
-        if n == 2:
-            exact = exact_rate_n2(alpha, beta, gap).inverse_rate
+        exact = _rate_n2(alpha, beta, gap) if n == 2 else None
         if view.f_on:
             rows.append(HorizonRow(t, True, outer2, float(n), float(n), exact,
                                    float(n) if with_lp else None))
@@ -162,11 +161,12 @@ def two_source_rate_grid(sums, max_gap: int = 20) -> list:
     Returns (sum, gap, rate) triples; the rate depends on (alpha, beta) only
     through |1 - alpha - beta|, so the sum alone indexes a curve.
     """
+    sums = numbers(sums, "sums", 0, 2).tolist()
     max_gap = whole_number(max_gap, "max_gap", 0, 1 << 53)
     if len(sums) * (max_gap + 1) > GRID_ROWS:
         raise CapacityError(f"{len(sums)} sums x {max_gap + 1} gaps exceed "
                             f"{GRID_ROWS} grid rows")
-    return [(float(s), gap, exact_rate_n2(s / 2.0, s / 2.0, gap).rate)
+    return [(s, gap, 1.0 / _rate_n2(s / 2.0, s / 2.0, gap))
             for s in sums for gap in range(max_gap + 1)]
 
 
@@ -177,11 +177,11 @@ def symmetric_bound_grid(n: int, alphas) -> list:
     alpha >= 1/n where the likelihood ordering flips.
     """
     rows = []
-    for a in alphas:
-        law = step_law(MarkovModel.symmetric(n, float(a)), 1)
+    for a in numbers(alphas, "alphas", 0, 1).tolist():
+        law = step_law(MarkovModel.symmetric(n, a), 1)
         inner = inner_bound_first_off_step(law)
         outer = outer_bound_2(law)
-        rows.append((float(a), inner.rate, outer.rate))
+        rows.append((a, inner.rate, outer.rate))
     return rows
 
 

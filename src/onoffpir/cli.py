@@ -18,7 +18,7 @@ import numpy as np
 from . import bounds as _bounds
 from . import lp as _lp
 from .model import (CapacityError, MarkovModel, PrivacyPattern, load_json,
-                    order_stats, step_law, whole_number)
+                    number, order_stats, step_law, whole_number)
 from .scheme import (InternalConsistencyError, QueryDistribution,
                      build_query_distribution)
 from .sim import POLICIES, empirical_privacy_audit, simulate
@@ -49,9 +49,8 @@ def _load_pattern(spec: str, seed: int) -> PrivacyPattern:
         fields = spec.split(":")
         if len(fields) != 3:
             raise ValueError(f"pattern {spec!r}: expected the form bernoulli:p:T")
-        p, t = float(fields[1]), int(fields[2])
-        if not (0.0 <= p <= 1.0 and t >= 0):
-            raise ValueError(f"pattern {spec!r}: need p in [0, 1] and T >= 0")
+        p = number(float(fields[1]), f"pattern {spec!r}: p", 0, 1)
+        t = whole_number(int(fields[2]), f"pattern {spec!r}: T", 0, 1 << 63)
         if t > PATTERN_STEPS:
             raise CapacityError(f"pattern {spec!r}: T above {PATTERN_STEPS} steps")
         rng = np.random.default_rng([seed, 2])
@@ -82,12 +81,10 @@ def _cmd_sweep(args) -> int:
         rows = _bounds.two_source_rate_grid(sums, args.max_gap)
         _write(_bounds.grid_csv(rows, ["sum_alpha_beta", "gap", "rate"]), args.out)
     else:
-        if args.points < 1:
-            raise ValueError(f"--points must be >= 1, got {args.points}")
-        if args.points > _bounds.GRID_ROWS:
-            raise CapacityError(f"{args.points} points exceed {_bounds.GRID_ROWS} grid rows")
-        alphas = np.linspace(0.0, 1.0, args.points)
-        rows = _bounds.symmetric_bound_grid(args.n, alphas)
+        points = whole_number(args.points, "--points", 1, 1 << 63)
+        if points > _bounds.GRID_ROWS:
+            raise CapacityError(f"{points} points exceed {_bounds.GRID_ROWS} grid rows")
+        rows = _bounds.symmetric_bound_grid(args.n, np.linspace(0.0, 1.0, points))
         _write(_bounds.grid_csv(rows, ["alpha", "inner_rate", "outer_rate"]), args.out)
     return EXIT_OK
 
@@ -119,6 +116,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lp(args) -> int:
+    expect = None if args.expect is None else number(args.expect, "--expect")
     model = MarkovModel.load(args.model)
     law = step_law(model, args.gap)
     problem = _lp.build_lp(law, cardinality_cap=args.cap)
@@ -130,9 +128,9 @@ def _cmd_lp(args) -> int:
         sys.stderr.write(f"LP status: {solution.status}\n")
         return EXIT_FAIL
     _write(f"{solution.optimum:.12g}\n", args.out)
-    if args.expect is not None and abs(solution.optimum - args.expect) > 1e-6:
+    if expect is not None and abs(solution.optimum - expect) > 1e-6:
         sys.stderr.write(f"optimum {solution.optimum!r} differs from "
-                         f"expected {args.expect!r} beyond 1e-6\n")
+                         f"expected {expect!r} beyond 1e-6\n")
         return EXIT_FAIL
     return EXIT_OK
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EPS, CapacityError, ConditionalLaw, whole_number
+from .model import EPS, CapacityError, ConditionalLaw, _unchecked, numbers, whole_number
 
 _FEAS_TOL = 1e-7   # constraint satisfaction at optimality
 _PIVOT_TOL = 1e-9  # reduced-cost / ratio-test threshold
@@ -66,18 +66,13 @@ class LpProblem:
     columns: tuple | None = None
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        a = np.asarray(self.eq_matrix, dtype=float)
-        b = np.asarray(self.eq_rhs, dtype=float)
+        for name in ("objective", "eq_matrix", "eq_rhs"):
+            object.__setattr__(self, name, numbers(getattr(self, name), f"LP {name}"))
+        c, a, b = self.objective, self.eq_matrix, self.eq_rhs
         if c.ndim != 1 or b.ndim != 1 or a.shape != (len(b), len(c)):
             raise ValueError(f"inconsistent LP shapes: A{a.shape}, b{b.shape}, c{c.shape}")
         if not a.size:
             raise ValueError(f"an LP needs a row and a column, got A{a.shape}")
-        for name, arr in (("objective", c), ("eq_matrix", a), ("eq_rhs", b)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"LP {name} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     def dump_text(self) -> str:
         lines = ["min c.x", "c = " + " ".join(f"{v:g}" for v in self.objective), "A x = b"]
@@ -154,8 +149,10 @@ def build_lps(laws, cardinality_cap: int | None = None) -> list:
     rhs[:, 1:] = mass[:, :, 1:-1].min(axis=1)
     c = np.zeros(ncols)
     c[:len(masks)] = size[masks]
-    columns = tuple(masks.tolist())
-    return [LpProblem(c, a, b, columns) for b in rhs]
+    a.setflags(write=False)
+    c.setflags(write=False)
+    return _unchecked(LpProblem, [c] * len(laws), [a] * len(laws), rhs,
+                      [tuple(masks.tolist())] * len(laws))
 
 
 def _pivot(tab: np.ndarray, stack: np.ndarray, rows: np.ndarray, column: np.ndarray):

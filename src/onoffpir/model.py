@@ -39,10 +39,12 @@ def check_number_types(kinds, what: str):
             raise ValueError(f"{what} must be numbers, not {kind.__name__}")
 
 
-def numbers(values, what: str) -> np.ndarray:
-    """``values``, a number or nested lists of numbers, as a float array,
-    after :func:`check_number_types` on every element.  An int too large
-    for a float raises ValueError too."""
+def _floats(values, what: str) -> np.ndarray:
+    """``values`` as float64 (a float64 array as it is), its types checked by
+    :func:`check_number_types`, an int or float array's by its dtype alone;
+    an int too large for a float raises ValueError."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float, copy=False)
     arr = np.asarray(values, dtype=object)
     check_number_types(set(map(type, arr.ravel().tolist())), what)
     try:
@@ -51,9 +53,30 @@ def numbers(values, what: str) -> np.ndarray:
         raise ValueError(f"{what}: {exc}") from None
 
 
+def numbers(values, what: str, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
+    """Real-valued input, by :func:`_floats`, as a fresh read-only float64
+    array; ValueError unless every value is finite and in [lo, hi]."""
+    arr = np.array(_floats(values, what))
+    arr.setflags(write=False)
+    low, high = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)   # NaN, inf show here
+    if not -np.inf < low <= high < np.inf:
+        raise ValueError(f"{what} must be finite")
+    if arr.size and not lo <= low <= high <= hi:
+        raise ValueError(f"{what} must lie in [{lo:g}, {hi:g}]")
+    return arr
+
+
+def number(value, what: str, lo: float = -np.inf, hi: float = np.inf) -> float:
+    """One number by :func:`numbers`' rule, as a float (not a list of one)."""
+    arr = numbers(value, what, lo, hi)
+    if arr.ndim:
+        raise ValueError(f"{what} must be one number, got {value!r}")
+    return float(arr)
+
+
 def whole_numbers(values, what: str, lo: int, hi: int) -> np.ndarray:
     """``values`` as int64 after checking they are integers in [lo, hi)."""
-    arr = numbers(values, what)
+    arr = _floats(values, what)
     if not np.all((arr == np.floor(arr)) & (arr >= lo) & (arr < hi)):
         raise ValueError(f"{what} must be integers in [{lo}, {hi})")
     return arr.astype(np.int64)
@@ -64,7 +87,7 @@ def whole_number(value, what: str, lo: int, hi: int) -> int:
     by :func:`whole_numbers`' rule; an int is read exactly, not as a float."""
     whole = value
     if not (type(value) is int or isinstance(value, np.integer)):
-        arr = numbers(value, what)
+        arr = _floats(value, what)
         whole = int(arr) if not arr.ndim and float(arr).is_integer() else None
     if whole is None or not lo <= whole < hi:
         raise ValueError(f"{what} must be at least {lo}, one integer in "
@@ -102,12 +125,6 @@ def _unchecked(cls, *columns) -> list:
     return made
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class MarkovModel:
     """An ``n``-state request chain: transition matrix ``p`` and initial
@@ -123,44 +140,34 @@ class MarkovModel:
 
     def __post_init__(self):
         object.__setattr__(self, "n", source_count(self.n, 2))
-        p = _readonly(self.p)
-        pi0 = _readonly(self.pi0)
-        if p.shape != (self.n, self.n):
-            raise ValueError(f"transition matrix must be {self.n}x{self.n}, got {p.shape}")
-        if pi0.shape != (self.n,):
+        object.__setattr__(self, "p", numbers(self.p, "p", 0, 1))
+        object.__setattr__(self, "pi0", numbers(self.pi0, "pi0", 0, 1))
+        if self.p.shape != (self.n, self.n):
+            raise ValueError(f"transition matrix must be {self.n}x{self.n}, got {self.p.shape}")
+        if self.pi0.shape != (self.n,):
             raise ValueError(f"initial distribution must have length {self.n}")
-        if not (np.isfinite(p).all() and np.isfinite(pi0).all()):
-            raise ValueError("probabilities must be finite")
-        if np.any(p < 0) or np.any(p > 1) or np.any(pi0 < 0) or np.any(pi0 > 1):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12:
+        if np.max(np.abs(self.p.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("each transition-matrix row must sum to 1")
-        if abs(pi0.sum() - 1.0) > 1e-12:
+        if abs(self.pi0.sum() - 1.0) > 1e-12:
             raise ValueError("initial distribution must sum to 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "pi0", pi0)
 
     @staticmethod
     def two_state(alpha: float, beta: float, pi0=None) -> "MarkovModel":
         """Two-source chain with switch probabilities alpha (0->1) and beta (1->0)."""
-        p = np.array([[1 - alpha, alpha], [beta, 1 - beta]], dtype=float)
-        if pi0 is None:
-            pi0 = np.array([0.5, 0.5])
-        return MarkovModel(2, p, np.asarray(pi0, dtype=float))
+        alpha, beta = number(alpha, "alpha", 0, 1), number(beta, "beta", 0, 1)
+        p = np.array([[1 - alpha, alpha], [beta, 1 - beta]])
+        return MarkovModel(2, p, [0.5, 0.5] if pi0 is None else pi0)
 
     @staticmethod
     def symmetric(n: int, alpha: float) -> "MarkovModel":
         """n-source chain that stays put with probability alpha and moves to
         each other source with probability (1-alpha)/(n-1)."""
-        try:
-            n = source_count(n, 2)
-        except ValueError:
-            raise ValueError(f"need at least two sources, got n={n!r}") from None
+        n = whole_number(n, "need at least two sources: n", 2, 1 << 31)
+        alpha = number(alpha, "alpha", 0, 1)
         if n * n * 8 > TABLE_BYTES:
             raise CapacityError(f"a {n} x {n} transition matrix exceeds "
                                 f"{TABLE_BYTES} bytes")
-        off = (1.0 - alpha) / (n - 1)
-        p = np.full((n, n), off)
+        p = np.full((n, n), (1.0 - alpha) / (n - 1))
         np.fill_diagonal(p, alpha)
         return MarkovModel(n, p, np.full(n, 1.0 / n))
 
@@ -170,8 +177,7 @@ class MarkovModel:
         if isinstance(obj, (str, bytes)):
             obj = load_json(obj)
         try:
-            return MarkovModel(obj["n"], numbers(obj["p"], "p"),
-                               numbers(obj["pi0"], "pi0"))
+            return MarkovModel(obj["n"], obj["p"], obj["pi0"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed Markov model: {exc}") from exc
 
@@ -248,15 +254,14 @@ class ConditionalLaw:
 
     def __post_init__(self):
         object.__setattr__(self, "n", source_count(self.n))
-        table = _readonly(self.table)
-        _check_tables(self.n, table[None])
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", numbers(self.table, "law entries"))
+        _check_tables(self.n, self.table[None])
 
     @classmethod
     def stack(cls, tables: np.ndarray) -> list:
         """The laws of an (L, n, n) stack of tables, checked once as a
         whole; each law's table is a read-only view of the stack."""
-        tables = np.asarray(tables, dtype=float)
+        tables = _floats(tables, "law entries")
         n = tables.shape[-1]
         _check_tables(n, tables)
         return _unchecked(cls, [n] * len(tables), tables)
@@ -305,12 +310,11 @@ class OrderStats:
     deltas: np.ndarray
 
     def __post_init__(self):
-        orderings = np.asarray(self.orderings, dtype=np.int64)
-        orderings.setflags(write=False)
-        object.__setattr__(self, "orderings", orderings)
-        object.__setattr__(self, "lambdas", _readonly(self.lambdas))
-        object.__setattr__(self, "thetas", _readonly(self.thetas))
-        object.__setattr__(self, "deltas", _readonly(self.deltas))
+        object.__setattr__(self, "n", source_count(self.n))
+        object.__setattr__(self, "orderings", whole_numbers(self.orderings, "orderings", 0, self.n))
+        self.orderings.setflags(write=False)
+        for name in ("lambdas", "thetas", "deltas"):
+            object.__setattr__(self, name, numbers(getattr(self, name), name))
 
 
 def order_stats(law: ConditionalLaw) -> OrderStats:
@@ -368,7 +372,7 @@ def entropy_bits(p: np.ndarray):
     positive cells are summed in one pass: their terms form one 2-D array,
     whose contiguous rows numpy sums each as it sums that row alone, so each
     row's bits are its own entropy's."""
-    p = np.asarray(p, dtype=float)
+    p = numbers(p, "p")
     rows = p if p.ndim == 2 else p.reshape(1, -1)
     positive = rows > 0
     counts = positive.sum(axis=1)
@@ -386,7 +390,7 @@ def entropy_bits(p: np.ndarray):
 def mutual_information_bits(joint: np.ndarray):
     """I(U; Y) from a joint table, via H(U) + H(Y) - H(U, Y), as a float; of
     each table of a (B, n, K) stack, as an array, by the same bits."""
-    joint = np.asarray(joint, dtype=float)
+    joint = numbers(joint, "joint")
     joints = joint if joint.ndim == 3 else joint[None]
     mis = (entropy_bits(joints.sum(axis=2)) + entropy_bits(joints.sum(axis=1))
            - entropy_bits(joints.reshape(len(joints), -1)))

@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (EPS, ZERO_TOL, CapacityError, ConditionalLaw, OrderStats,
-                    _unchecked, check_number_types, load_json, numbers,
-                    order_stats, source_count, whole_numbers)
+                    _unchecked, check_number_types, load_json, number, numbers,
+                    order_stats, source_count, whole_number, whole_numbers)
 
 # Most bits the int64 merge key of ``_assemble`` may pack (its sign bit
 # clear): count-row rank, x, u and entry index, each in the fewest bits that
@@ -80,7 +80,7 @@ class QueryDistribution:
         are left to the audit."""
         n, counts, xs, us, probs = _checked(n, [q.counts for q in queries], xs, us, probs)
         qidx = whole_numbers(qidx, "query indices", 0, len(counts))
-        if not len(qidx) == len(xs) == len(us) == len(probs):
+        if not qidx.shape == xs.shape == us.shape == probs.shape:
             raise ValueError("qidx, xs, us and probs must have equal lengths")
         object.__setattr__(self, "n", n)
         # the checks' own arrays: fresh, contiguous int64 and float64
@@ -191,10 +191,11 @@ def _checked(n, rows: list, xs, us, ps):
         raise ValueError(f"count vectors must have length n={n}")
     if np.any(counts.sum(axis=1) > n):
         raise ValueError("multiset cardinality cannot exceed the number of sources")
-    ps = numbers(ps, "p")
-    if not np.all(np.isfinite(ps) & (ps >= 0)):
-        raise ValueError("probabilities must be finite and nonnegative")
-    return n, counts, whole_numbers(xs, "x", 0, n), whole_numbers(us, "u", 0, n), ps
+    ps = numbers(ps, "p", 0)
+    xs, us = whole_numbers(xs, "x", 0, n), whole_numbers(us, "u", 0, n)
+    if not xs.ndim == us.ndim == ps.ndim == 1:
+        raise ValueError("each entry's x, u and p must be one number")
+    return n, counts, xs, us, ps
 
 
 # The text to_json writes, in the JSON grammar: integers and numbers with
@@ -545,10 +546,8 @@ def policy_n2(alpha: float, beta: float, x_tau: int, x_t: int,
     been sent the state is absorbing: the current request is asked for
     directly with probability one.
     """
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-        raise ValueError("transition probabilities must lie in [0, 1]")
-    if prev_card not in (1, 2):
-        raise ValueError(f"previous query cardinality must be 1 or 2, got {prev_card}")
+    alpha, beta = number(alpha, "alpha", 0, 1), number(beta, "beta", 0, 1)
+    prev_card = whole_number(prev_card, "previous query cardinality", 1, 3)
     if parity not in (_EVEN, _ODD):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     x_tau, x_t = whole_numbers([x_tau, x_t], "the requests x_tau and x_t", 0, 2).tolist()

@@ -291,6 +291,7 @@ class ServerState:
 
     def advance(self, episodes: int):
         """Draw the current step's messages of all episodes in one call."""
+        episodes = whole_number(episodes, "episodes", 1, 1 << 53)
         nbytes = len(self._byte_mask)
         raw = np.frombuffer(self._rng.bytes(episodes * self.n * nbytes), np.uint8)
         self.messages = raw.reshape(episodes, self.n, nbytes) & self._byte_mask
@@ -327,14 +328,15 @@ class SimulationResult:
     decode_failures: int
 
     def cardinalities(self, t: int | None = None) -> np.ndarray:
-        masks = self.q_masks if t is None else self.q_masks[:, t]
+        masks = self.q_masks if t is None else self.q_masks[
+            :, whole_number(t, "step t", -(1 << 63), 1 << 63)]
         return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
 
     def mean_cardinality(self, t: int) -> float:
         return float(self.cardinalities(t).mean())
 
     def p_cardinality(self, t: int, c: int) -> float:
-        return float((self.cardinalities(t) == c).mean())
+        return float((self.cardinalities(t) == whole_number(c, "c", 0, 1 << 31)).mean())
 
     @cached_property
     def _history_strata(self) -> np.ndarray:

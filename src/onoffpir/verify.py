@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bounds_over_horizon
-from .model import EPS, ConditionalLaw, OrderStats, mutual_information_bits
+from .model import EPS, ConditionalLaw, OrderStats, mutual_information_bits, numbers
 from .scheme import QueryDistribution, identity_gaps, project_to_sets
 
 
@@ -95,9 +95,8 @@ def extension_mutual_informations(dist: QueryDistribution,
     The query only touches the earlier request through the pivot, so the
     extended joint factors as p(x_b, u) * p(y | u).
     """
-    chain_joint = np.asarray(chain_joint, dtype=float)
-    n = dist.n
-    if chain_joint.shape != (n, n):
+    chain_joint = numbers(chain_joint, "chain joint")
+    if chain_joint.shape != (dist.n, dist.n):
         raise ValueError("chain joint must be n x n over (earlier request, pivot)")
     set_view = project_to_sets(dist)
     y_given_u = set_view.query_conditionals().T          # [u, y]

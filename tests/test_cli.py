@@ -208,6 +208,16 @@ def test_lp_expected_value(model3_path, capsys):
     assert main(["lp", "--model", model3_path, "--expect", "1.0"]) == 1
 
 
+@pytest.mark.parametrize("expect", ["nan", "inf", "-inf"])
+def test_lp_expect_must_be_finite(model3_path, expect, capsys):
+    """``--expect`` is read by the package's number rule: ``nan`` would
+    pass any optimum (``abs(optimum - nan) > 1e-6`` is False), so it and the
+    infinities are configuration errors, raised before the LP is solved."""
+    assert main(["lp", "--model", model3_path, f"--expect={expect}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--expect must be finite" in out.err
+
+
 def test_build_internal_inconsistency_exits_one(model3_path, capsys, monkeypatch):
     def broken_check(*_args):
         raise InternalConsistencyError("injected")

@@ -12,10 +12,10 @@ import reference_model
 from reference_sim import EpisodeServer, reference_simulate
 from helpers import (law_key, law_part, never_the_request, random_law,
                      scheme_algorithm1, workload_table, worked_law)
+from test_inputs import COUNTED
 from onoffpir.bounds import bounds_over_horizon
 from onoffpir.model import (ZERO_TOL, CapacityError, ConditionalLaw,
-                            MarkovModel, PrivacyPattern, order_stats, step_law,
-                            tau_of)
+                            MarkovModel, PrivacyPattern, order_stats, tau_of)
 from onoffpir.scheme import (build_batch, build_query_distribution, policy_n2,
                              project_to_sets)
 from onoffpir.sim import (POLICIES, ServerState, _inverse_cdf, _scheme_full,
@@ -758,33 +758,6 @@ def test_simulate_rejects_bad_sizes():
         simulate(m, pat, 2, msg_bits=8 * sim_mod.PAYLOAD_BYTES // 4 + 1)
 
 
-def _ten_episodes(**kw):
-    res = simulate(two_state(), PrivacyPattern.from_string("100"), **kw, seed=5)
-    return repr((res.episodes, res.msg_bits, res.q_masks.tolist(), res.oks.tolist()))
-
-
-def _server_messages(n, msg_bits):
-    server = ServerState(n, msg_bits, np.random.default_rng(0))
-    server.advance(4)
-    return repr((server.n, server.msg_bits)), server.messages.tobytes()
-
-
-# Each call's output as a comparable value, given one step count.
-COUNTED = {
-    "step_law-k": lambda k: step_law(two_state(), k).table.tobytes(),
-    "bounds-horizon": lambda h: bounds_over_horizon(
-        two_state(), PrivacyPattern.from_string("1000"), h),
-    "enumerate-horizon": lambda h: [(v.t, len(v.branches)) for v in enumerate_steps(
-        two_state(), PrivacyPattern.from_string("1000"), h)],
-    "simulate-episodes": lambda e: _ten_episodes(episodes=e),
-    "simulate-msg_bits": lambda b: _ten_episodes(episodes=10, msg_bits=b),
-    "simulate-seed": lambda s: repr(simulate(two_state(), PrivacyPattern.from_string("100"),
-                                             10, seed=s).summary()),
-    "server-n": lambda n: _server_messages(n, 8),
-    "server-msg_bits": lambda b: _server_messages(3, b),
-}
-
-
 @pytest.mark.parametrize("bad", [1.5, "2", True, np.float64(2.5), -1, [2]],
                          ids=["fraction", "str", "bool", "np-fraction", "negative",
                               "list"])
@@ -792,10 +765,12 @@ COUNTED = {
 def test_step_counts_are_whole_numbers(call, bad):
     """Step counts, episodes, message bits and the seed follow the readers'
     integer rule: an integral float is that integer; anything else, a list of one
-    integer included, is a ValueError."""
+    integer included, is a ValueError.  ``COUNTED`` is their part of the one
+    table of numeric arguments in ``tests/test_inputs.py``."""
+    read = COUNTED[call].call
     with pytest.raises(ValueError):
-        COUNTED[call](bad)
-    assert COUNTED[call](2.0) == COUNTED[call](np.int64(2)) == COUNTED[call](2)
+        read(bad)
+    assert read(2.0) == read(np.int64(2)) == read(2)
 
 
 def test_simulate_trajectory_capacity_guard():
