@@ -3,8 +3,8 @@ Markov-correlated requests: scheme synthesis, rate bounds, an exact LP
 oracle, identity audits, and protocol simulation."""
 
 from .model import (EPS, CapacityError, ConditionalLaw, MarkovModel, OrderStats,
-                    PrivacyPattern, mutual_information_bits, order_stats, step_law,
-                    tau_of)
+                    PrivacyPattern, entropy_bits, mutual_information_bits, order_stats,
+                    step_law, tau_of)
 from .scheme import (InternalConsistencyError, QueryDistribution,
                      build_query_distribution, policy_n2, policy_n2_table,
                      project_to_sets)
@@ -28,7 +28,7 @@ __all__ = [
     "restricted_lp_singleton_optimum",
     "IterationLimitError", "LpProblem", "LpSolution", "build_lp", "solve",
     "AuditReport", "audit_distribution", "conditional_query_mi",
-    "markov_privacy_extension_check", "mutual_information_bits",
+    "markov_privacy_extension_check", "entropy_bits", "mutual_information_bits",
     "ChiSquareAudit", "ServerState", "SimulationResult",
     "empirical_privacy_audit", "enumerate_steps", "simulate",
 ]

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -29,17 +30,22 @@ EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_CAPACITY = 0, 1, 2, 3
 PATTERN_STEPS = 1 << 20
 # Episodes per block of the ``simulate --out`` trace CSV.
 CSV_CHUNK = 1024
+# Characters per write of the ``build`` output.
+WRITE_CHUNK = 1 << 18
 # 10^1..10^18: a nonnegative int64 v has one decimal digit more than the
 # number of these powers at most v.
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
-def _write(text: str, out: str | None):
+def _write(text, out: str | None):
+    """Write ``text``, a str or an iterable of strs, to ``out`` (stdout when
+    None)."""
+    pieces = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _load_pattern(spec: str, seed: int) -> PrivacyPattern:
@@ -96,8 +102,12 @@ def _cmd_build(args) -> int:
     dist = build_query_distribution(law, stats)
     extra = {"expected_multiset_cardinality": dist.expected_multiset_cardinality(),
              "expected_set_cardinality": dist.expected_set_cardinality()}
-    # spliced in before the closing brace of the scheme's JSON object
-    _write(dist.to_json()[:-1] + ", " + json.dumps(extra)[1:] + "\n", args.out)
+    # the scheme's JSON object up to its closing brace, in slices, so that no
+    # second copy of the whole text is made; then the extra members
+    text = dist.to_json()
+    stop = len(text) - 1
+    _write(chain((text[i:min(i + WRITE_CHUNK, stop)] for i in range(0, stop, WRITE_CHUNK)),
+                 [", " + json.dumps(extra)[1:] + "\n"]), args.out)
     return EXIT_OK
 
 

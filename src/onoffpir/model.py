@@ -311,6 +311,7 @@ class OrderStats:
 
     def __post_init__(self):
         object.__setattr__(self, "n", source_count(self.n))
+        object.__setattr__(self, "sigma", whole_number(self.sigma, "sigma", 1, self.n + 1))
         object.__setattr__(self, "orderings", whole_numbers(self.orderings, "orderings", 0, self.n))
         self.orderings.setflags(write=False)
         for name in ("lambdas", "thetas", "deltas"):
@@ -366,14 +367,12 @@ def stacked_order_stats(tables: np.ndarray) -> list:
                       sigmas.tolist(), deltas)
 
 
-def entropy_bits(p: np.ndarray):
-    """Shannon entropy in bits with the 0 log 0 = 0 convention, as a float;
-    of each row of a 2-D ``p``, as an array.  The rows with one count of
-    positive cells are summed in one pass: their terms form one 2-D array,
-    whose contiguous rows numpy sums each as it sums that row alone, so each
-    row's bits are its own entropy's."""
-    p = numbers(p, "p")
-    rows = p if p.ndim == 2 else p.reshape(1, -1)
+def _row_entropies(rows: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of a checked 2-D float64 array,
+    with the 0 log 0 = 0 convention.  The rows with one count of positive
+    cells are summed in one pass: their terms form one 2-D array, whose
+    contiguous rows numpy sums each as it sums that row alone, so each row's
+    bits are its own entropy's."""
     positive = rows > 0
     counts = positive.sum(axis=1)
     terms = rows[positive]
@@ -384,14 +383,23 @@ def entropy_bits(p: np.ndarray):
         group = counts == c
         picked = terms if len(cs) == 1 else terms[group.repeat(counts)]
         out[group] = -picked.reshape(group.sum(), c).sum(axis=1)
+    return out
+
+
+def entropy_bits(p: np.ndarray):
+    """Shannon entropy in bits with the 0 log 0 = 0 convention, as a float;
+    of each row of a 2-D ``p``, as an array."""
+    p = numbers(p, "p")
+    out = _row_entropies(p if p.ndim == 2 else p.reshape(1, -1))
     return out if p.ndim == 2 else float(out[0])
 
 
 def mutual_information_bits(joint: np.ndarray):
     """I(U; Y) from a joint table, via H(U) + H(Y) - H(U, Y), as a float; of
-    each table of a (B, n, K) stack, as an array, by the same bits."""
+    each table of a (B, n, K) stack, as an array, by the same bits.  The
+    joint is read once."""
     joint = numbers(joint, "joint")
     joints = joint if joint.ndim == 3 else joint[None]
-    mis = (entropy_bits(joints.sum(axis=2)) + entropy_bits(joints.sum(axis=1))
-           - entropy_bits(joints.reshape(len(joints), -1)))
+    mis = (_row_entropies(joints.sum(axis=2)) + _row_entropies(joints.sum(axis=1))
+           - _row_entropies(joints.reshape(len(joints), -1)))
     return mis if joint.ndim == 3 else float(mis[0])

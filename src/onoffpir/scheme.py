@@ -11,13 +11,14 @@ Python-int bitmask, bit i standing for source i.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -110,8 +111,9 @@ class QueryDistribution:
 
     def query_conditionals(self) -> np.ndarray:
         """table[qid, u] = p(z | u); rows are constant for a private scheme."""
-        flat = np.bincount(self.qidx * self.n + self.us, weights=self.probs,
-                           minlength=len(self.counts) * self.n)
+        key = self.qidx * self.n
+        key += self.us
+        flat = np.bincount(key, weights=self.probs, minlength=len(self.counts) * self.n)
         return flat.reshape(len(self.counts), self.n)
 
     def entry_tuples(self):
@@ -144,11 +146,7 @@ class QueryDistribution:
         ``to_json`` and ``onoffpir build`` write is scanned directly; any
         other text goes through ``json.loads``, with the same checks."""
         if isinstance(obj, (str, bytes)):
-            # The scan accepts ASCII only, after a UTF-8 BOM in bytes, so bytes
-            # that are not UTF-8 fail there and reach json.loads as they are
-            # (UTF-16 too), as does a str that starts with a BOM.
-            text = obj if isinstance(obj, str) else obj.decode("utf-8-sig", errors="replace")
-            if (dist := _scan(text)) is not None:
+            if (dist := _scan(obj)) is not None:
                 return dist
             obj = load_json(obj)
         try:
@@ -202,50 +200,75 @@ def _checked(n, rows: list, xs, us, ps):
 # ASCII digits only, every entry followed by ", " or the end of the list.  A
 # count row's text holds digits, commas and spaces only, so that findall does
 # not rescan the rest of the text from each entry after an unclosed row.
-_INT = r"-?(?:0|[1-9][0-9]*)"
-_NUM = _INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-_HEAD = re.compile(rf'\{{"n": ({_INT}), "entries": \[')
-_ENTRY = re.compile(rf'\{{"z": (\[[0-9, ]*\]), "x": ({_INT}), "u": ({_INT}), '
-                    rf'"p": ({_NUM})\}}(?:, |\Z)')
-_TAIL = re.compile(rf'\](?:, "expected_[a-z_]+": {_NUM})*\}}[ \t\n\r]*')
+_INT = rb"-?(?:0|[1-9][0-9]*)"
+_NUM = _INT + rb"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_HEAD = re.compile(rb'\{"n": (' + _INT + rb'), "entries": \[')
+_ENTRY = re.compile(rb'\{"z": (\[[0-9, ]*\]), "x": (' + _INT + rb'), "u": (' + _INT
+                    + rb'), "p": (' + _NUM + rb')\}(?:, |\Z)')
+_TAIL = re.compile(rb'\](?:, "expected_[a-z_]+": ' + _NUM + rb')*\}[ \t\n\r]*')
+# Where one entry ends and the next begins; the scan cuts its chunks there.
+_SEPARATOR = b'}, {"z": '
+# About how many bytes of the entry list one findall of the scan reads; its
+# matches are all of the text's fields that the scan holds at a time.
+SCAN_CHUNK = 1 << 18
 
 
-def _interned(texts) -> tuple:
-    """The distinct ``texts`` in first-seen order and each text's index
-    among them (int64)."""
-    index_of: dict = {}
-    of = np.array([index_of.setdefault(t, len(index_of)) for t in texts], dtype=np.int64)
-    return list(index_of), of
+def _scan(text) -> QueryDistribution | None:
+    """``text`` (str or bytes) read as ``to_json`` writes it, or None when
+    it has any other shape.  A str is encoded once; bytes are read as they
+    are, after a UTF-8 BOM.  Only ASCII matches, so bytes that are not UTF-8
+    (UTF-16 too) and a str that starts with a BOM fail here and reach
+    json.loads as they are.
 
-
-def _scan(text: str) -> QueryDistribution | None:
-    """``text`` read as ``to_json`` writes it, or None when it has any other
-    shape.  Each entry has 30 fixed characters (28 the last), so the entries
-    tile the list when these and their groups add up to its length.  Each
+    The entry list is read in chunks of about ``SCAN_CHUNK`` bytes, each
+    cut after the ", " between two entries, and each chunk's field texts
+    are interned in the running tables of their field before the next chunk
+    is read.  Each entry has 30 fixed bytes (28 the last), so the entries
+    tile a chunk when these and their groups add up to its length.  Each
     field's distinct texts are converted and checked once, then gathered per
     entry: the count rows with one ``json.loads``, x and u with ``int``, and
     p with ``float``, json's own call for a number, exact on an integer (-0
     aside, which merging drops)."""
-    head = _HEAD.match(text)
-    end = text.rfind("]")
-    if head is None or not _TAIL.fullmatch(text, end):
+    if isinstance(text, str):
+        data, pos = text.encode("utf-8", "surrogatepass"), 0
+    else:
+        data, pos = text, len(codecs.BOM_UTF8) if text.startswith(codecs.BOM_UTF8) else 0
+    head = _HEAD.match(data, pos)
+    end = data.rfind(b"]")
+    if head is None or not _TAIL.fullmatch(data, end):
         return None
-    start = head.end()
-    found = _ENTRY.findall(text, start, end)
-    fields = [_interned(map(itemgetter(k), found)) for k in range(4)]
-    grouped = sum(int(np.array([len(t) for t in texts], np.int64)[of].sum())
-                  for texts, of in fields)
-    if grouped + 30 * len(found) - 2 != end - start:
-        return None
-    (zs, row_of), (xs, x_of), (us, u_of), (ps, p_of) = fields
+    n, pos = head[1], head.end()
+    del head   # it holds the text
+    tables = [{} for _ in range(4)]        # per field, each distinct text's index
+    ofs = [array("q") for _ in range(4)]   # per field, each entry's index
+    while True:
+        cut = data.find(_SEPARATOR, pos + SCAN_CHUNK, end)
+        stop = end if cut < 0 else cut + 3   # after the "}, "
+        found = _ENTRY.findall(data, pos, stop)
+        tiled = 30 * len(found) - 2 * (stop == end)
+        for index_of, of, texts in zip(tables, ofs, zip(*found)):
+            tiled += sum(map(len, texts))
+            of.extend([index_of.setdefault(t, len(index_of)) for t in texts])
+        if tiled != stop - pos:
+            return None
+        if stop == end:
+            break
+        pos = stop
+    del found, data
+    zs, xs, us, ps = map(list, tables)
+    del tables
     try:
-        rows = json.loads("[" + ", ".join(zs) + "]")
+        rows = json.loads(b"[" + b", ".join(zs) + b"]")
     except ValueError:
         return None
-    n, counts, xs, us, ps = _checked(int(head[1]), rows, list(map(int, xs)),
-                                     list(map(int, us)), list(map(float, ps)))
-    return _assemble(n, np.zeros(len(counts), np.int64), counts, row_of,
-                     xs[x_of], us[u_of], ps[p_of])[0]
+    n, counts, *values = _checked(int(n), rows, list(map(int, xs)),
+                                  list(map(int, us)), list(map(float, ps)))
+    # each field's values per entry, its index buffer emptied once gathered
+    for k, of in enumerate(ofs[1:]):
+        values[k] = values[k][np.frombuffer(of, np.int64)]
+        del of[:]
+    return _assemble(n, np.zeros(len(counts), np.int64), counts,
+                     np.frombuffer(ofs[0], np.int64), *values)[0]
 
 
 def _assemble(n: int, row_law, rows, row_of, xs, us, ps):
@@ -264,7 +287,7 @@ def _assemble(n: int, row_law, rows, row_of, xs, us, ps):
     cell in entry order, and every cell is summed in entry order.  Raises
     :class:`CapacityError` when the key needs more than ``KEY_BITS`` bits.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)   # int64 counts, or the projection's bool supports
     rows = rows.reshape(len(rows), n)
     # The narrowest big-endian field that holds a law index, a cardinality
     # and a count: byte order is then the order of the (law, |z|, z) keys.
@@ -294,29 +317,47 @@ def _assemble(n: int, row_law, rows, row_of, xs, us, ps):
     if bits > KEY_BITS:
         raise CapacityError(f"{entries} entries over {len(firsts)} count rows of "
                             f"n={n}: their merge keys need {bits} bits, above {KEY_BITS}")
+    # One entry-length temporary at a time beside the key: each shifted field.
     key = np.arange(entries, dtype=np.int64).reshape(shape)
-    key |= rank[row_of] << (2 * x_bits + e_bits)
+    shifted = rank[row_of]
+    shifted <<= 2 * x_bits + e_bits
+    key |= shifted
+    del shifted
     key |= xs << (x_bits + e_bits)
     key |= us << e_bits
     key = key.ravel()
     key.sort()
-    weights = np.broadcast_to(ps, shape).ravel()[key & ((1 << e_bits) - 1)]
+    entry = key & ((1 << e_bits) - 1)
+    weights = np.broadcast_to(ps, shape).flat[entry]   # no copy of a broadcast ps
+    del entry
     key >>= e_bits
     start = np.ones(len(key), dtype=bool)
     start[1:] = key[1:] != key[:-1]
-    sums = np.bincount(np.cumsum(start) - 1, weights)
-    del weights
     cells = key[start]
+    del key
+    segment = np.cumsum(start)
+    del start
+    segment -= 1
+    sums = np.bincount(segment, weights)
+    del segment, weights
     keep = sums > ZERO_TOL
-    cells, sums = cells[keep], sums[keep]
+    if not keep.all():
+        cells = cells[keep]
+        sums = sums[keep]
     # cells is sorted, so its distinct ranks start where the rank changes
     ranks = cells >> 2 * x_bits
     first = np.ones(len(ranks), dtype=bool)
     first[1:] = ranks[1:] != ranks[:-1]
     present = firsts[ranks[first]]
+    del ranks
+    qidx = np.cumsum(first)
+    qidx -= 1
     mask = (1 << x_bits) - 1
-    stacks = [a[None] for a in (rows[present], np.cumsum(first) - 1,   # one row each
-                                (cells >> x_bits) & mask, cells & mask, sums)]
+    cell_xs = cells >> x_bits
+    cell_xs &= mask
+    cells &= mask   # now each cell's u
+    stacks = [a[None] for a in (rows[present].astype(np.int64, copy=False), qidx,
+                                cell_xs, cells, sums)]   # one row each
     return _unchecked(QueryDistribution, [n], *stacks)[0], row_law[present]
 
 
@@ -388,8 +429,10 @@ def build_batch(tables: np.ndarray, stats: list):
                          minlength=n_rounds * n).reshape(n_rounds, n)
     xs = np.repeat(round_x, n).reshape(n_rounds, n)
     xs[lane_round, lane_pivot] = lane_col
+    del lane_round, lane_rank, lane_pivot, lane_col
     whole, row_law = _assemble(n, round_law, counts, np.arange(n_rounds)[:, None],
                                xs, np.arange(n), round_nu[:, None])
+    del counts, xs   # before the check
     _check_built(whole, row_law, tables,
                  np.stack([law_stats.thetas for law_stats in stats]))
     return whole, row_law
@@ -485,9 +528,10 @@ def identity_gaps(dist: QueryDistribution, row_law, tables, thetas) -> IdentityG
                          f"against a law over n={np.shape(tables)[-1]}")
     n_laws = len(tables)
     qidx, probs = dist.qidx, dist.probs
-    # One entry-length key at a time, each freed before the next is made:
+    # One entry-length key, rewritten in place for each cell index in turn:
     # (query, x), then (query, u), then (law, u) and (law, u, x), then
-    # (law, |z|).
+    # (law, |z|).  Every query index is in range, so np.take may "clip",
+    # which writes into the key directly ("raise" goes through a buffer).
     key = qidx * n
     key += dist.xs
     undecodable = dist.counts.ravel()[key] <= 0
@@ -498,15 +542,14 @@ def identity_gaps(dist: QueryDistribution, row_law, tables, thetas) -> IdentityG
     key += dist.us
     cond = np.bincount(key, probs, len(dist.counts) * n).reshape(-1, n)
     spread = cond.max(axis=1) - cond.min(axis=1)
-    del cond, key
-    key = (row_law * n)[qidx]
+    del cond
+    np.take(row_law * n, qidx, out=key, mode="clip")
     key += dist.us
     totals = np.bincount(key, probs, n_laws * n).reshape(n_laws, n)
     key *= n
     key += dist.xs
     marginal = np.bincount(key, probs, n_laws * n * n).reshape(n_laws, n, n)
-    del key
-    key = (row_law * (n + 1) + dist.counts.sum(axis=1))[qidx]
+    np.take(row_law * (n + 1) + dist.counts.sum(axis=1), qidx, out=key, mode="clip")
     card_law = np.bincount(key, probs / n, n_laws * (n + 1)).reshape(n_laws, n + 1)
     return IdentityGaps(violations, np.abs(totals - 1.0), np.abs(marginal - tables),
                         spread, np.abs(card_law[:, 1:] - thetas))

@@ -68,18 +68,21 @@ def audit_distribution(dist: QueryDistribution, law: ConditionalLaw,
     gap_z, gap_y = (float(s.max(initial=0.0)) for s in (spread_z, spread_y))
     privacy_gap = max(gap_z, gap_y)
     view, spread = (dist, spread_z) if gap_z >= gap_y else (set_view, spread_y)
+    privacy_query = view.counts[int(np.argmax(spread))].tolist() if len(spread) else None
+    del set_view, view   # the projection goes before the leakage summary
     marginal_gap = float(marginal.max())
     mu, mx = np.unravel_index(int(np.argmax(marginal)), marginal.shape)
     cardinality_gap = float(cardinality.max())
 
-    # leakage summary: joint of pivot and transmitted set
-    mi = mutual_information_bits((1.0 / dist.n) * set_cond.T)
+    # leakage summary: joint of pivot and transmitted set, scaled in place
+    # and read through the transpose, whose layout orders the marginal sums
+    set_cond *= 1.0 / dist.n
+    mi = mutual_information_bits(set_cond.T)
 
     passed = (privacy_gap <= EPS and marginal_gap <= EPS
               and cardinality_gap <= EPS and violations == 0)
     worst = {
-        "privacy_query": (view.counts[int(np.argmax(spread))].tolist()
-                          if len(spread) else None),
+        "privacy_query": privacy_query,
         "marginal_cell": [int(mu), int(mx)],
         "cardinality_level": int(np.argmax(cardinality)) + 1,
     }

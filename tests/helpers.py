@@ -3,11 +3,13 @@ benchmark's random tables, a broken policy scheme and a fresh interpreter;
 and the readings of a scheme only the tests take: a law's memo key, a
 distribution made of given arrays unchecked, its set-view flag, its law
 marginal, one law's part of a batch build, Algorithm 1's scheme of one law,
-and mutual information as a KL divergence."""
+mutual information as a KL divergence, a distribution's stored bytes, and
+the traced peak of a call."""
 
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -111,3 +113,18 @@ def mutual_information_kl_bits(joint: np.ndarray) -> float:
     mask = joint > 0
     ratio = joint[mask] / (pu @ py)[mask]
     return float((joint[mask] * np.log2(ratio)).sum())
+
+
+def scheme_bytes(dist: QueryDistribution) -> int:
+    """The bytes of a distribution's five stored arrays."""
+    return sum(getattr(dist, name).nbytes for name in ("counts", "qidx", "xs", "us", "probs"))
+
+
+def traced_peak(call):
+    """``call()`` and the most bytes tracemalloc saw held at once during it
+    beyond what was held before."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

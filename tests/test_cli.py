@@ -122,6 +122,20 @@ def test_build_output_pinned(model3_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("chunk", [1, 97, 1 << 20])
+def test_build_slices_write_the_pinned_bytes(model3_path, tmp_path, capsys, monkeypatch,
+                                             chunk):
+    # the scheme's text in slices of any size, to stdout and to a file
+    monkeypatch.setattr(cli_mod, "WRITE_CHUNK", chunk)
+    assert main(["build", "--model", model3_path, "--gap", "1"]) == 0
+    out = capsys.readouterr().out
+    digest = "e2cf395667f39127bdcc43c50eca7b4c80210a8f91d6967dce0a5dc0f57e8f63"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    path = tmp_path / "dist.json"
+    assert main(["build", "--model", model3_path, "--gap", "1", "--out", str(path)]) == 0
+    assert path.read_text() == out
+
+
 def test_verify_rejects_tampered_distribution(model3_path, tmp_path, capsys):
     dist_path = str(tmp_path / "dist.json")
     main(["build", "--model", model3_path, "--out", dist_path])

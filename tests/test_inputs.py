@@ -115,6 +115,7 @@ INTEGERS = {
     "symmetric-n": Arg(lambda n: MarkovModel.symmetric(n, 0.3), 2, 2**31),
     "ConditionalLaw-n": Arg(lambda n: ConditionalLaw(n, P2), 1, 2**31),
     "OrderStats-n": Arg(lambda n: _order_stats(n=n), 1, 2**31),
+    "OrderStats-sigma": Arg(lambda s: _order_stats(sigma=s), 1, 3),
     "tau_of-t": Arg(lambda t: tau_of(PrivacyPattern.from_string("1010"), t),
                     -2**63, 2**63),
     "build_lp-cap": Arg(lambda c: build_lp(worked_law(), c).columns, 1, 2**62),

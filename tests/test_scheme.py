@@ -10,7 +10,7 @@ import pytest
 import onoffpir.scheme as scheme_mod
 import reference_builder
 from helpers import (is_set_view, law_marginal, law_part, of_counts, random_law,
-                     worked_law, workload_table)
+                     scheme_bytes, traced_peak, worked_law, workload_table)
 from onoffpir.model import (CapacityError, ConditionalLaw, MarkovModel, OrderStats,
                             order_stats, stacked_order_stats, step_law)
 from onoffpir.scheme import (InternalConsistencyError, QueryDistribution, _assemble,
@@ -354,6 +354,18 @@ def test_merge_key_guard_fires_before_the_key_array(monkeypatch):
     assert _assembly_peak_bytes(args) >= 8 * rounds * n
     monkeypatch.setattr(scheme_mod, "KEY_BITS", 28)
     assert _assembly_peak_bytes(args) < 8 * rounds * n // 8
+
+
+def test_build_and_projection_peaks_stay_near_their_output():
+    # n = 60, 212k entries: the assembly holds one entry-length temporary
+    # at a time beside its inputs and output, and the build frees its
+    # expansion before the self-check
+    law = ConditionalLaw(60, workload_table(11, 60))
+    stats = order_stats(law)
+    dist, peak = traced_peak(lambda: build_query_distribution(law, stats))
+    assert peak < 2.0 * scheme_bytes(dist)
+    sets, peak = traced_peak(lambda: project_to_sets(dist))
+    assert peak < 1.25 * scheme_bytes(sets)
 
 
 # -------------------------------------------------------------------- policy

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import mutual_information_kl_bits, random_law, worked_law
+from helpers import (mutual_information_kl_bits, random_law, scheme_bytes, traced_peak,
+                     worked_law, workload_table)
 from onoffpir.bounds import bounds_over_horizon, outer_bound_2
 from onoffpir.model import (ConditionalLaw, MarkovModel, PrivacyPattern,
                             entropy_bits, order_stats, step_law)
-from onoffpir.scheme import QueryDistribution, build_query_distribution
+from onoffpir.scheme import QueryDistribution, build_query_distribution, project_to_sets
 from onoffpir.sim import POLICIES
 from onoffpir.verify import (audit_distribution, conditional_query_mi,
                              extension_mutual_informations,
@@ -97,6 +98,32 @@ def test_audit_random_builder_outputs():
         report = audit_distribution(dist, law, stats)
         assert report.passed
         assert outer_bound_2(law).inverse_rate <= dist.expected_set_cardinality() + 1e-9
+
+
+def test_audit_leakage_reads_the_scaled_set_conditionals():
+    # the summary is I(U; Y) of (1/n) p(set | u) transposed, as a view: its
+    # marginal sums run along the axes of that layout, so a C-ordered copy
+    # of the joint gives other last bits on some laws
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        n = int(rng.integers(3, 13))
+        law = random_law(rng, n)
+        stats = order_stats(law)
+        dist = build_query_distribution(law, stats)
+        cond = project_to_sets(dist).query_conditionals()
+        want = mutual_information_bits((1.0 / n) * cond.T)
+        assert audit_distribution(dist, law, stats).mutual_information == want
+
+
+def test_audit_peak_stays_near_the_scheme():
+    # n = 60: the projection is freed before the leakage summary, and the
+    # summary reads its joint once
+    law = ConditionalLaw(60, workload_table(11, 60))
+    stats = order_stats(law)
+    dist = build_query_distribution(law, stats)
+    report, peak = traced_peak(lambda: audit_distribution(dist, law, stats))
+    assert report.passed
+    assert peak < 1.35 * scheme_bytes(dist)
 
 
 def test_audit_report_json():

@@ -8,15 +8,18 @@ import json
 import math
 import re
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import onoffpir.cli as cli_mod
+import onoffpir.scheme as scheme_mod
 import reference_wire as ref
 import test_scheme
-from helpers import random_law, worked_law
+from helpers import random_law, traced_peak, worked_law
 from onoffpir.cli import CSV_CHUNK, _trace_csv, main
 from onoffpir.model import ConditionalLaw, MarkovModel, PrivacyPattern
 from onoffpir.scheme import (QueryDistribution, _scan, build_query_distribution,
@@ -232,6 +235,85 @@ def test_scan_stays_linear_on_unclosed_rows():
     start = time.perf_counter()
     assert _scan(text) is None
     assert time.perf_counter() - start < 1.0
+
+
+def _read_or_raise(obj):
+    """The entries ``from_json(obj)`` reads, or the type and message of what
+    it raises."""
+    try:
+        return QueryDistribution.from_json(obj).entry_tuples()
+    except Exception as exc:   # compared with the default chunk's, not handled
+        return type(exc), str(exc)
+
+
+class _SpyPattern:
+    """A compiled pattern whose ``findall`` calls record their bounds."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, []
+
+    def findall(self, data, pos, endpos):
+        self.calls.append((pos, endpos))
+        return self.pattern.findall(data, pos, endpos)
+
+
+@pytest.mark.parametrize("chunk", [1, 97, 4096])
+def test_scan_chunks_read_as_one(chunk, built_texts, monkeypatch):
+    texts = [SCHEMES[0].to_json(), SCHEMES[-1].to_json()] + built_texts
+    objs = texts + [MUTATIONS[name](text) for name in MUTATIONS for text in texts[:4]]
+    want = list(map(_read_or_raise, objs))
+    spy = _SpyPattern(scheme_mod._ENTRY)
+    monkeypatch.setattr(scheme_mod, "_ENTRY", spy)
+    monkeypatch.setattr(scheme_mod, "SCAN_CHUNK", chunk)
+    # the chunks of a built file end after the ", " between two entries,
+    # and some nominal cut falls inside an entry
+    data = built_texts[-1].encode()
+    assert _read_or_raise(data) == want[len(texts) - 1]
+    cuts = spy.calls[:-1]
+    assert cuts and all(data[stop - 3:stop] == b"}, " for _pos, stop in cuts)
+    assert any(not data.startswith(b'{"z": ', pos + chunk) for pos, _stop in cuts)
+    assert list(map(_read_or_raise, objs)) == want
+
+
+def _chain40_file(tmp):
+    """An ``onoffpir build`` file at n = 40, about 10 MB, and its model."""
+    model = tmp / "m40.json"
+    model.write_text(_chain(40).to_json())
+    out = tmp / "d40.json"
+    assert main(["build", "--model", str(model), "--out", str(out)]) == 0
+    return model, out
+
+
+def test_scan_holds_a_fraction_of_the_file(tmp_path):
+    # the text is scanned as bytes, one chunk's matches at a time: no decoded
+    # copy and no string per entry field at once
+    data = _chain40_file(tmp_path)[1].read_bytes()
+    dist, peak = traced_peak(lambda: QueryDistribution.from_json(data))
+    assert len(dist) > 50_000
+    assert peak < 0.75 * len(data)
+
+
+def test_build_writes_no_second_copy_of_the_text(tmp_path, monkeypatch):
+    # once to_json has returned, the writer holds one slice of the text at a
+    # time beside it, never a second copy of the whole
+    model, built = _chain40_file(tmp_path)
+    encode = QueryDistribution.to_json
+    held = []
+
+    def to_json(dist):
+        text = encode(dist)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return text
+
+    monkeypatch.setattr(QueryDistribution, "to_json", to_json)
+    monkeypatch.setattr(cli_mod, "WRITE_CHUNK", 1 << 16)
+    out = tmp_path / "again.json"
+    code, peak = traced_peak(lambda: main(["build", "--model", str(model),
+                                           "--out", str(out)]))
+    size = built.stat().st_size
+    assert code == 0 and out.read_bytes() == built.read_bytes() and size > 8 << 20
+    assert peak - held[0] < size / 16
 
 
 def test_from_items_merges_like_reference():
