@@ -15,6 +15,7 @@ included, runs each step for all episodes at once and is held only as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -455,9 +456,6 @@ def empirical_privacy_audit(result: SimulationResult, t: int) -> ChiSquareAudit:
     pooled statistic sums per-stratum Pearson contributions.  Expected cells
     thinner than 5 flag the result unreliable instead of failing.
     """
-    # imported here: scipy.special is most of the package's import time
-    from scipy.special import chdtrc
-
     masks, taus = result.q_masks, result.x_taus
     t = whole_number(t, "step t", -(1 << 63), 1 << 63)
     if not 0 <= t < masks.shape[1]:
@@ -493,7 +491,7 @@ def empirical_privacy_audit(result: SimulationResult, t: int) -> ChiSquareAudit:
     min_row, min_col = np.full(len(total), np.inf), np.full(len(total), np.inf)
     np.minimum.at(min_row, row_s, row_sum)
     np.minimum.at(min_col, col_s, col_sum)
-    p_value = float(chdtrc(dof, stat)) if dof > 0 else 1.0
+    p_value = _chi2_sf(dof, stat) if dof > 0 else 1.0
     unreliable = dof > 0 and float((min_row * min_col / total)[tested].min()) < 5.0
     return ChiSquareAudit(stat, dof, p_value, len(qt), len(total), unreliable)
 
@@ -501,3 +499,76 @@ def empirical_privacy_audit(result: SimulationResult, t: int) -> ChiSquareAudit:
 def _dense_codes(values: np.ndarray) -> np.ndarray:
     """Each value's rank among the distinct values."""
     return np.unique(values, return_inverse=True)[1].ravel()
+
+
+# Binet's function mu(a) = lgamma(a) - (a - 1/2) log a + a - log(2 pi) / 2 is
+# sum_k B_2k / (2k (2k - 1) a^(2k - 1)); these seven terms are exact to double
+# precision from a = _STIRLING_A on.
+_BINET = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_STIRLING_A = 10.0
+
+
+def _t_minus_log1p(t: float) -> float:
+    """t - log(1 + t), without the cancellation of the difference at small t."""
+    if abs(t) > 0.5:
+        return t - math.log1p(t)
+    # log1p(t) = 2 atanh(y) with y = t / (2 + t), |y| <= 1/3, and t - 2y = t y
+    y = t / (2.0 + t)
+    y2 = y * y
+    power, total, k = y * y2, 0.0, 3
+    while True:
+        term = power / k
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return t * y - 2.0 * total
+        power *= y2
+        k += 2
+
+
+def _chi2_sf(dof: int, stat: float) -> float:
+    """P(chi-square with ``dof`` >= 1 degrees of freedom > ``stat``).
+
+    That is Q(a, x), the regularized upper incomplete gamma function at
+    a = dof / 2, x = stat / 2: one minus the power series of P below
+    x = a + 1, the continued fraction of Q (modified Lentz) from there on.
+    Both scale x^a e^-x / Gamma(a), taken as a logarithm; from a = 10 on it
+    is written in t = (x - a) / a, so the tails keep their relative accuracy
+    at large dof.  Only the ``math`` module is used.
+    """
+    if stat <= 0.0:
+        return 1.0
+    a, x = 0.5 * dof, 0.5 * stat
+    if a < _STIRLING_A:
+        log_front = a * math.log(x) - x - math.lgamma(a)
+    else:
+        binet = 0.0
+        for coef in reversed(_BINET):
+            binet = binet / (a * a) + coef
+        log_front = (-a * _t_minus_log1p((x - a) / a)
+                     + 0.5 * math.log(a / (2.0 * math.pi)) - binet / a)
+    if x < a + 1.0:
+        # P(a, x) = front * sum_k x^k / (a (a + 1) ... (a + k))
+        term = total = 1.0 / a
+        denom = a
+        while term > 1e-17 * total:
+            denom += 1.0
+            term *= x / denom
+            total += term
+        return 1.0 - math.exp(log_front) * total
+    # Q(a, x) = front / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / ...))
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h, i = d, 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= 4e-16:
+            return math.exp(log_front) * h

@@ -276,10 +276,24 @@ def test_lp_tableau_guard_exits_capacity(tmp_path, capsys, n, cap):
     assert err.out == "" and "tableau exceeds" in err.err
 
 
-def test_cli_import_leaves_scipy_special_out():
-    # scipy.special is imported by the chi-square audit when it runs
-    code = "import sys, onoffpir.cli\nprint('scipy.special' in sys.modules)\n"
-    assert run_fresh_python(code).strip() == "False"
+def test_simulate_runs_without_scipy(model3_path, capsys):
+    # scipy is blocked, so any import of it raises; the audits are in the summary
+    argv = ["simulate", "--model", model3_path, "--pattern", "1000",
+            "--episodes", "1000", "--seed", "3"]
+    script = ("import contextlib, io, sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from onoffpir.cli import main\n"
+              "out = io.StringIO()\n"
+              "with contextlib.redirect_stdout(out):\n"
+              f"    code = main({argv!r})\n"
+              "print(code)\n"
+              "print(out.getvalue(), end='')\n")
+    code, out = run_fresh_python(script).split("\n", 1)
+    assert code == "0"
+    assert main(argv) == 0
+    assert out == capsys.readouterr().out
+    audits = json.loads(out)["privacy_audit"]
+    assert len(audits) == 3 and all(0.0 < a["p_value"] <= 1.0 for a in audits.values())
 
 
 def test_sweep_fig5_spot_values(capsys):

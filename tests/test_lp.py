@@ -7,7 +7,8 @@ import pytest
 import onoffpir.lp as lp_mod
 import reference_lp
 from helpers import random_law, run_fresh_python, worked_law, workload_table
-from onoffpir.bounds import restricted_lp_singleton_optimum
+from onoffpir.bounds import (inner_bound_first_off_step, outer_bound_2,
+                             restricted_lp_singleton_optimum)
 from onoffpir.lp import (IterationLimitError, LpProblem, build_lp, build_lps,
                          solve, solve_batch)
 from onoffpir.model import (CapacityError, ConditionalLaw, MarkovModel,
@@ -600,3 +601,31 @@ def test_build_lp_reads_a_cap_near_two_to_the_62_exactly():
     for cap in (2**62, np.uint64(2**62)):
         with pytest.raises(ValueError, match="cardinality cap"):
             build_lp(law, cap)
+
+
+def _oracle_laws():
+    rng = np.random.default_rng(34)
+    return [random_law(rng, n, ties=bool(i % 2))
+            for n, count in ((3, 30), (4, 30), (5, 20), (6, 12), (7, 8))
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("laws, stacked", [
+    (_oracle_laws, False), (lambda: [law for law, _ in _per_class_laws()], True)],
+    ids=["random-and-tied", "horizon-classes"])
+def test_optimum_matches_highs_and_the_closed_form_bracket(laws, stacked):
+    # an independent solver, scipy's HiGHS, on the same matrices, and the
+    # history-free bracket outer_bound_2 <= optimum <= the built scheme's
+    # cost; the horizon's per-class laws are solved as one stack
+    from scipy.optimize import linprog
+    laws = laws()
+    problems = build_lps(laws) if stacked else [build_lp(law) for law in laws]
+    solutions = solve_batch(problems) if stacked else [solve(p) for p in problems]
+    for law, problem, sol in zip(laws, problems, solutions, strict=True):
+        highs = linprog(problem.objective, A_eq=problem.eq_matrix,
+                        b_eq=problem.eq_rhs, bounds=(0, None), method="highs")
+        assert sol.status == "optimal" and highs.status == 0
+        assert abs(sol.optimum - highs.fun) <= 1e-9, (law.table, sol.optimum, highs.fun)
+        outer = outer_bound_2(law).inverse_rate
+        inner = inner_bound_first_off_step(law).inverse_rate
+        assert outer - 1e-9 <= sol.optimum <= inner + 1e-9

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 from unittest import mock
@@ -831,7 +832,58 @@ def test_privacy_audit_p_values_match_scipy_stats():
         for t in (1, 2):
             audit = empirical_privacy_audit(res, t)
             assert audit.dof > 0
-            assert audit.p_value == float(stats.chi2.sf(audit.statistic, audit.dof))
+            assert math.isclose(audit.p_value,
+                                float(stats.chi2.sf(audit.statistic, audit.dof)),
+                                rel_tol=1e-12)
+
+
+def test_chi2_sf_matches_scipy_on_dense_grid():
+    from scipy.special import chdtrc
+    rng = np.random.default_rng(34)
+    ratios = np.concatenate([np.linspace(0.0, 30.0, 301), np.linspace(0.8, 1.2, 41)])
+    dofs = [*range(1, 201), *rng.integers(201, 10 ** 5, 30).tolist()]
+    checked = 0
+    for dof in dofs:
+        stats = dof * ratios
+        want = chdtrc(dof, stats)
+        for stat, ref in zip(stats.tolist(), want.tolist()):
+            if ref >= 1e-20:
+                checked += 1
+                assert math.isclose(sim_mod._chi2_sf(dof, stat), ref, rel_tol=1e-12), \
+                    (dof, stat)
+    assert checked > 18000
+
+
+# Q(dof / 2, stat / 2) at 50 digits (mpmath 1.3.0, ``gammainc(dof / 2,
+# stat / 2, inf, regularized=True)``), rounded to double.  scipy's chdtrc is
+# off by 1.4e-11 relative at (12567, 18850.5), by 2.7e-13 at (2000, 3000).
+DEEP_TAIL = [
+    (1, 100.0, 1.523970604832105e-23),
+    (7, 200.0, 1.1477812240142598e-39),
+    (80, 1400.0, 4.6554223982735486e-240),
+    (2000, 3000.0, 2.204698611388996e-43),
+    (12567, 18850.5, 1.064528770512798e-260),
+    (10 ** 5, 1.1e5, 2.5841772471796377e-104),
+    (10 ** 6, 1.03e6, 2.9406225421100605e-98),
+    (10 ** 7, 1.01e7, 2.4852506801423715e-110),
+]
+
+
+@pytest.mark.parametrize("dof, stat, want", DEEP_TAIL)
+def test_chi2_sf_deep_tail_matches_pinned_values(dof, stat, want):
+    assert math.isclose(sim_mod._chi2_sf(dof, stat), want, rel_tol=1e-12)
+
+
+def test_chi2_sf_edges():
+    for dof in (1, 2, 7, 30, 10 ** 4):
+        assert sim_mod._chi2_sf(dof, 0.0) == 1.0
+        p = [sim_mod._chi2_sf(dof, dof * r) for r in np.linspace(0.0, 30.0, 601)]
+        assert all(b <= a for a, b in zip(p, p[1:])), dof
+    assert sim_mod._chi2_sf(2, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    start = time.perf_counter()
+    p = sim_mod._chi2_sf(10 ** 7, 1e7)
+    assert time.perf_counter() - start < 0.05
+    assert 0.4999 < p < 0.5
 
 
 def test_privacy_audits_linear_in_horizon():
