@@ -30,8 +30,6 @@ EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_CAPACITY = 0, 1, 2, 3
 PATTERN_STEPS = 1 << 20
 # Episodes per block of the ``simulate --out`` trace CSV.
 CSV_CHUNK = 1024
-# Characters per write of the ``build`` output.
-WRITE_CHUNK = 1 << 18
 # 10^1..10^18: a nonnegative int64 v has one decimal digit more than the
 # number of these powers at most v.
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
@@ -102,12 +100,9 @@ def _cmd_build(args) -> int:
     dist = build_query_distribution(law, stats)
     extra = {"expected_multiset_cardinality": dist.expected_multiset_cardinality(),
              "expected_set_cardinality": dist.expected_set_cardinality()}
-    # the scheme's JSON object up to its closing brace, in slices, so that no
-    # second copy of the whole text is made; then the extra members
-    text = dist.to_json()
-    stop = len(text) - 1
-    _write(chain((text[i:min(i + WRITE_CHUNK, stop)] for i in range(0, stop, WRITE_CHUNK)),
-                 [", " + json.dumps(extra)[1:] + "\n"]), args.out)
+    # the scheme's JSON text a block of entries at a time, the extra members
+    # before its closing brace, so that the whole text is never held
+    _write(chain(dist._json_pieces(", " + json.dumps(extra)[1:-1]), ["\n"]), args.out)
     return EXIT_OK
 
 

@@ -31,6 +31,9 @@ from .model import (EPS, ZERO_TOL, CapacityError, ConditionalLaw, OrderStats,
 # clear): count-row rank, x, u and entry index, each in the fewest bits that
 # hold it.  At n = 100, 990,089 entries over 9,901 rows need 48.
 KEY_BITS = 63
+# Entries per piece of the JSON text of a distribution, which ``to_json``
+# joins and ``onoffpir build`` writes piece by piece.
+JSON_BLOCK = 1 << 11
 
 
 class InternalConsistencyError(AssertionError):
@@ -109,13 +112,6 @@ class QueryDistribution:
     def expected_set_cardinality(self) -> float:
         return float(self.query_law() @ (self.counts > 0).sum(axis=1, dtype=float))
 
-    def query_conditionals(self) -> np.ndarray:
-        """table[qid, u] = p(z | u); rows are constant for a private scheme."""
-        key = self.qidx * self.n
-        key += self.us
-        flat = np.bincount(key, weights=self.probs, minlength=len(self.counts) * self.n)
-        return flat.reshape(len(self.counts), self.n)
-
     def entry_tuples(self):
         """Entries as plain (counts, x, u, p) tuples in canonical order."""
         rows = [tuple(row) for row in self.counts.tolist()]
@@ -124,21 +120,28 @@ class QueryDistribution:
                     self.probs.tolist())]
 
     def to_json(self) -> str:
-        """What ``json.dumps`` writes for the entries as objects, formatting
-        each distinct count row, index and probability once (``repr`` is its
-        format for a float).  Probabilities are told apart by their bits, not
-        their values, so that ``-0.0`` keeps its sign."""
+        """What ``json.dumps`` writes for the entries as objects."""
+        return "".join(self._json_pieces())
+
+    def _json_pieces(self, members: str = ""):
+        """The text of :meth:`to_json`, ``JSON_BLOCK`` entries per piece,
+        with ``members`` (JSON members, each after ", ") written before its
+        closing brace.  Each distinct count row and probability is formatted
+        once (``repr`` is json's format for a float), each index by ``str``.
+        Probabilities are told apart by their bits, not their values, so
+        that ``-0.0`` keeps its sign."""
         rows = [json.dumps(row) for row in self.counts.tolist()]
-        ints, int_of = np.unique(np.concatenate([self.xs, self.us]), return_inverse=True)
-        ints = list(map(str, ints.tolist()))
+        ints = list(map(str, range(self.n)))
         bits, p_of = np.unique(self.probs.view(np.int64), return_inverse=True)
         ps = list(map(repr, bits.view(float).tolist()))
-        m = len(self)
-        entries = ", ".join([
-            f'{{"z": {rows[q]}, "x": {ints[x]}, "u": {ints[u]}, "p": {ps[p]}}}'
-            for q, x, u, p in zip(self.qidx.tolist(), int_of[:m].tolist(),
-                                  int_of[m:].tolist(), p_of.tolist())])
-        return f'{{"n": {self.n}, "entries": [{entries}]}}'
+        yield f'{{"n": {self.n}, "entries": ['
+        for lo in range(0, len(self), JSON_BLOCK):
+            block = slice(lo, lo + JSON_BLOCK)
+            yield (", " if lo else "") + ", ".join([
+                f'{{"z": {rows[q]}, "x": {ints[x]}, "u": {ints[u]}, "p": {ps[p]}}}'
+                for q, x, u, p in zip(self.qidx[block].tolist(), self.xs[block].tolist(),
+                                      self.us[block].tolist(), p_of[block].tolist())])
+        yield f"]{members}}}"
 
     @staticmethod
     def from_json(obj) -> "QueryDistribution":
@@ -279,16 +282,45 @@ def _assemble(n: int, row_law, rows, row_of, xs, us, ps):
 
     Entry ``e`` has count vector ``rows[row_of[e]]`` (repeats allowed) of
     law ``row_law[row_of[e]]`` (int64, all 0 for one law); ``row_of``,
-    ``xs``, ``us`` and ``ps`` broadcast together, entries in C order.  One
-    stable argsort of each row's big-endian bytes (law, cardinality, then
-    vector) ranks the distinct (law, vector) pairs.  Each entry's merge key
-    packs ``rank | x | u | e`` as bit fields of one int64, so one in-place
-    sort puts the entries in canonical order law by law, the entries of a
-    cell in entry order, and every cell is summed in entry order.  Raises
-    :class:`CapacityError` when the key needs more than ``KEY_BITS`` bits.
+    ``xs``, ``us`` and ``ps`` broadcast together, entries in C order.  The
+    cells come from :func:`_merge`; each distinct rank among them is one
+    count row.  Raises :class:`CapacityError` when the merge key needs more
+    than ``KEY_BITS`` bits.
     """
     rows = np.asarray(rows)   # int64 counts, or the projection's bool supports
     rows = rows.reshape(len(rows), n)
+    cells, sums, firsts = _merge(n, row_law, rows, row_of, xs, us, ps)
+    x_bits = (n - 1).bit_length()
+    # cells is sorted, so its distinct ranks start where the rank changes
+    ranks = cells >> 2 * x_bits
+    first = np.ones(len(ranks), dtype=bool)
+    first[1:] = ranks[1:] != ranks[:-1]
+    present = firsts[ranks[first]]
+    del ranks
+    qidx = first.astype(np.int64)
+    np.cumsum(qidx, out=qidx)
+    qidx -= 1
+    mask = (1 << x_bits) - 1
+    cell_xs = cells >> x_bits
+    cell_xs &= mask
+    cells &= mask   # now each cell's u
+    stacks = [a[None] for a in (rows[present].astype(np.int64, copy=False), qidx,
+                                cell_xs, cells, sums)]   # one row each
+    return _unchecked(QueryDistribution, [n], *stacks)[0], row_law[present]
+
+
+def _merge(n: int, row_law, rows: np.ndarray, row_of, xs, us, ps):
+    """The merge step of :func:`_assemble`, ``rows`` of shape (R, n):
+    ``(cells, sums, firsts)``, the cells whose sum is above ``ZERO_TOL`` as
+    sorted int64 keys ``rank | x | u`` (``(n - 1).bit_length()`` bits each
+    for x and u), their sums, and the first row of each rank.
+
+    One stable argsort of each row's big-endian bytes (law, cardinality,
+    then vector) ranks the distinct (law, vector) pairs.  Each entry's merge
+    key packs ``rank | x | u | e`` as bit fields of one int64, so one
+    in-place sort puts the entries in canonical order law by law, the
+    entries of a cell in entry order, and every cell is summed in entry
+    order."""
     # The narrowest big-endian field that holds a law index, a cardinality
     # and a count: byte order is then the order of the (law, |z|, z) keys.
     top = max(n, int(row_law.max(initial=0)))
@@ -335,8 +367,10 @@ def _assemble(n: int, row_law, rows, row_of, xs, us, ps):
     start[1:] = key[1:] != key[:-1]
     cells = key[start]
     del key
-    segment = np.cumsum(start)
+    # int64 before the cumsum, which would otherwise cast in a hidden copy
+    segment = start.astype(np.int64)
     del start
+    np.cumsum(segment, out=segment)
     segment -= 1
     sums = np.bincount(segment, weights)
     del segment, weights
@@ -344,21 +378,31 @@ def _assemble(n: int, row_law, rows, row_of, xs, us, ps):
     if not keep.all():
         cells = cells[keep]
         sums = sums[keep]
-    # cells is sorted, so its distinct ranks start where the rank changes
-    ranks = cells >> 2 * x_bits
-    first = np.ones(len(ranks), dtype=bool)
-    first[1:] = ranks[1:] != ranks[:-1]
-    present = firsts[ranks[first]]
-    del ranks
-    qidx = np.cumsum(first)
-    qidx -= 1
-    mask = (1 << x_bits) - 1
-    cell_xs = cells >> x_bits
-    cell_xs &= mask
-    cells &= mask   # now each cell's u
-    stacks = [a[None] for a in (rows[present].astype(np.int64, copy=False), qidx,
-                                cell_xs, cells, sums)]   # one row each
-    return _unchecked(QueryDistribution, [n], *stacks)[0], row_law[present]
+    return cells, sums, firsts
+
+
+def _set_conditionals(dist: QueryDistribution):
+    """``(rows, table)``: the count rows (int64) of ``project_to_sets(dist)``
+    and ``table[q, u] = p(set q | u)``, rows constant for a private scheme,
+    without the projection's entry arrays.  The merged cells come sorted by
+    (set, x, u), so each (set, u) adds its cell sums in x order from 0.0,
+    as one bincount over the projection's entries does."""
+    n = dist.n
+    supports = dist.counts > 0
+    cells, sums, firsts = _merge(n, np.zeros(len(supports), np.int64), supports,
+                                 dist.qidx, dist.xs, dist.us, dist.probs)
+    x_bits = (n - 1).bit_length()
+    key = cells & ((1 << x_bits) - 1)   # each cell's u
+    cells >>= 2 * x_bits                 # each cell's rank
+    present = np.zeros(len(firsts), dtype=bool)
+    present[cells] = True
+    cells *= n
+    key += cells
+    del cells
+    table = np.bincount(key, sums, len(firsts) * n).reshape(len(firsts), n)
+    if not present.all():   # a set whose cells were all dust
+        table, firsts = table[present], firsts[present]
+    return supports[firsts].astype(np.int64), table
 
 
 def project_to_sets(dist: QueryDistribution) -> QueryDistribution:
@@ -528,29 +572,35 @@ def identity_gaps(dist: QueryDistribution, row_law, tables, thetas) -> IdentityG
                          f"against a law over n={np.shape(tables)[-1]}")
     n_laws = len(tables)
     qidx, probs = dist.qidx, dist.probs
-    # One entry-length key, rewritten in place for each cell index in turn:
-    # (query, x), then (query, u), then (law, u) and (law, u, x), then
-    # (law, |z|).  Every query index is in range, so np.take may "clip",
-    # which writes into the key directly ("raise" goes through a buffer).
+    # One entry-length key at a time for each cell index in turn: (query, x),
+    # rewritten in place to (query, u); (law, u), rewritten to (law, u, x);
+    # then (law, |z|).  A key by law is gathered by indexing once the key
+    # before it is freed (np.take would copy the read-only qidx).
     key = qidx * n
     key += dist.xs
-    undecodable = dist.counts.ravel()[key] <= 0
+    undecodable = (dist.counts.ravel() <= 0)[key]
     violations = (np.bincount(row_law[qidx[probs <= 0]], minlength=n_laws)
                   + np.bincount(row_law[qidx[undecodable]], minlength=n_laws))
     del undecodable
+    # np.bincount copies read-only weights, so the weighted counts share one
+    # writable copy of probs, divided by n in place for the last
+    weights = probs.copy()
     key -= dist.xs
     key += dist.us
-    cond = np.bincount(key, probs, len(dist.counts) * n).reshape(-1, n)
+    cond = np.bincount(key, weights, len(dist.counts) * n).reshape(-1, n)
+    del key
     spread = cond.max(axis=1) - cond.min(axis=1)
     del cond
-    np.take(row_law * n, qidx, out=key, mode="clip")
+    key = (row_law * n)[qidx]
     key += dist.us
-    totals = np.bincount(key, probs, n_laws * n).reshape(n_laws, n)
+    totals = np.bincount(key, weights, n_laws * n).reshape(n_laws, n)
     key *= n
     key += dist.xs
-    marginal = np.bincount(key, probs, n_laws * n * n).reshape(n_laws, n, n)
-    np.take(row_law * (n + 1) + dist.counts.sum(axis=1), qidx, out=key, mode="clip")
-    card_law = np.bincount(key, probs / n, n_laws * (n + 1)).reshape(n_laws, n + 1)
+    marginal = np.bincount(key, weights, n_laws * n * n).reshape(n_laws, n, n)
+    del key
+    key = (row_law * (n + 1) + dist.counts.sum(axis=1))[qidx]
+    card_law = np.bincount(key, np.divide(weights, n, out=weights),
+                           n_laws * (n + 1)).reshape(n_laws, n + 1)
     return IdentityGaps(violations, np.abs(totals - 1.0), np.abs(marginal - tables),
                         spread, np.abs(card_law[:, 1:] - thetas))
 

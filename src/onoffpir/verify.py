@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import bounds_over_horizon
 from .model import EPS, ConditionalLaw, OrderStats, mutual_information_bits, numbers
-from .scheme import QueryDistribution, identity_gaps, project_to_sets
+from .scheme import QueryDistribution, _set_conditionals, identity_gaps
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,13 @@ def audit_distribution(dist: QueryDistribution, law: ConditionalLaw,
     violations, marginal, cardinality = (int(gaps.violations[0]), gaps.marginal[0],
                                          gaps.cardinality[0])
     spread_z = gaps.spread
-    set_view = project_to_sets(dist)
-    set_cond = set_view.query_conditionals()
+    set_rows, set_cond = _set_conditionals(dist)
     spread_y = set_cond.max(axis=1) - set_cond.min(axis=1)
     gap_z, gap_y = (float(s.max(initial=0.0)) for s in (spread_z, spread_y))
     privacy_gap = max(gap_z, gap_y)
-    view, spread = (dist, spread_z) if gap_z >= gap_y else (set_view, spread_y)
-    privacy_query = view.counts[int(np.argmax(spread))].tolist() if len(spread) else None
-    del set_view, view   # the projection goes before the leakage summary
+    rows, spread = (dist.counts, spread_z) if gap_z >= gap_y else (set_rows, spread_y)
+    privacy_query = rows[int(np.argmax(spread))].tolist() if len(spread) else None
+    del set_rows, rows   # the set rows go before the leakage summary
     marginal_gap = float(marginal.max())
     mu, mx = np.unravel_index(int(np.argmax(marginal)), marginal.shape)
     cardinality_gap = float(cardinality.max())
@@ -101,8 +100,7 @@ def extension_mutual_informations(dist: QueryDistribution,
     chain_joint = numbers(chain_joint, "chain joint")
     if chain_joint.shape != (dist.n, dist.n):
         raise ValueError("chain joint must be n x n over (earlier request, pivot)")
-    set_view = project_to_sets(dist)
-    y_given_u = set_view.query_conditionals().T          # [u, y]
+    y_given_u = _set_conditionals(dist)[1].T   # [u, y]
     pivot_marg = chain_joint.sum(axis=0)
     mi_pivot = mutual_information_bits(pivot_marg[:, None] * y_given_u)
     joint_by = np.einsum("bu,uy->by", chain_joint, y_given_u)

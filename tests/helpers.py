@@ -83,6 +83,15 @@ def is_set_view(dist: QueryDistribution) -> bool:
     return bool(np.all(dist.counts <= 1))
 
 
+def query_conditionals(dist: QueryDistribution) -> np.ndarray:
+    """table[qid, u] = p(z | u), each cell summed in entry order; rows are
+    constant for a private scheme."""
+    key = dist.qidx * dist.n
+    key += dist.us
+    flat = np.bincount(key, weights=dist.probs, minlength=len(dist.counts) * dist.n)
+    return flat.reshape(len(dist.counts), dist.n)
+
+
 def law_marginal(dist: QueryDistribution) -> np.ndarray:
     """table[u, x] = sum_z p(z, x | u); equals the input law when valid."""
     flat = np.bincount(dist.us * dist.n + dist.xs, weights=dist.probs,

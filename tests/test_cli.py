@@ -11,11 +11,13 @@ import onoffpir.cli as cli_mod
 import onoffpir.lp as lp_mod
 import onoffpir.scheme as scheme_mod
 import onoffpir.sim as sim_mod
-from helpers import WORKED_TABLE, never_the_request, run_fresh_python
+import reference_wire as ref
+from helpers import WORKED_TABLE, never_the_request, random_law, run_fresh_python
 from onoffpir.cli import main
 from onoffpir.lp import LpSolution
 from onoffpir.model import CapacityError, MarkovModel, order_stats, step_law
-from onoffpir.scheme import InternalConsistencyError, build_query_distribution
+from onoffpir.scheme import (InternalConsistencyError, build_query_distribution,
+                             project_to_sets)
 from onoffpir.sim import POLICIES
 
 
@@ -125,8 +127,15 @@ def test_build_output_pinned(model3_path, capsys):
 @pytest.mark.parametrize("chunk", [1, 97, 1 << 20])
 def test_build_slices_write_the_pinned_bytes(model3_path, tmp_path, capsys, monkeypatch,
                                              chunk):
-    # the scheme's text in slices of any size, to stdout and to a file
-    monkeypatch.setattr(cli_mod, "WRITE_CHUNK", chunk)
+    # the scheme's text in blocks of any size, joined and written to stdout
+    # and to a file
+    monkeypatch.setattr(scheme_mod, "JSON_BLOCK", chunk)
+    rng = np.random.default_rng(97)
+    for law in (step_law(MarkovModel(3, WORKED_TABLE, np.full(3, 1 / 3)), 1),
+                random_law(rng, 12), random_law(rng, 12, ties=True)):
+        dist = build_query_distribution(law)
+        for d in (dist, project_to_sets(dist)):
+            assert d.to_json() == ref.to_json(d)
     assert main(["build", "--model", model3_path, "--gap", "1"]) == 0
     out = capsys.readouterr().out
     digest = "e2cf395667f39127bdcc43c50eca7b4c80210a8f91d6967dce0a5dc0f57e8f63"

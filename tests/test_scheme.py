@@ -9,13 +9,13 @@ import pytest
 
 import onoffpir.scheme as scheme_mod
 import reference_builder
-from helpers import (is_set_view, law_marginal, law_part, of_counts, random_law,
-                     scheme_bytes, traced_peak, worked_law, workload_table)
+from helpers import (is_set_view, law_marginal, law_part, of_counts, query_conditionals,
+                     random_law, scheme_bytes, traced_peak, worked_law, workload_table)
 from onoffpir.model import (CapacityError, ConditionalLaw, MarkovModel, OrderStats,
                             order_stats, stacked_order_stats, step_law)
 from onoffpir.scheme import (InternalConsistencyError, QueryDistribution, _assemble,
-                             _check_built, _QueryCounts, _scan, build_batch,
-                             build_query_distribution, policy_n2,
+                             _check_built, _QueryCounts, _scan, _set_conditionals,
+                             build_batch, build_query_distribution, policy_n2,
                              policy_n2_table, project_to_sets)
 from onoffpir.sim import PrivacyPattern, enumerate_steps
 
@@ -287,6 +287,45 @@ def test_project_leaves_plain_sets_alone():
         assert project_to_sets(dist).entry_tuples() == dist.entry_tuples()
 
 
+def _random_builds(ties: bool) -> list:
+    rng = np.random.default_rng(35)
+    return [build_query_distribution(random_law(rng, n, ties=ties)) for n in (2, 3, 5, 8, 13)]
+
+
+# Distributions whose set projection the audit reads; the hand-made ones
+# repeat supports, merge one set's cells to dust, hold a count row without
+# entries, or hold no entries at all.
+SET_CASES = {
+    "worked": lambda: [build_query_distribution(worked_law()),
+                       build_query_distribution(ConditionalLaw(4, TIES_ZEROS))],
+    "random": lambda: _random_builds(False),
+    "random_ties": lambda: _random_builds(True),
+    "workload60": lambda: [build_query_distribution(ConditionalLaw(60, workload_table(11, 60)))],
+    "workload91": lambda: [build_query_distribution(ConditionalLaw(91, workload_table(11, 91)))],
+    "hand_made": lambda: [
+        QueryDistribution.from_items(3, [((2, 1, 0), 0, 0, 0.1), ((1, 1, 0), 1, 1, 0.2),
+                                         ((1, 1, 0), 0, 0, 0.3), ((0, 0, 3), 2, 2, 1e-20),
+                                         ((1, 0, 1), 2, 1, 0.4)]),
+        QueryDistribution(2, [_QueryCounts((1, 1)), _QueryCounts((2, 0))],
+                          [1, 1], [0, 0], [0, 1], [1e-20, 1e-20]),
+        QueryDistribution(2, [_QueryCounts((1, 1)), _QueryCounts((0, 1))], [1], [1], [0], [0.5]),
+        QueryDistribution.from_items(4, [])],
+}
+
+
+@pytest.mark.parametrize("name", list(SET_CASES))
+def test_set_conditionals_equal_the_projection_bits(name):
+    # the audit's set rows and p(set | u), without the projection's entries
+    for dist in SET_CASES[name]():
+        rows, table = _set_conditionals(dist)
+        sets = project_to_sets(dist)
+        want = query_conditionals(sets)
+        assert rows.dtype == sets.counts.dtype and rows.shape == sets.counts.shape
+        assert rows.tobytes() == sets.counts.tobytes()
+        assert table.dtype == want.dtype and table.shape == want.shape
+        assert table.tobytes() == want.tobytes()
+
+
 def test_project_preserves_invariants_and_shrinks_cost():
     rng = np.random.default_rng(99)
     for _ in range(50):
@@ -301,7 +340,7 @@ def test_project_preserves_invariants_and_shrinks_cost():
         per_u = np.bincount(sets.us, weights=sets.probs, minlength=n_)
         assert np.allclose(per_u, 1.0, atol=1e-9)
         assert np.max(np.abs(law_marginal(sets) - law.table)) < 1e-9
-        cond = sets.query_conditionals()
+        cond = query_conditionals(sets)
         assert np.max(cond.max(axis=1) - cond.min(axis=1)) < 1e-9
 
 

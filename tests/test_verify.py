@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (mutual_information_kl_bits, random_law, scheme_bytes, traced_peak,
-                     worked_law, workload_table)
+from helpers import (mutual_information_kl_bits, query_conditionals, random_law,
+                     scheme_bytes, traced_peak, worked_law, workload_table)
 from onoffpir.bounds import bounds_over_horizon, outer_bound_2
 from onoffpir.model import (ConditionalLaw, MarkovModel, PrivacyPattern,
                             entropy_bits, order_stats, step_law)
@@ -65,7 +65,7 @@ def test_audit_table_one_scheme():
     stats = order_stats(law)
     dist = table_one_distribution()
     # each query's conditional is pivot-free: p({0}| pivot) = 0.2 both ways
-    cond = dist.query_conditionals()
+    cond = query_conditionals(dist)
     assert np.allclose(cond[:, 0], cond[:, 1], atol=1e-12)
     report = audit_distribution(dist, law, stats)
     assert report.passed and report.privacy_gap < 1e-12
@@ -110,20 +110,20 @@ def test_audit_leakage_reads_the_scaled_set_conditionals():
         law = random_law(rng, n)
         stats = order_stats(law)
         dist = build_query_distribution(law, stats)
-        cond = project_to_sets(dist).query_conditionals()
+        cond = query_conditionals(project_to_sets(dist))
         want = mutual_information_bits((1.0 / n) * cond.T)
         assert audit_distribution(dist, law, stats).mutual_information == want
 
 
 def test_audit_peak_stays_near_the_scheme():
-    # n = 60: the projection is freed before the leakage summary, and the
-    # summary reads its joint once
+    # n = 60: the audit reads p(set | u) from the merged cells, without a
+    # projected distribution, and the leakage summary reads its joint once
     law = ConditionalLaw(60, workload_table(11, 60))
     stats = order_stats(law)
     dist = build_query_distribution(law, stats)
     report, peak = traced_peak(lambda: audit_distribution(dist, law, stats))
     assert report.passed
-    assert peak < 1.35 * scheme_bytes(dist)
+    assert peak < 0.9 * scheme_bytes(dist)
 
 
 def test_audit_report_json():
@@ -192,6 +192,19 @@ def test_extension_rejects_leaky_scheme():
     mi_pivot, mi_earlier = extension_mutual_informations(leaky, chain_joint)
     assert mi_pivot > 1e-3 and mi_earlier > 1e-3
     assert not markov_privacy_extension_check(leaky, chain_joint)
+
+
+def test_extension_reads_the_projection_bits():
+    # both informations as the set projection's p(set | u) gives them
+    rng = np.random.default_rng(35)
+    for n in (2, 3, 7, 12):
+        dist = build_query_distribution(random_law(rng, n, ties=n == 7))
+        chain_joint = rng.random((n, n))
+        chain_joint /= chain_joint.sum()
+        y_given_u = query_conditionals(project_to_sets(dist)).T
+        want = (mutual_information_bits(chain_joint.sum(axis=0)[:, None] * y_given_u),
+                mutual_information_bits(np.einsum("bu,uy->by", chain_joint, y_given_u)))
+        assert extension_mutual_informations(dist, chain_joint) == want
 
 
 def test_extension_validates_shape():
